@@ -1,20 +1,11 @@
 """Repo-level pytest configuration.
 
-Registers the execution-backend options shared by the benchmark suite
-(and any test that exercises the parallel experiment engine):
-
-* ``--jobs N`` selects how many worker processes the engine fans
-  Monte-Carlo runs out over;
-* ``--backend serial|pool|distributed`` routes every engine submission
-  through the named executor for the whole session (``distributed``
-  starts a TCP coordinator plus ``--workers`` loopback workers).
-
-Results are identical for every combination, so CI can run the benchmark
-smoke job with ``--jobs auto`` -- or the whole suite against the
-distributed backend -- without changing any asserted number.
+Registers ``--jobs N``, shared by the benchmark suite (and any test that
+exercises the parallel experiment engine): how many worker processes the
+engine fans Monte-Carlo runs out over.  Results are identical for every
+value, so CI can run the benchmark smoke job with ``--jobs auto``
+without changing any asserted number.
 """
-
-import pytest
 
 
 def pytest_addoption(parser):
@@ -22,32 +13,3 @@ def pytest_addoption(parser):
         "--jobs", action="store", default="1",
         help="worker processes for experiment runs "
              "(default 1; 0 or 'auto' = all cores)")
-    parser.addoption(
-        "--backend", action="store", default=None,
-        choices=("serial", "pool", "distributed"),
-        help="experiment engine backend for the whole session "
-             "(default: serial for --jobs 1, pool otherwise)")
-    parser.addoption(
-        "--workers", action="store", default="2",
-        help="loopback worker processes for --backend distributed "
-             "(default 2)")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _experiment_backend(request):
-    """Install the ``--backend`` executor as the engine-wide default."""
-    backend = request.config.getoption("--backend")
-    if backend is None:
-        yield None
-        return
-    from repro.experiments.engine import (
-        make_executor,
-        resolve_jobs,
-        use_executor,
-    )
-    executor = make_executor(
-        backend,
-        jobs=resolve_jobs(request.config.getoption("--jobs")),
-        workers=int(request.config.getoption("--workers")))
-    with executor, use_executor(executor):
-        yield executor

@@ -10,18 +10,13 @@ Usage::
     python -m repro mobility --preset quick
     python -m repro scalability
     python -m repro energy
-    python -m repro table2 --backend distributed --workers 4
-    python -m repro worker --connect host:5555
     python -m repro doctor --clean-shm
 
 Experiment output is printed as the same plain-text tables the benchmark
-suite shows.  ``--jobs`` fans the Monte-Carlo runs out over worker
-processes and ``--backend`` selects how (serial, multiprocessing pool,
-or the distributed TCP backend -- optionally with remote workers via
-``--bind`` and ``python -m repro worker --connect``); results are
-identical for every backend and worker count (see
-``repro.experiments.engine``).  Backend status lines go to stderr so
-stdout stays byte-comparable across backends.
+suite shows.  ``--jobs`` fans the Monte-Carlo runs out over a
+``multiprocessing`` pool (``--jobs 1``, the default, runs in-process);
+results are identical for every worker count (see
+``repro.experiments.engine``).
 """
 
 import argparse
@@ -30,12 +25,7 @@ import sys
 from repro.experiments.churn import run_churn_experiment
 from repro.experiments.comparison import run_comparison
 from repro.experiments.energy_lifetime import run_energy_lifetime
-from repro.experiments.engine import (
-    BACKENDS,
-    make_executor,
-    resolve_jobs,
-    use_executor,
-)
+from repro.experiments.engine import resolve_jobs
 from repro.experiments.figures import run_figure1, run_figure2, run_figure3
 from repro.experiments.intensity_sweep import run_intensity_sweep
 from repro.experiments.mobility import run_mobility_experiment
@@ -103,23 +93,20 @@ def _seed_runner(runner):
 
 
 def _workload_runner(args):
-    """``repro workload``: also forwards ``--metric`` and ``--serving``."""
+    """``repro workload``: also forwards ``--metric``."""
     print(run_workload(args.preset, rng=args.seed, jobs=args.jobs,
-                       dynamics=args.dynamics, metric=args.metric,
-                       serving=args.serving,
-                       topology=_single_topology(args)))
+                       metric=args.metric, topology=_single_topology(args)))
 
 
 def _comparison_runner(args):
     """``repro comparison``: any number of ``--topology`` specs switches
     the family to the off-UDG robustness table."""
     print(run_comparison(args.preset, rng=args.seed, jobs=args.jobs,
-                         dynamics=args.dynamics, topology=args.topology))
+                         topology=args.topology))
 
 
 def _churn_runner(args):
     print(run_reaffiliation_churn(args.preset, rng=args.seed, jobs=args.jobs,
-                                  dynamics=args.dynamics,
                                   topology=_single_topology(args)))
 
 
@@ -177,10 +164,8 @@ def build_parser():
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["doctor", "list",
-                                                       "worker"],
-                        help="experiment to run, 'list' to enumerate, "
-                             "'worker' to serve a remote coordinator, or "
+                        choices=sorted(EXPERIMENTS) + ["doctor", "list"],
+                        help="experiment to run, 'list' to enumerate, or "
                              "'doctor' to inspect host state")
     parser.add_argument("--preset", default="quick",
                         help="workload preset: quick (default), paper, smoke")
@@ -195,69 +180,19 @@ def build_parser():
                              "(node count from the preset, matched mean "
                              "degree from --radius equivalents); repeat "
                              "the flag for the comparison sweep")
-    parser.add_argument("--dynamics", choices=("delta", "rebuild"),
-                        default="delta",
-                        help="how mobility experiments advance windows: "
-                             "incremental engines on the exact edge-delta "
-                             "stream (delta, default) or per-window "
-                             "scratch rebuilds (rebuild); output is "
-                             "identical either way")
     parser.add_argument("--metric", default="density",
                         choices=("density", "degree", "lowest_id", "maxmin"),
                         help="workload mode: clustering metric maintained "
                              "under mobility traffic (default density)")
-    parser.add_argument("--serving", choices=("batch", "request"),
-                        default="batch",
-                        help="workload mode: route requests in grouped "
-                             "batches (default) or one at a time; the "
-                             "served stream is identical either way")
     parser.add_argument("--jobs", default=1, type=_jobs_arg,
                         help="worker processes for Monte-Carlo runs "
                              "(default 1; 0 or 'auto' = all cores); "
                              "results are identical for every value")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="execution backend (default: serial for "
-                             "--jobs 1, pool otherwise); results are "
-                             "identical for every backend")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="distributed backend: loopback worker "
-                             "processes to spawn (default 2; 0 = rely on "
-                             "remote workers connecting to --bind)")
-    parser.add_argument("--bind", default="127.0.0.1:0",
-                        help="distributed backend: coordinator bind "
-                             "address (use 0.0.0.0:PORT to accept remote "
-                             "workers)")
-    parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="distributed backend: journal completed "
-                             "chunks under DIR and resume interrupted "
-                             "runs from it")
-    parser.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                        help="distributed backend: seconds of worker "
-                             "silence before its chunk is re-queued "
-                             "(default 10; raise it when single runs "
-                             "outlast it and workers heartbeat slower)")
     parser.add_argument("--clean-shm", action="store_true",
                         help="doctor mode: remove shared-memory segments "
                              "whose publisher process is dead (the "
                              "leftovers of a SIGKILLed run)")
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="worker mode: coordinator address to serve")
-    parser.add_argument("--heartbeat", type=float, default=1.0,
-                        help="worker mode: heartbeat interval in seconds "
-                             "while computing (default 1.0; must stay "
-                             "well below the coordinator's "
-                             "--heartbeat-timeout, default 10)")
     return parser
-
-
-def _worker_main(args, parser):
-    if not args.connect:
-        parser.error("worker mode requires --connect HOST:PORT")
-    from repro.experiments.distributed.worker import serve
-    print(f"worker serving coordinator at {args.connect}", file=sys.stderr)
-    served = serve(args.connect, heartbeat_interval=args.heartbeat)
-    print(f"worker done ({served} chunk(s) served)", file=sys.stderr)
-    return 0
 
 
 def _doctor_main(args):
@@ -305,23 +240,9 @@ def _doctor_main(args):
     return 0
 
 
-def _build_executor(args):
-    """The executor implied by ``--backend`` (None = historical --jobs)."""
-    if args.backend is None:
-        return None
-    if args.backend == "distributed":
-        workers = 2 if args.workers is None else args.workers
-        return make_executor("distributed", workers=workers, bind=args.bind,
-                             checkpoint=args.checkpoint,
-                             heartbeat_timeout=args.heartbeat_timeout)
-    return make_executor(args.backend, jobs=args.jobs)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment == "worker":
-        return _worker_main(args, parser)
     if args.experiment == "doctor":
         return _doctor_main(args)
     if args.experiment == "list":
@@ -330,17 +251,7 @@ def main(argv=None):
             print(f"{name.ljust(width)}  {EXPERIMENTS[name][0]}")
         return 0
     try:
-        executor = _build_executor(args)
-        if executor is None:
-            EXPERIMENTS[args.experiment][1](args)
-            return 0
-        with executor, use_executor(executor):
-            if executor.name == "distributed":
-                host, port = executor.start()
-                print(f"coordinator listening on {host}:{port} "
-                      f"({executor.workers or 0} loopback worker(s))",
-                      file=sys.stderr)
-            EXPERIMENTS[args.experiment][1](args)
+        EXPERIMENTS[args.experiment][1](args)
     except ConfigurationError as error:
         parser.error(str(error))
     return 0

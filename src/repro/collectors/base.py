@@ -3,9 +3,9 @@
 A collector consumes :class:`~repro.workload.serve.ServedRequest`
 events and keeps *mergeable* partial state: ``merge`` must be
 associative and order-independent (the property suite enforces both),
-so any chunking of a request stream -- serial, pooled, or distributed
--- reduces to the same final state.  ``results()`` renders the state to
-a flat ``dict`` of plain scalars for table building.
+so any chunking of a request stream -- served serially or on a process
+pool -- reduces to the same final state.  ``results()`` renders the
+state to a flat ``dict`` of plain scalars for table building.
 """
 
 from repro.util.errors import ConfigurationError

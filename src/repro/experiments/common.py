@@ -1,6 +1,7 @@
 """Shared experiment machinery: presets, workload builders, runners."""
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from repro.clustering.oracle import compute_clustering
@@ -127,6 +128,11 @@ def resolve_topology_spec(spec, preset=None, count=None, radius=None):
         filled = params.get("count", params.get("intensity", count))
         fill_radius = params.get("radius", radius)
         if not pinned and filled is not None and fill_radius is not None:
+            for key, value in (("count", filled), ("radius", fill_radius)):
+                if not isinstance(value, numbers.Real):
+                    raise ConfigurationError(
+                        f"topology {spec.name!r} parameter {key} must be "
+                        f"a number, got {value!r}")
             defaults["degree"] = round(
                 matched_mean_degree(filled, fill_radius), 4
             )

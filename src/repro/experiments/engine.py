@@ -1,4 +1,4 @@
-"""Unified parallel experiment engine with pluggable execution backends.
+"""Unified parallel experiment engine.
 
 Every experiment family in this package is a Monte-Carlo average over
 independent runs (the paper's Tables 2-5 average 1000 deployments each).
@@ -10,25 +10,19 @@ into the family's table -- and the engine decides how the runs execute.
 
 Execution is delegated to an :class:`Executor`:
 
-* :class:`SerialExecutor` runs the tasks in-process in submission order,
-  bit-for-bit identical to the historical hand-written loops: builders
-  spawn per-run generators with the same :func:`repro.util.rng.spawn_rngs`
-  calls, in the same order, the old loops used.
 * :class:`PoolExecutor` fans the tasks out over a ``multiprocessing``
-  pool; ``Pool.map`` preserves ordering, so the reducer sees the exact
-  same result sequence as the serial path.
-* :class:`~repro.experiments.distributed.DistributedExecutor` (the
-  ``"distributed"`` backend) streams task chunks to TCP workers -- on
-  this host or remote ones -- and reassembles the results in submission
-  order, so the output is again identical regardless of worker count,
-  scheduling, or mid-run worker failures.
+  pool of ``jobs`` workers; ``Pool.map`` preserves ordering, so the
+  reducer sees the exact same result sequence as a serial loop.  With
+  ``jobs=1`` (or a single task) it runs in-process, bit-for-bit the
+  historical hand-written loops: builders spawn per-run generators with
+  the same :func:`repro.util.rng.spawn_rngs` calls, in the same order,
+  the old loops used.
+* :class:`SerialExecutor` always runs in-process, in submission order.
 
 Because every task carries its own pre-spawned RNG and every executor
 returns results in submission order, the reduced output is identical for
-any backend.  Backends are selected per call (``backend=``/``executor=``),
-or ambiently for a whole program via :func:`use_executor` /
-:func:`set_default_executor` -- which is how the CLI and pytest wire
-``--backend`` through without touching any experiment family.
+any ``jobs`` value.  ``run_experiment`` builds a :class:`PoolExecutor`
+from ``jobs`` unless the caller passes its own ``executor``.
 
 Requirements on spec components:
 
@@ -40,7 +34,6 @@ Requirements on spec components:
 """
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable
@@ -48,8 +41,6 @@ from typing import Callable
 from repro.experiments.common import get_preset
 from repro.graph.shm import share_graphs
 from repro.util.errors import ConfigurationError
-
-BACKENDS = ("serial", "pool", "distributed")
 
 
 @dataclass(frozen=True)
@@ -105,71 +96,43 @@ class Executor:
 
     ``submit_all(tasks, run)`` executes ``run`` over every task and
     returns the results *in submission order* -- the engine's determinism
-    contract rests entirely on that ordering.  Executors may keep
-    expensive state (process pools, TCP workers) alive across calls;
-    ``close`` releases it.  Executors are context managers.
+    contract rests entirely on that ordering.
     """
 
-    name = "base"
-
-    def submit_all(self, tasks, run, label=None):
-        """Execute ``run`` over ``tasks``; return ordered results.
-
-        ``label`` names the submission (the spec name) for diagnostics
-        and checkpoint layout; executors may ignore it.
-        """
+    def submit_all(self, tasks, run):
+        """Execute ``run`` over ``tasks``; return ordered results."""
         raise NotImplementedError
-
-    def close(self):
-        """Release any resources held across submissions."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
 
 class SerialExecutor(Executor):
-    """In-process, in-order execution -- the reference backend."""
+    """In-process, in-order execution -- the reference executor."""
 
-    name = "serial"
-
-    def submit_all(self, tasks, run, label=None):
+    def submit_all(self, tasks, run):
         return [run(task) for task in tasks]
 
 
 class PoolExecutor(Executor):
     """``multiprocessing.Pool`` fan-out, one pool per submission.
 
-    ``mp_context`` selects the start method (``"fork"``, ``"spawn"``,
-    ...); the platform default is used when ``None``, and the
-    ``REPRO_MP_CONTEXT`` environment variable overrides that default.
-    A single-task submission (or ``jobs=1``) stays in-process.
+    The ``REPRO_MP_CONTEXT`` environment variable selects the start
+    method (``"fork"``, ``"spawn"``, ...); the platform default is used
+    when it is unset.  A single-task submission (or ``jobs=1``) stays
+    in-process.
 
     While the pool maps, a :func:`repro.graph.shm.share_graphs` session
     is active, so tasks that embed big graphs pickle them as
     shared-memory handles the workers attach to zero-copy instead of
-    per-task adjacency copies.  The distributed backend never activates
-    a session -- its workers may live on other hosts, so its wire
-    protocol keeps pickling graphs.
+    per-task adjacency copies.
     """
 
-    name = "pool"
-
-    def __init__(self, jobs=None, mp_context=None):
+    def __init__(self, jobs=None):
         self.jobs = resolve_jobs(jobs)
-        self.mp_context = mp_context
 
-    def submit_all(self, tasks, run, label=None):
+    def submit_all(self, tasks, run):
         tasks = list(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
             return [run(task) for task in tasks]
-        mp_context = self.mp_context
-        if mp_context is None:
-            mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
-        context = get_context(mp_context)
+        context = get_context(os.environ.get("REPRO_MP_CONTEXT") or None)
         # The pool is created *before* the session activates so forked
         # children never inherit it (a worker publishing segments while
         # pickling its results would leak them).
@@ -178,93 +141,15 @@ class PoolExecutor(Executor):
                 return pool.map(run, tasks)
 
 
-def make_executor(backend, jobs=1, mp_context=None, **options):
-    """Build an :class:`Executor` from a backend name.
-
-    ``"serial"`` ignores ``jobs``; ``"pool"`` fans out over ``jobs``
-    processes; ``"distributed"`` starts a TCP coordinator and, unless
-    ``options`` says otherwise, ``jobs`` loopback workers.  Extra
-    ``options`` are passed to the backend's constructor (the distributed
-    backend takes ``workers``, ``bind``, ``checkpoint``, ...).
-    """
-    if isinstance(backend, Executor):
-        return backend
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "pool":
-        return PoolExecutor(jobs=jobs, mp_context=mp_context)
-    if backend == "distributed":
-        from repro.experiments.distributed import DistributedExecutor
-        options.setdefault("workers", resolve_jobs(jobs))
-        return DistributedExecutor(**options)
-    raise ConfigurationError(
-        f"unknown backend {backend!r}; expected one of {BACKENDS} "
-        "or an Executor instance")
-
-
-_default_executor = None
-
-
-def get_default_executor():
-    """The ambient executor installed by :func:`set_default_executor`."""
-    return _default_executor
-
-
-def set_default_executor(executor):
-    """Install ``executor`` as the ambient default; returns the previous.
-
-    Every :func:`run_experiment` call without an explicit ``executor``
-    or ``backend`` uses the ambient default, which is how the CLI and
-    pytest apply ``--backend`` without touching any experiment family.
-    Pass ``None`` to restore the jobs-based behaviour.
-    """
-    global _default_executor
-    previous = _default_executor
-    _default_executor = executor
-    return previous
-
-
-@contextmanager
-def use_executor(executor):
-    """Scoped :func:`set_default_executor` (restores on exit)."""
-    previous = set_default_executor(executor)
-    try:
-        yield executor
-    finally:
-        set_default_executor(previous)
-
-
-def map_runs(run, tasks, jobs=1, mp_context=None):
-    """Execute ``run`` over ``tasks``, preserving task order in the result.
-
-    ``jobs=1`` (or a single task) stays in-process with a plain loop;
-    otherwise a ``multiprocessing`` pool of ``min(jobs, len(tasks))``
-    workers is used (see :class:`PoolExecutor`).
-    """
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(tasks) <= 1:
-        return SerialExecutor().submit_all(tasks, run)
-    return PoolExecutor(jobs=jobs, mp_context=mp_context).submit_all(
-        tasks, run)
-
-
-def run_experiment(spec, preset=None, rng=None, jobs=1, mp_context=None,
-                   backend=None, executor=None, **options):
+def run_experiment(spec, preset=None, rng=None, jobs=1, executor=None,
+                   **options):
     """Run one experiment family end to end.
 
     Resolves ``preset`` (when the family uses one), expands the workload
-    with ``spec.build``, executes the per-run tasks on the selected
-    backend, and reduces the ordered results.  For a fixed ``rng`` the
-    output is identical for every backend, worker count, and failure
-    schedule.
-
-    Backend precedence: an explicit ``executor`` wins; then ``backend``
-    (a name from :data:`BACKENDS` or an :class:`Executor`); then the
-    ambient default installed by :func:`set_default_executor`; finally
-    the historical ``jobs`` path (serial for ``jobs=1``, pool
-    otherwise).  An executor the engine builds itself from a ``backend``
-    name is closed before returning.
+    with ``spec.build``, executes the per-run tasks on ``executor`` --
+    by default a :class:`PoolExecutor` of ``jobs`` workers -- and
+    reduces the ordered results.  For a fixed ``rng`` the output is
+    identical for every executor and worker count.
     """
     if not isinstance(spec, ExperimentSpec):
         raise ConfigurationError(
@@ -272,22 +157,7 @@ def run_experiment(spec, preset=None, rng=None, jobs=1, mp_context=None,
     if preset is not None:
         preset = get_preset(preset)
     tasks = list(spec.build(preset, rng, options))
-    owned = None
-    if executor is None and backend is not None:
-        if isinstance(backend, Executor):
-            executor = backend
-        else:
-            executor = owned = make_executor(backend, jobs=jobs,
-                                             mp_context=mp_context)
     if executor is None:
-        executor = get_default_executor()
-    try:
-        if executor is None:
-            results = map_runs(spec.run, tasks, jobs=jobs,
-                               mp_context=mp_context)
-        else:
-            results = executor.submit_all(tasks, spec.run, label=spec.name)
-    finally:
-        if owned is not None:
-            owned.close()
+        executor = PoolExecutor(jobs)
+    results = executor.submit_all(tasks, spec.run)
     return spec.reduce(preset, tasks, results, options)

@@ -17,7 +17,7 @@ grown from that metric's own level-0 clustering over sampled node pairs.
 
 Tasks execute through the parallel experiment engine with pre-spawned
 per-task generators and a task-ordered reduce, so the emitted table is
-byte-identical for every ``jobs`` value and backend.
+byte-identical for every ``jobs`` value.
 """
 
 from repro.experiments.common import get_preset, resolve_topology_spec

@@ -9,7 +9,7 @@ the path-stretch price paid for the savings.
 The topology and hierarchy for each deployment size are built once in
 the parent; the Monte-Carlo part -- sampling source/destination pairs
 and routing them -- fans out as per-size *chunks* that each carry the
-hierarchy and a pre-spawned generator.  On the pool backend the
+hierarchy and a pre-spawned generator.  On a process pool the
 hierarchy's physical graph therefore pickles as a shared-memory handle
 (:mod:`repro.graph.shm`), not as an adjacency copy per task.  The
 shipped hierarchy is built on a positions-free topology: routing and

@@ -21,12 +21,12 @@ reports what a production deployment would ask of it: p50/p99 latency
 
 Execution rides the standard :class:`~repro.experiments.engine.
 ExperimentSpec` engine: each static workload is split into a *fixed*
-number of request chunks (independent of ``jobs``/backend), every chunk
+number of request chunks (independent of ``jobs``), every chunk
 carries its own pre-spawned RNG and returns a mergeable
 :class:`~repro.collectors.base.CollectorProxy`, and the reducer folds
 the chunks in submission order -- collector merge is associative and
 order-independent, so the rendered tables are byte-identical for every
-backend and worker count.  Chunk timestamps restart at zero (arrival
+executor and worker count.  Chunk timestamps restart at zero (arrival
 times order events within a chunk; no collector reads absolute time).
 """
 
@@ -108,7 +108,7 @@ ZIPF_HOT_ALPHA = 1.2
 YCSB_READ_FRACTION = 0.95
 
 #: Static workloads split into this many engine tasks -- fixed, never a
-#: function of jobs or backend, so chunk boundaries (and with them the
+#: function of jobs or executor, so chunk boundaries (and with them the
 #: stretch sampling and every RNG stream) are identical everywhere.
 CHUNKS = 8
 
@@ -401,7 +401,7 @@ def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
     ``topology`` (a generator spec) replaces the static deployment; the
     mobility shape then drops out of the default kinds (motion needs
     geometry) and requesting it explicitly is an error.  Output is
-    identical for every backend and worker count.
+    identical for every executor and worker count.
     """
     preset = get_preset(preset)
     if topology is not None:

@@ -21,7 +21,6 @@ evaluation workload starts at array speed.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -29,43 +28,6 @@ from repro.graph.geometry import unit_disk_graph
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
 from repro.util.rng import as_rng
-
-_POSITIONAL_RNG_WARNED = set()
-
-
-def positional_rng_shim(name, extras, rng, side):
-    """Map legacy positional ``(rng, side)`` arguments to keywords.
-
-    The generator suite takes ``rng=`` keyword-only so every topology
-    factory shares one calling convention; the historical geometric
-    generators accepted ``rng`` (and ``side``) positionally.  This shim
-    keeps those call sites working, with a once-per-function
-    ``DeprecationWarning``.
-    """
-    if not extras:
-        return rng, side
-    if len(extras) > 2:
-        raise TypeError(
-            f"{name}() takes at most 2 optional positional arguments "
-            f"({len(extras)} given)"
-        )
-    if rng is not None or (len(extras) == 2 and side != 1.0):
-        raise TypeError(
-            f"{name}() got positional and keyword values for rng/side"
-        )
-    if name not in _POSITIONAL_RNG_WARNED:
-        _POSITIONAL_RNG_WARNED.add(name)
-        warnings.warn(
-            f"passing rng (and side) positionally to {name}() is "
-            "deprecated; use the rng= and side= keywords",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    rng = extras[0]
-    if len(extras) == 2:
-        side = extras[1]
-    return rng, side
-
 
 class Topology:
     """A graph plus the geometric and naming context it was built in.
@@ -130,7 +92,7 @@ class Topology:
 # Paper workloads
 # ----------------------------------------------------------------------
 
-def poisson_topology(intensity, radius, *deprecated, rng=None, side=1.0):
+def poisson_topology(intensity, radius, *, rng=None, side=1.0):
     """Random geometric graph from a Poisson point process.
 
     The number of nodes is drawn from ``Poisson(intensity * side**2)`` and
@@ -140,7 +102,6 @@ def poisson_topology(intensity, radius, *deprecated, rng=None, side=1.0):
     homogeneously distributed with respect to geometry (the "well
     distributed" case of Section 5).
     """
-    rng, side = positional_rng_shim("poisson_topology", deprecated, rng, side)
     if intensity <= 0:
         raise ConfigurationError(f"intensity must be positive, got {intensity}")
     rng = as_rng(rng)
@@ -148,9 +109,8 @@ def poisson_topology(intensity, radius, *deprecated, rng=None, side=1.0):
     return uniform_topology(count, radius, rng=rng, side=side)
 
 
-def uniform_topology(count, radius, *deprecated, rng=None, side=1.0):
+def uniform_topology(count, radius, *, rng=None, side=1.0):
     """``count`` uniformly placed nodes in a ``side x side`` square."""
-    rng, side = positional_rng_shim("uniform_topology", deprecated, rng, side)
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
     rng = as_rng(rng)

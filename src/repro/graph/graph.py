@@ -25,12 +25,10 @@ invalidated by any mutation, so repeated reads over an unchanged graph
 reuse it in O(1).
 
 Pickling is payload-aware: when a shared-memory share session is active
-(:func:`repro.graph.shm.share_graphs`, used by the pool backend), big
-graphs serialize as a tiny ``SharedCSR`` handle and workers attach to the
-publisher's frozen arrays zero-copy; lazy graphs ship their compact pair
-arrays; plain dict graphs pickle as before.  The distributed (TCP)
-backend never activates a session, so its wire protocol still pickles --
-that seam is documented, not hidden.
+(:func:`repro.graph.shm.share_graphs`, used by the engine's process
+pool), big graphs serialize as a tiny ``SharedCSR`` handle and workers
+attach to the publisher's frozen arrays zero-copy; lazy graphs ship their
+compact pair arrays; plain dict graphs pickle as before.
 """
 
 import numpy as np

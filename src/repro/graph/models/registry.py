@@ -230,7 +230,7 @@ def build_topology_spec(spec, rng=None):
         rng = spec.seed
     try:
         topology = factory(rng=rng, **spec.param_dict())
-    except TypeError as error:
+    except (TypeError, ValueError) as error:  # e.g. p=abc, unknown keys
         accepted = ", ".join(accepted_parameters(spec.name)) or "(none)"
         raise ConfigurationError(
             f"bad parameters for topology {spec.name!r}: {error}; "

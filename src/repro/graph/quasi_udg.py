@@ -16,7 +16,7 @@ disk model.
 
 import numpy as np
 
-from repro.graph.generators import Topology, positional_rng_shim
+from repro.graph.generators import Topology
 from repro.graph.geometry import (
     STREAM_NODE_THRESHOLD,
     chunk_pairs,
@@ -93,9 +93,8 @@ def quasi_unit_disk_graph(
     return graph, positions_by_id
 
 
-def quasi_uniform_topology(count, r_min, r_max, *deprecated, rng=None, side=1.0):
+def quasi_uniform_topology(count, r_min, r_max, *, rng=None, side=1.0):
     """``count`` uniform nodes in a square, linked by the quasi-UDG model."""
-    rng, side = positional_rng_shim("quasi_uniform_topology", deprecated, rng, side)
     if count < 0:
         raise ConfigurationError(f"count must be non-negative, got {count}")
     rng = as_rng(rng)

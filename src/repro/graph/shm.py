@@ -26,11 +26,9 @@ The moving parts:
   whose publisher pid is dead (``repro doctor --clean-shm``) -- the one
   hole left by SIGKILL, which runs no ``atexit``.
 
-Only the *pool* backend activates a session.  The distributed (TCP)
-backend's wire protocol keeps pickling graphs: its workers live on other
-hosts where a local shared-memory name means nothing.  That seam is
-deliberate -- cross-host zero-copy would need a real shared filesystem
-or RDMA story, not a module-level registry.
+Only the engine's :class:`~repro.experiments.engine.PoolExecutor`
+activates a session: a shared-memory name means something only to
+processes on the publishing host.
 """
 
 import atexit
@@ -297,7 +295,7 @@ def share_graphs(min_bytes=None):
     mappings, and the kernel reclaims the pages once the last detaches.
 
     ``REPRO_SHM_DISABLE=1`` turns the whole mechanism off (every graph
-    pickles, as the distributed backend always does);
+    pickles);
     ``REPRO_SHM_MIN_BYTES`` overrides the size threshold.  Nested
     activations reuse the outer session.
     """

@@ -24,41 +24,14 @@ class TestParser:
             build_parser().parse_args(["table99"])
 
 
-class TestBackendFlags:
-    def test_backend_defaults(self):
-        args = build_parser().parse_args(["table2"])
-        assert args.backend is None
-        assert args.workers is None
-        assert args.bind == "127.0.0.1:0"
-        assert args.checkpoint is None
-
-    def test_backend_choices(self):
-        args = build_parser().parse_args(
-            ["table2", "--backend", "distributed", "--workers", "3",
-             "--bind", "0.0.0.0:5555", "--checkpoint", "/tmp/ckpt"])
-        assert args.backend == "distributed"
-        assert args.workers == 3
-        assert args.bind == "0.0.0.0:5555"
-        assert args.checkpoint == "/tmp/ckpt"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--backend", "smoke-signal"])
-
-    def test_worker_mode_requires_connect(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["worker"])
-        capsys.readouterr()
-
-    def test_backend_serial_runs_experiment(self, capsys):
+class TestJobsFlag:
+    def test_jobs_2_matches_jobs_1_stdout(self, capsys):
         assert main(["table3", "--preset", "smoke", "--seed", "1",
-                     "--backend", "serial"]) == 0
-        assert "Table 3" in capsys.readouterr().out
-
-    def test_backend_pool_matches_serial_stdout(self, capsys):
-        assert main(["table3", "--preset", "smoke", "--seed", "1",
-                     "--backend", "serial"]) == 0
+                     "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
+        assert "Table 3" in serial
         assert main(["table3", "--preset", "smoke", "--seed", "1",
-                     "--backend", "pool", "--jobs", "2"]) == 0
+                     "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
 
@@ -81,3 +54,12 @@ class TestMain:
     def test_table3_smoke_preset(self, capsys):
         assert main(["table3", "--preset", "smoke", "--seed", "1"]) == 0
         assert "Table 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["erdos_renyi:p=abc", "scale_free:m=abc",
+                                      "erdos_renyi:count=abc"])
+    def test_non_numeric_topology_parameter_is_a_parser_error(self, spec,
+                                                              capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table4", "--preset", "smoke", "--topology", spec])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err

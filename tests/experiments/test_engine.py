@@ -16,14 +16,11 @@ from repro.experiments.engine import (
     ExperimentSpec,
     PoolExecutor,
     SerialExecutor,
-    get_default_executor,
-    make_executor,
-    map_runs,
     resolve_jobs,
     run_experiment,
-    use_executor,
 )
 from repro.experiments.mobility import run_mobility_experiment
+from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
@@ -70,18 +67,19 @@ class TestResolveJobs:
                 resolve_jobs(bad)
 
 
-class TestMapRuns:
+class TestPoolExecutor:
     def test_serial_executes_in_order(self):
-        assert map_runs(_toy_run, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert PoolExecutor(jobs=1).submit_all([3, 1, 2], _toy_run) == \
+            [9, 1, 4]
 
     def test_pool_preserves_order(self):
         tasks = list(range(20))
-        assert map_runs(_toy_run, tasks, jobs=4) == \
-            map_runs(_toy_run, tasks, jobs=1)
+        assert PoolExecutor(jobs=4).submit_all(tasks, _toy_run) == \
+            PoolExecutor(jobs=1).submit_all(tasks, _toy_run)
 
     def test_empty_and_single_task(self):
-        assert map_runs(_toy_run, [], jobs=4) == []
-        assert map_runs(_toy_run, [5], jobs=4) == [25]
+        assert PoolExecutor(jobs=4).submit_all([], _toy_run) == []
+        assert PoolExecutor(jobs=4).submit_all([5], _toy_run) == [25]
 
 
 class TestRunExperiment:
@@ -108,72 +106,38 @@ class TestRunExperiment:
 class _RecordingExecutor(Executor):
     """Serial executor that records every submission it served."""
 
-    name = "recording"
-
     def __init__(self):
-        self.labels = []
-        self.closed = False
+        self.submissions = []
 
-    def submit_all(self, tasks, run, label=None):
-        self.labels.append(label)
+    def submit_all(self, tasks, run):
+        self.submissions.append(list(tasks))
         return [run(task) for task in tasks]
-
-    def close(self):
-        self.closed = True
 
 
 class TestExecutorSeam:
-    def test_make_executor_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        pool = make_executor("pool", jobs=3)
-        assert isinstance(pool, PoolExecutor)
-        assert pool.jobs == 3
-        with pytest.raises(ConfigurationError):
-            make_executor("carrier-pigeon")
-
-    def test_make_executor_passes_instances_through(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
-
     def test_serial_and_pool_match_jobs_path(self):
         tasks = list(range(12))
-        expected = map_runs(_toy_run, tasks, jobs=1)
+        expected = [task * task for task in tasks]
         assert SerialExecutor().submit_all(tasks, _toy_run) == expected
         assert PoolExecutor(jobs=3).submit_all(tasks, _toy_run) == expected
+        serial = run_experiment(TOY_SPEC, tasks=5, jobs=1)
+        assert run_experiment(TOY_SPEC, tasks=5, jobs=2) == serial
 
-    def test_backend_argument_routes_through_executor(self):
-        serial = run_experiment(TOY_SPEC, tasks=5)
-        assert run_experiment(TOY_SPEC, tasks=5, backend="serial") == serial
-        assert run_experiment(TOY_SPEC, tasks=5, backend="pool",
-                              jobs=2) == serial
-
-    def test_ambient_executor_is_used_and_restored(self):
-        recording = _RecordingExecutor()
-        with use_executor(recording):
-            assert get_default_executor() is recording
-            outcome = run_experiment(TOY_SPEC, tasks=3)
-        assert outcome["results"] == [0, 1, 4]
-        assert recording.labels == ["toy"]
-        assert get_default_executor() is None
-        assert not recording.closed  # ambient executors are caller-owned
-
-    def test_explicit_executor_beats_ambient(self):
-        ambient = _RecordingExecutor()
+    def test_explicit_executor_overrides_jobs(self):
         explicit = _RecordingExecutor()
-        with use_executor(ambient):
-            run_experiment(TOY_SPEC, tasks=2, executor=explicit)
-        assert explicit.labels == ["toy"]
-        assert ambient.labels == []
-
-    def test_executor_context_manager_closes(self):
-        recording = _RecordingExecutor()
-        with recording as executor:
-            assert executor is recording
-        assert recording.closed
+        outcome = run_experiment(TOY_SPEC, tasks=3, jobs=4,
+                                 executor=explicit)
+        assert outcome["results"] == [0, 1, 4]
+        assert explicit.submissions == [[0, 1, 2]]
 
 
 class TestJobsDeterminism:
     """jobs=1 and jobs>1 must regenerate identical tables (fixed seed)."""
+
+    def test_table2(self):
+        serial = run_table2(TINY, rng=10, jobs=1)
+        parallel = run_table2(TINY, rng=10, jobs=2)
+        assert str(serial) == str(parallel)
 
     def test_table3(self):
         serial = run_table3(TINY, radii=(0.1,), rng=11, jobs=1)

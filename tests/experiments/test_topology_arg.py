@@ -1,7 +1,5 @@
 """Tests for the ``--topology`` plumbing across experiment families."""
 
-import warnings
-
 import pytest
 
 from repro.experiments.comparison import run_comparison
@@ -12,10 +10,6 @@ from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.workload import run_workload
 from repro.graph.dynamic import DynamicUnitDisk
-from repro.graph.generators import (
-    poisson_topology,
-    uniform_topology,
-)
 from repro.graph.geometry import pairs_within_range
 from repro.graph.models import build_topology_spec
 from repro.util.errors import ConfigurationError
@@ -125,31 +119,3 @@ class TestGeometryGuards:
     def test_pairs_within_range_requires_radius(self):
         with pytest.raises(ConfigurationError, match="radius"):
             pairs_within_range(np.zeros((3, 2)), None)
-
-
-class TestDeprecationShims:
-    def test_positional_rng_warns_once(self):
-        import repro.graph.generators as generators
-        generators._POSITIONAL_RNG_WARNED.discard("uniform_topology")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a = uniform_topology(20, 0.2, 5)
-            b = uniform_topology(20, 0.2, 5)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "rng=" in str(deprecations[0].message)
-        assert set(a.graph.edges) == set(b.graph.edges)
-
-    def test_positional_matches_keyword(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            positional = poisson_topology(50, 0.1, 7)
-        keyword = poisson_topology(50, 0.1, rng=7)
-        assert set(positional.graph.edges) == set(keyword.graph.edges)
-
-    def test_conflicting_positional_and_keyword_rng(self):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                uniform_topology(20, 0.2, 5, rng=6)

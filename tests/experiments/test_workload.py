@@ -1,5 +1,6 @@
 """The ``repro workload`` experiment family: determinism across
-backends, chunk invariance, report shape, and the CLI path."""
+``jobs`` and serving modes, chunk invariance, report shape, and the CLI
+path."""
 
 import pytest
 
@@ -38,6 +39,12 @@ class TestRunWorkload:
         pooled = run_workload("smoke", rng=2024, jobs=2)
         assert str(pooled) == str(smoke_report)
         assert pooled.results == smoke_report.results
+
+    def test_request_serving_matches_batched(self, smoke_report):
+        # The batched router must serve the exact stream the per-request
+        # loop does, flat-cache hit ratio included (same LRU sequence).
+        request = run_workload("smoke", rng=2024, serving="request")
+        assert str(request) == str(smoke_report)
 
     def test_chunk_count_does_not_change_results(self, smoke_report):
         # The chunk split is part of the spec (it fixes RNG streams and
@@ -86,10 +93,10 @@ class TestWorkloadCli:
         assert "Serving latency" in out
         assert "mobility" in out
 
-    def test_backend_flag_matches_default(self, capsys):
-        assert main(["workload", "--preset", "smoke", "--seed", "9"]) == 0
-        default_out = capsys.readouterr().out
+    def test_jobs_2_matches_jobs_1(self, capsys):
         assert main(["workload", "--preset", "smoke", "--seed", "9",
-                     "--backend", "pool", "--jobs", "2"]) == 0
-        pooled_out = capsys.readouterr().out
-        assert pooled_out == default_out
+                     "--jobs", "1"]) == 0
+        serial_out = capsys.readouterr().out
+        assert main(["workload", "--preset", "smoke", "--seed", "9",
+                     "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial_out

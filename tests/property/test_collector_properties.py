@@ -4,7 +4,7 @@ and the streaming quantile summary honors its documented error bound.
 These are the invariants the chunked serving pipeline rests on: any
 chunking of a request stream, merged in any order, must reduce to the
 same results -- that is what makes ``repro workload`` byte-identical
-across serial, pool, and distributed backends.
+for every ``--jobs`` value.
 """
 
 import copy
