@@ -16,39 +16,43 @@ from repro.collectors.base import DataCollector, register_collector
 
 @register_collector
 class LinkLoadCollector(DataCollector):
-    """Traversal count per physical link (undirected, canonicalized)."""
+    """Traversal count per physical link (undirected, canonicalized).
+
+    Hops are counted per *directed* pair into a pending ``Counter`` --
+    one C-level ``Counter.update`` per batch -- and each distinct pair
+    is canonicalized (``repr`` order) only when :attr:`loads` is read,
+    by :meth:`results`, :meth:`merge` or a caller.  The folded dict
+    equals the one a per-hop canonicalizing loop builds, key order
+    included.
+    """
 
     name = "link_load"
 
     def __init__(self):
-        self.loads = {}  # canonical (u, v) -> traversal count
+        self._loads = {}  # canonical (u, v) -> traversal count
+        self._pending = Counter()  # directed (u, v) -> hops not yet folded
+
+    @property
+    def loads(self):
+        """Canonical ``(u, v)`` -> traversal count, pending hops folded."""
+        loads = self._loads
+        if self._pending:
+            for (u, v), count in self._pending.items():
+                key = (u, v) if repr(u) <= repr(v) else (v, u)
+                loads[key] = loads.get(key, 0) + count
+            self._pending.clear()
+        return loads
 
     def process(self, served):
-        route = served.route
-        if route is None:
-            return
-        loads = self.loads
-        for i in range(len(route) - 1):
-            u, v = route[i], route[i + 1]
-            key = (u, v) if repr(u) <= repr(v) else (v, u)
-            loads[key] = loads.get(key, 0) + 1
+        if served.route is not None:
+            self._pending.update(pairwise(served.route))
 
     def process_batch(self, batch):
-        """Counter fast path: canonicalize per distinct *directed* pair.
-
-        The per-event loop calls ``repr`` twice per hop; counting hops
-        per directed pair first and canonicalizing once per distinct
-        pair absorbs the same multiset of undirected traversals, so the
-        final dict is identical.
-        """
-        counter = Counter()
-        for served in batch:
-            if served.route is not None:
-                counter.update(pairwise(served.route))
-        loads = self.loads
-        for (u, v), count in counter.items():
-            key = (u, v) if repr(u) <= repr(v) else (v, u)
-            loads[key] = loads.get(key, 0) + count
+        self._pending.update(
+            chain.from_iterable(
+                pairwise(served.route) for served in batch if served.route is not None
+            )
+        )
 
     def merge(self, other):
         self._check_mergeable(other)

@@ -54,6 +54,7 @@ def multi_source_distances(indptr, indices, sources, labels=None):
     dist = np.full(n, -1, dtype=np.int64)
     dist[sources] = 0
     frontier = np.unique(sources)
+    stamp = np.empty(n, dtype=np.int64)
     level = 0
     while frontier.size:
         level += 1
@@ -64,7 +65,12 @@ def multi_source_distances(indptr, indices, sources, labels=None):
         cand = neigh[keep]
         if not cand.size:
             break
-        frontier = np.unique(cand)
+        # One position per distinct row survives: whichever duplicate
+        # wrote ``stamp[row]`` last.  O(k) where np.unique sorts, and
+        # distances do not depend on frontier order.
+        position = np.arange(cand.size)
+        stamp[cand] = position
+        frontier = cand[stamp[cand] == position]
         dist[frontier] = level
     return dist
 

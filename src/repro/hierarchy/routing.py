@@ -21,8 +21,10 @@ legs are label-constrained path searches over the full-graph snapshot
 is ever materialized.  Leg *lengths* are shortest-path lengths between
 fixed endpoints, a tie-break-free quantity, so every reported hop count
 and stretch is unchanged.  The overlay leg keeps the dict-backend
-:func:`shortest_path`: overlay graphs are tiny, and preserving its
-historical tie-breaks keeps the chosen head path (and hence the gateway
+:func:`shortest_path`.  Overlays are not small -- a 10^5-node
+``pipeline`` pass elects ~4.6k heads, the 10^6-node route bench 46.6k
+-- but the dict BFS's expansion order fixes the head-path tie-breaks,
+so keeping it keeps the chosen head path (and hence the gateway
 sequence) bit-identical.
 """
 

@@ -130,10 +130,9 @@ def poisson_requests(nodes, count, rng=None, rate=100.0, popularity=None,
             destinations = nodes[rng.integers(0, nodes.size, size=draw)]
         else:
             destinations = popularity.sample(rng, draw)
-        for i in range(draw):
-            yield Request(time=float(times[i]), source=sources[i].item(),
-                          destination=destinations[i].item(), op=op,
-                          size=size)
+        for time, source, destination in zip(
+                times.tolist(), sources.tolist(), destinations.tolist()):
+            yield Request(time, source, destination, op, size)
         remaining -= draw
 
 
@@ -169,10 +168,11 @@ def ycsb_requests(nodes, count, rng=None, rate=100.0, read_fraction=0.95,
         sources = nodes[rng.integers(0, nodes.size, size=draw)]
         destinations = popularity.sample(rng, draw)
         reads = rng.random(draw) < read_fraction
-        for i in range(draw):
-            yield Request(time=float(times[i]), source=sources[i].item(),
-                          destination=destinations[i].item(),
-                          op=READ if reads[i] else WRITE, size=size)
+        for time, source, destination, read in zip(
+                times.tolist(), sources.tolist(), destinations.tolist(),
+                reads.tolist()):
+            yield Request(time, source, destination,
+                          READ if read else WRITE, size)
         remaining -= draw
 
 

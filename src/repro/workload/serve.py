@@ -597,6 +597,10 @@ def serve_workload(hierarchy, requests, collector, flat_every=1,
     if mode not in SERVING_MODES:
         raise ConfigurationError(
             f"unknown serving mode {mode!r}; expected one of {SERVING_MODES}")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if flat_every < 0:
+        raise ConfigurationError(f"flat_every must be >= 0, got {flat_every}")
     if router is None:
         router = CachedRouter(hierarchy)
     sink = _router_stats_sink(collector)

@@ -8,9 +8,12 @@ paths.  This suite pins that contract property-wise on random
 isolated nodes, plus seeded UDG deployments.  When numba is not
 installed the cross-backend half skips cleanly (the dedicated CI job
 installs numba and runs this file under ``REPRO_KERNELS=numba``); the
-numpy-internal half (small-graph fast path vs vectorized path) always
-runs.
+numpy-internal half (small-graph fast path vs vectorized path) and the
+plain-Python BFS oracle on duplicate-heavy frontiers (numpy and the
+active backend) always run.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import kernels
-from repro.graph.generators import uniform_topology
+from repro.graph.generators import (
+    complete_topology,
+    grid_topology,
+    star_topology,
+    uniform_topology,
+)
 from repro.graph.kernels import numpy_backend
 from repro.util.errors import ConfigurationError
 
@@ -154,6 +162,81 @@ class TestNumpySmallPathParity:
             for (sp, sd), (bp, bd) in zip(small, big):
                 np.testing.assert_array_equal(sp, bp)
                 np.testing.assert_array_equal(sd, bd)
+
+
+def _python_distances(indptr, indices, sources, labels=None):
+    """Plain-Python multi-source BFS: the distance oracle."""
+    ptr, ind = np.asarray(indptr).tolist(), np.asarray(indices).tolist()
+    lab = None if labels is None else np.asarray(labels).tolist()
+    dist = [-1] * (len(ptr) - 1)
+    queue = deque()
+    for source in np.asarray(sources).tolist():
+        if dist[source] < 0:
+            dist[source] = 0
+            queue.append(source)
+    while queue:
+        u = queue.popleft()
+        for v in ind[ptr[u]:ptr[u + 1]]:
+            if dist[v] < 0 and (lab is None or lab[v] == lab[u]):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _singleton_labels(n):
+    """Three big classes plus every fifth row in a class of its own."""
+    labels = np.arange(n, dtype=np.int64) % 3
+    labels[::5] = np.arange(0, n, 5) + 3
+    return labels
+
+
+def _duplicate_heavy_cases():
+    """``(id, topology, sources)``: in every case some BFS level
+    discovers one row from many frontier rows."""
+    complete = complete_topology(40)
+    star = star_topology(60)
+    grid = grid_topology(12, 12, 1.6 / 11)  # 8-neighborhood
+    return [
+        ("complete-many-sources", complete, [0, 5, 9, 33]),
+        ("star-all-leaves", star, list(range(1, 61))),
+        ("grid-corner", grid, [0]),
+        ("grid-duplicate-sources", grid, [70, 70, 3, 70, 143, 3]),
+        ("complete-duplicate-sources", complete, [4, 4, 11, 4]),
+    ]
+
+
+class TestDuplicateHeavyFrontiers:
+    """``multi_source_distances`` equals a plain-Python BFS when one
+    level discovers the same row many times (the frontier dedup)."""
+
+    @pytest.mark.parametrize(
+        "case", _duplicate_heavy_cases(), ids=lambda case: case[0])
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["free", "singleton-labels"])
+    def test_matches_python_bfs(self, case, constrained):
+        _name, topology, sources = case
+        indptr, indices = _arrays(topology.graph)
+        n = len(indptr) - 1
+        labels = _singleton_labels(n) if constrained else None
+        sources = np.array(sources, dtype=np.int64)
+        expected = _python_distances(indptr, indices, sources, labels)
+        for backend in (numpy_backend, kernels):
+            got = backend.multi_source_distances(indptr, indices, sources,
+                                                 labels=labels)
+            assert got.tolist() == expected
+
+    def test_cases_really_rediscover_rows(self):
+        """Guard on the inputs: in every case some row has several
+        neighbors one level closer to the sources, so its level
+        discovers it more than once."""
+        for name, topology, sources in _duplicate_heavy_cases():
+            indptr, indices = _arrays(topology.graph)
+            dist = _python_distances(indptr, indices, sources)
+            discoverers = [
+                sum(dist[u] == dist[v] - 1
+                    for u in indices[indptr[v]:indptr[v + 1]])
+                for v in range(len(dist)) if dist[v] > 0]
+            assert max(discoverers) > 1, name
 
 
 class TestBackendSelection:

@@ -1,5 +1,6 @@
 """Property tests: collector merge is associative and order-independent,
-and the streaming quantile summary honors its documented error bound.
+link loads equal the per-hop oracle, and the streaming quantile summary
+honors its documented error bound.
 
 These are the invariants the chunked serving pipeline rests on: any
 chunking of a request stream, merged in any order, must reduce to the
@@ -9,6 +10,7 @@ for every ``--jobs`` value.
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from repro.collectors import (
 from repro.workload.generators import READ, WRITE, Request
 from repro.workload.serve import ServedRequest
 
+from tests.oracles.link_load import link_loads
+
 HEADS = ("a", "b", "c", "d")
 
 
 @st.composite
-def served_events(draw, max_events=24):
+def served_events(draw, max_events=24, nodes=st.integers(0, 9)):
     """A list of synthetic routing outcomes, unroutable ones included."""
     events = []
     for _ in range(draw(st.integers(0, max_events))):
@@ -40,7 +44,7 @@ def served_events(draw, max_events=24):
             events.append(ServedRequest(request=request, route=None,
                                         head_path=None, hops=None))
             continue
-        route = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
+        route = draw(st.lists(nodes, min_size=1, max_size=6))
         head_path = tuple(draw(st.lists(st.sampled_from(HEADS),
                                         min_size=1, max_size=3)))
         flat = draw(st.one_of(st.none(), st.integers(0, 8)))
@@ -102,6 +106,58 @@ def test_any_chunking_in_any_order_reduces_identically(events, chunks,
     for piece in pieces[1:]:
         merged = merged.merge(piece)
     assert merged.results() == whole
+
+
+# Up to 12: repr order ("10" < "9") is not numeric order.
+LINK_EVENTS = served_events(max_events=8, nodes=st.integers(0, 12))
+
+LINK_STEPS = st.one_of(
+    st.tuples(st.just("process"), LINK_EVENTS),
+    st.tuples(st.just("process_batch"), LINK_EVENTS),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("pickle")),
+    # (events of the other side, read its loads first, merge into it)
+    st.tuples(st.just("merge"), LINK_EVENTS, st.booleans(), st.booleans()),
+)
+
+
+@given(st.lists(LINK_STEPS, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_link_loads_equal_per_hop_oracle(steps):
+    """Any interleaving of per-event and batch absorption, mid-stream
+    reads, pickling with hops still pending, and merges with pending
+    hops on either side ends with the oracle's ``loads``, key order
+    included."""
+    collector = LinkLoadCollector()
+    absorbed = []
+    for step in steps:
+        kind = step[0]
+        if kind == "process":
+            for event in step[1]:
+                collector.process(event)
+            absorbed += step[1]
+        elif kind == "process_batch":
+            collector.process_batch(step[1])
+            absorbed += step[1]
+        elif kind == "read":
+            assert list(collector.loads.items()) == \
+                list(link_loads(absorbed).items())
+        elif kind == "pickle":
+            collector = pickle.loads(pickle.dumps(collector))
+        else:
+            _kind, events, read_other, into_other = step
+            other = LinkLoadCollector()
+            other.process_batch(events)
+            if read_other:
+                other.loads  # folds its pending hops
+            if into_other:
+                collector = other.merge(collector)
+                absorbed = events + absorbed
+            else:
+                collector.merge(other)
+                absorbed += events
+    assert list(collector.loads.items()) == \
+        list(link_loads(absorbed).items())
 
 
 @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1,

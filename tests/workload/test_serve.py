@@ -146,6 +146,20 @@ class TestServeWorkload:
         with pytest.raises(ConfigurationError):
             serve_workload(hierarchy, [], CollectorProxy([]), mode="stream")
 
+    @pytest.mark.parametrize("option,value", [
+        ("batch_size", 0), ("batch_size", -1), ("flat_every", -2),
+    ])
+    def test_invalid_size_raises(self, deployment, option, value):
+        """A batch that serves nothing or a negative sampling stride is
+        a configuration error, not an empty run or a stray exception."""
+        _topo, hierarchy = deployment
+        nodes = sorted(hierarchy.physical.topology.graph.nodes)
+        with pytest.raises(ConfigurationError, match=option):
+            serve_workload(hierarchy, poisson_requests(nodes, 500, rng=1),
+                           CollectorProxy([LatencyCollector(),
+                                           StretchCollector()]),
+                           **{option: value})
+
 
 class TestBatchedRouting:
     """route_batch and the batched serving loop: byte-identical streams."""
