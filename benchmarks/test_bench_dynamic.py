@@ -23,7 +23,6 @@ from repro.experiments.mobility import (
     CONFIGURATIONS,
     SPEED_REGIMES,
     _DeltaTraceEvaluator,
-    _RebuildTraceEvaluator,
     speed_range_in_sides,
 )
 from repro.graph.dynamic import DynamicTopology
@@ -31,6 +30,7 @@ from repro.metrics.stability import RetentionSeries
 from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.trace import topology_at
 from repro.util.rng import as_rng
+from tests.oracles.mobility import RebuildTraceEvaluator as _RebuildTraceEvaluator
 
 SCALES = (1000, 5000)
 RADIUS = 0.05

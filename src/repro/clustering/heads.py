@@ -1,8 +1,11 @@
 """Per-node cluster-head choice rules (the ``clusterHead`` functions of §4).
 
-These are the *local* rules a node evaluates over its cached neighborhood
-views; both the centralized oracle and the distributed protocol call into
-this module so the two implementations cannot drift apart.
+These are the *local* rules a node evaluates over its neighborhood view,
+stated per node.  The centralized election runs them as array passes
+over all nodes at once (``_basic_parents`` and ``_fusion_adjust`` in
+:mod:`repro.clustering.incremental`); the per-node reference election in
+``tests/oracles/election.py`` calls into this module, and the test
+suites hold the two to identical results.
 
 Basic rule (Section 4.2)::
 

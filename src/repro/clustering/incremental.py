@@ -1,12 +1,10 @@
-"""Windowed re-election: the oracle fixpoint maintained across deltas.
+"""The density-driven election as array rules, maintained across windows.
 
-The mobility and churn pipelines re-elect cluster-heads every window.  The
-scratch oracle (:func:`~repro.clustering.oracle.compute_clustering`) walks
-the whole graph in Python -- one neighbor-key dict per node -- which is
-the dominant per-window cost once the topology itself is maintained
-incrementally.  :class:`IncrementalElection` reproduces the oracle's
-output *exactly* while re-seeding only what changed and running the
-per-node rules as array passes:
+Every election in the library runs through this module.  A scratch
+election (:func:`~repro.clustering.oracle.compute_clustering`) is a
+fresh :class:`IncrementalElection`'s first window; the mobility and
+churn pipelines keep one engine per configuration alive and re-elect
+every window, re-seeding only what changed:
 
 * per-node election keys are kept as parallel arrays (density, incumbent
   flag, DAG name, tie identifier); a window refreshes only the entries
@@ -22,13 +20,15 @@ per-node rules as array passes:
   column into the lexsort -- sub-ranks computed with Fractions, but only
   inside groups of float-tied rows (float rounding is monotone, so the
   exact order can only disagree within such a group).  Every election
-  stays bit-identical to the oracle at any scale, and Fractions are
-  touched only where float ties are possible.  Custom orders still route
-  through the scratch oracle;
-* the Section 4.2 parent choice becomes a vectorized per-row argmax over
-  neighbor ranks on the CSR snapshot; the Section 4.3 fusion greedy runs
-  in Python but only over the (few) local maxima, with two-hop
-  neighborhoods gathered as array slices;
+  stays exact at any scale, and Fractions are touched only where float
+  ties are possible.  Custom orders rank their key tuples with one sort
+  instead (:func:`~repro.clustering.oracle.clustering_from_keys`);
+* the Section 4.2 parent choice is a vectorized per-row argmax over
+  neighbor ranks on the CSR snapshot (:func:`_basic_parents`); the
+  Section 4.3 fusion greedy runs in Python but only over the (few)
+  local maxima, with two-hop neighborhoods gathered as array slices
+  (:func:`_fusion_adjust`).  These are the library's only copy of the
+  two rules;
 * when a window changes nothing -- empty edge delta, same densities,
   same incumbents, same names -- the previous
   :class:`~repro.clustering.result.Clustering` is returned as-is.  The
@@ -38,16 +38,16 @@ per-node rules as array passes:
   so with no edge/density/name frontier such flips cannot reorder any
   comparison and the previous election is provably bit-identical.
 
-The scratch oracle remains the reference; the property suite drives
-randomized window sequences through both and asserts identical heads,
-parents, and densities.
+The reference is the per-node fixpoint in ``tests/oracles/election.py``
+(one ``max`` over neighbor key tuples per node); the property suites
+drive randomized graphs and window sequences through both and assert
+identical heads, parents, and densities.
 """
 
 import numpy as np
 
 from repro.clustering.density import all_densities
 from repro.clustering.engine import ClusteringEngine, register_engine
-from repro.clustering.oracle import compute_clustering
 from repro.clustering.order import BasicOrder, IncumbentOrder, make_order
 from repro.clustering.result import Clustering
 from repro.util.errors import ConfigurationError
@@ -74,7 +74,8 @@ class IncrementalElection(ClusteringEngine):
 
     One instance per (order, fusion) configuration; :meth:`update` is
     called once per window with the maintained graph and exact densities
-    and returns the same :class:`Clustering` the scratch oracle would.
+    and returns the same :class:`Clustering` a scratch election on that
+    window's graph would.
     The :class:`~repro.clustering.engine.ClusteringEngine` protocol
     (``init`` / ``apply_delta`` / ``result``) rides on top of it for
     callers that speak :class:`~repro.graph.dynamic.WindowUpdate`
@@ -86,7 +87,7 @@ class IncrementalElection(ClusteringEngine):
         self.order = make_order(order) if isinstance(order, str) else order
         self.fusion = bool(fusion)
         # The vectorized key layout mirrors BasicOrder/IncumbentOrder
-        # exactly; anything else routes through the scratch oracle.
+        # exactly; anything else is ranked by its key tuples each window.
         self._vectorizable = type(self.order) in (BasicOrder, IncumbentOrder)
         self._incumbent = isinstance(self.order, IncumbentOrder)
         self._ids = None
@@ -117,9 +118,15 @@ class IncrementalElection(ClusteringEngine):
         set (re)seeds, matching the normal-identifier model of the paper
         (and every pipeline here, where ``Topology.ids`` never changes
         for a live node).  Re-mapping tie identifiers mid-sequence
-        requires a fresh engine.
+        requires a fresh engine.  Tie identifiers and DAG names must be
+        integers that fit int64 columns; :func:`compute_clustering`
+        ranks any other identifiers by their key tuples.
         """
         if not self._vectorizable:
+            # The scratch election itself runs on this engine, hence
+            # the function-level import.
+            from repro.clustering.oracle import compute_clustering
+
             self._last = compute_clustering(
                 graph, tie_ids=tie_ids, dag_ids=dag_ids, order=self.order,
                 fusion=self.fusion, previous=previous, densities=densities)
@@ -178,15 +185,9 @@ class IncrementalElection(ClusteringEngine):
             return self._last
 
         refine = self._refinement(densities) if n > FLOAT_RANK_LIMIT else None
-        ranks = self._ranks(refine)
-        parent_idx, self_wins = _basic_parents(csr, ranks)
-        if self.fusion:
-            _fusion_adjust(csr, ranks, parent_idx, self_wins)
-        parents = {ids[i]: ids[p]
-                   for i, p in enumerate(parent_idx.tolist())}
-        self._last = Clustering(graph, parents, densities=densities,
-                                dag_ids=dag_ids, order_name=self.order.name,
-                                fusion=self.fusion)
+        self._last = _ranked_clustering(
+            graph, self._ranks(refine), fusion=self.fusion,
+            densities=densities, dag_ids=dag_ids, order_name=self.order.name)
         return self._last
 
     # ------------------------------------------------------------------
@@ -261,7 +262,7 @@ class IncrementalElection(ClusteringEngine):
         assigns sub-ranks by the exact Fraction order (equal Fractions
         share a sub-rank); everywhere else it is 0.  Slotted into the
         lexsort directly under the density column, the composite key
-        ``(float density, refinement)`` realizes the oracle's exact
+        ``(float density, refinement)`` realizes the exact Fraction
         ``<``: float rounding is monotone, so across different float
         values the float order already agrees with the exact order, and
         within one float value the refinement decides.  Fractions are
@@ -315,12 +316,30 @@ class IncrementalElection(ClusteringEngine):
         return ranks
 
 
+def _ranked_clustering(graph, ranks, fusion=False, densities=None,
+                       dag_ids=None, order_name=None):
+    """The :class:`Clustering` that per-row ``ranks`` elect on ``graph``.
+
+    ``ranks`` is indexed like the rows of ``graph.to_csr()`` and must be
+    distinct (greater rank wins); the Section 4.2 parent rule runs
+    first, then, with ``fusion``, the Section 4.3 fusion greedy.
+    """
+    csr = graph.to_csr()
+    ids = csr.ids
+    parent_idx, self_wins = _basic_parents(csr, ranks)
+    if fusion:
+        _fusion_adjust(csr, ranks, parent_idx, self_wins)
+    parents = {ids[i]: ids[p] for i, p in enumerate(parent_idx.tolist())}
+    return Clustering(graph, parents, densities=densities, dag_ids=dag_ids,
+                      order_name=order_name, fusion=fusion)
+
+
 def _basic_parents(csr, ranks):
     """Vectorized Section 4.2 parent choice.
 
     Returns ``(parent_idx, self_wins)``: per-row parent row indices and
-    the local-maximum mask.  Identical to ``choose_parent`` per node:
-    a node points at itself iff its rank beats every neighbor's, else at
+    the local-maximum mask: a node points at itself iff its rank beats
+    every neighbor's (``repro.clustering.heads.choose_parent``), else at
     its unique maximum-rank neighbor.
     """
     n = len(csr)
@@ -368,10 +387,15 @@ def _two_hop_rows(csr, deg, row):
 def _fusion_adjust(csr, ranks, parent_idx, self_wins):
     """Apply the Section 4.3 fusion rule in place.
 
-    Same greedy as the oracle's ``_parents_with_fusion``: local maxima in
+    The literal guard of Section 4.3 ("every node in my 2-neighborhood
+    that currently claims headship precedes me") is self-referential
+    through the evolving ``H`` values; its stable outcomes are exactly
+    the greedy-by-decreasing-key resolutions.  Local maxima in
     decreasing rank order are confirmed unless a stronger confirmed head
     sits within two hops; a deposed maximum joins the strongest common
-    neighbor it shares with its strongest dominator.
+    neighbor it shares with its strongest dominator, which merges its
+    cluster into the dominator's (the "fusion" the paper describes) and
+    keeps parent chains acyclic (DESIGN.md, deviation 6).
     """
     indptr = csr.indptr
     indices = csr.indices

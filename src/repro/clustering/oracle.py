@@ -1,4 +1,4 @@
-"""Centralized fixpoint oracle for the density-driven clustering.
+"""Scratch density-driven election: the stable clustering of one graph.
 
 The distributed protocol (``repro.protocols.clustering``) converges to a
 unique fixpoint once every node's caches are accurate (Lemma 2: the
@@ -8,16 +8,34 @@ fixpoint directly from a global view, which is what the paper's own
 simulations measure in Tables 4 and 5 -- only the final structure matters
 there, not the message schedule.
 
-The oracle and the protocol share the per-node rules in
-``repro.clustering.heads``; integration tests assert that the protocol's
-stable state equals the oracle's output on the same topology.
+It runs on the array rules of :mod:`repro.clustering.incremental`, the
+library's one election.  With the paper's orders and integer
+identifiers, :func:`compute_clustering` is a fresh
+:class:`~repro.clustering.incremental.IncrementalElection`'s first
+window: one ``lexsort`` ranks the key columns, then a CSR row argmax
+picks parents and the fusion greedy visits the local maxima.  Custom
+orders, other identifiers and :func:`clustering_from_keys` rank the
+per-node key tuples with one sort and run the same two rules.
+
+The per-node fixpoint these replace (one ``max`` over neighbor key
+tuples per node) is the reference in ``tests/oracles/election.py``;
+hypothesis suites assert equality with it, and integration tests assert
+that the protocol's stable state equals this module's output on the same
+topology.
 """
 
+import numpy as np
+
 from repro.clustering.density import all_densities
-from repro.clustering.heads import choose_parent, is_local_max
-from repro.clustering.order import NodeView, make_order
-from repro.clustering.result import Clustering
+from repro.clustering.incremental import (
+    IncrementalElection,
+    _previous_heads,
+    _ranked_clustering,
+)
+from repro.clustering.order import BasicOrder, IncumbentOrder, NodeView, make_order
 from repro.util.errors import ConfigurationError
+
+_INT64 = np.iinfo(np.int64)
 
 
 def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
@@ -44,8 +62,9 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
         either a previous :class:`~repro.clustering.result.Clustering` or a
         plain set of head nodes.
     densities:
-        Precomputed exact densities (``dict[node, Fraction]``); computed via
-        :func:`~repro.clustering.density.all_densities` when omitted.
+        Precomputed exact densities of ``graph`` (``dict[node, Fraction]``,
+        as :func:`~repro.clustering.density.all_densities` returns them);
+        computed when omitted.
 
     Returns
     -------
@@ -58,7 +77,24 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
         tie_ids = {node: node for node in graph}
     _check_ids(graph, tie_ids, dag_ids)
 
-    keys = _node_keys(graph, densities, tie_ids, dag_ids, order_obj, previous)
+    if (type(order_obj) in (BasicOrder, IncumbentOrder)
+            and _int64_ids(tie_ids)
+            and (dag_ids is None or _int64_ids(dag_ids))):
+        election = IncrementalElection(order=order_obj, fusion=fusion)
+        return election.update(graph, densities, tie_ids, dag_ids=dag_ids,
+                               previous=previous)
+
+    heads = _previous_heads(previous)
+    keys = {
+        node: order_obj.key(NodeView(
+            node=node,
+            density=densities[node],
+            tie_id=tie_ids[node],
+            dag_id=None if dag_ids is None else dag_ids[node],
+            is_head=node in heads,
+        ))
+        for node in graph
+    }
     return clustering_from_keys(graph, keys, fusion=fusion,
                                 densities=densities, dag_ids=dag_ids,
                                 order_name=order_obj.name)
@@ -74,18 +110,20 @@ def clustering_from_keys(graph, keys, fusion=False, densities=None,
     energy-aware order (``repro.energy``) and any custom metric the
     conclusion of the paper contemplates ("our contribution regarding the
     self-stabilization could be applied to several clusterization
-    metrics").
+    metrics").  One sort of the keys ranks the nodes; the election's
+    array rules do the rest.
     """
     if set(keys) != set(graph.nodes):
         raise ConfigurationError("keys must cover exactly the graph's nodes")
     if len(set(keys.values())) != len(keys):
         raise ConfigurationError("keys must be globally distinct")
-    if fusion:
-        parents = _parents_with_fusion(graph, keys)
-    else:
-        parents = _parents_basic(graph, keys)
-    return Clustering(graph, parents, densities=densities, dag_ids=dag_ids,
-                      order_name=order_name, fusion=fusion)
+    row_keys = [keys[node] for node in graph.to_csr().ids]
+    by_key = sorted(range(len(row_keys)), key=row_keys.__getitem__)
+    ranks = np.empty(len(row_keys), dtype=np.int64)
+    ranks[by_key] = np.arange(len(row_keys), dtype=np.int64)
+    return _ranked_clustering(graph, ranks, fusion=fusion,
+                              densities=densities, dag_ids=dag_ids,
+                              order_name=order_name)
 
 
 def _check_ids(graph, tie_ids, dag_ids):
@@ -98,82 +136,11 @@ def _check_ids(graph, tie_ids, dag_ids):
         raise ConfigurationError("dag_ids must cover exactly the graph's nodes")
 
 
-def _node_keys(graph, densities, tie_ids, dag_ids, order_obj, previous):
-    keys = {}
-    for node in graph:
-        was_head = _was_head(previous, node)
-        view = NodeView(
-            node=node,
-            density=densities[node],
-            tie_id=tie_ids[node],
-            dag_id=None if dag_ids is None else dag_ids[node],
-            is_head=was_head,
-        )
-        keys[node] = order_obj.key(view)
-    return keys
-
-
-def _was_head(previous, node):
-    if previous is None:
+def _int64_ids(ids):
+    """True iff every identifier is an integer that the engine's negated
+    int64 key columns hold exactly."""
+    values = ids.values()
+    if not all(isinstance(value, (int, np.integer)) for value in values):
         return False
-    if isinstance(previous, (set, frozenset)):
-        return node in previous
-    return node in previous.head_of and previous.is_head(node)
-
-
-def _parents_basic(graph, keys):
-    """F(p) = p if p is a 1-hop local maximum, else max≺ Np."""
-    parents = {}
-    for node in graph:
-        neighbor_keys = {q: keys[q] for q in graph.neighbors(node)}
-        parents[node] = choose_parent(node, keys[node], neighbor_keys)
-    return parents
-
-
-def _parents_with_fusion(graph, keys):
-    """Fusion rule: surviving heads form a 2-hop independent set.
-
-    The literal guard of Section 4.3 ("every node in my 2-neighborhood that
-    currently claims headship precedes me") is self-referential through the
-    evolving ``H`` values; its stable outcomes are exactly the
-    greedy-by-decreasing-key resolutions: a local maximum keeps headship iff
-    no already-confirmed head with a greater key sits within 2 hops.  A
-    deposed local maximum joins the strongest common neighbor it shares with
-    its strongest dominating head, which merges its cluster into the
-    dominator's (the "fusion" the paper describes) and keeps parent chains
-    acyclic.
-    """
-    local_maxima = {node for node in graph
-                    if is_local_max(keys[node],
-                                    (keys[q] for q in graph.neighbors(node)))}
-    confirmed = set()
-    for node in sorted(local_maxima, key=keys.get, reverse=True):
-        two_hop = graph.k_neighborhood(node, 2)
-        if not any(other in confirmed and keys[other] > keys[node]
-                   for other in two_hop):
-            confirmed.add(node)
-
-    parents = {}
-    for node in graph:
-        neighbor_keys = {q: keys[q] for q in graph.neighbors(node)}
-        if node in confirmed:
-            parents[node] = node
-        elif node in local_maxima:
-            parents[node] = _fusion_parent(graph, keys, node, confirmed)
-        elif neighbor_keys:
-            parents[node] = max(neighbor_keys, key=neighbor_keys.get)
-        else:
-            # Isolated node that somehow was not a local maximum: impossible,
-            # is_local_max is vacuously true; guard kept for clarity.
-            parents[node] = node
-    return parents
-
-
-def _fusion_parent(graph, keys, deposed, confirmed):
-    """Parent of a deposed local maximum: strongest common neighbor shared
-    with its strongest confirmed dominator within 2 hops."""
-    two_hop = graph.k_neighborhood(deposed, 2)
-    dominators = [h for h in two_hop if h in confirmed and keys[h] > keys[deposed]]
-    dominator = max(dominators, key=keys.get)
-    common = graph.neighbors(deposed) & graph.closed_neighbors(dominator)
-    return max(common, key=keys.get)
+    return not values or (_INT64.min < min(values)
+                          and max(values) <= _INT64.max)

@@ -14,25 +14,22 @@ evaluated over the *same* mobility trace so the comparison is paired.
 DAG names persist on nodes across windows and are incrementally repaired
 when movement creates conflicts, as a real deployment would.
 
-Two evaluation paths produce bit-identical runs:
-
-* ``dynamics="delta"`` (default) maintains one
-  :class:`~repro.graph.dynamic.DynamicTopology` across the whole trace --
-  exact per-window edge deltas, incremental triangle/density updates, and
-  per-configuration :class:`~repro.clustering.incremental.
-  IncrementalElection` engines.  DAG names are only re-repaired when an
-  *added* edge collides two names, which is exactly when the scratch
-  path's legitimacy check would trigger a redraw (and the only time it
-  consumes RNG), so the random streams stay aligned.
-* ``dynamics="rebuild"`` is the original scratch pipeline
-  (``topology_at`` + ``compute_clustering`` per window), kept as the
-  reference oracle.
+One :class:`~repro.graph.dynamic.DynamicTopology` is maintained across
+the whole trace -- exact per-window edge deltas, incremental
+triangle/density updates, and per-configuration
+:class:`~repro.clustering.incremental.IncrementalElection` engines.  DAG
+names are only re-repaired when an *added* edge collides two names, which
+is exactly when a per-window scratch repair's legitimacy check would
+trigger a redraw (and the only time it consumes RNG), so the random
+streams stay aligned.  The scratch pipeline (``topology_at``, a full
+``assign_dag_ids`` repair and a per-node election every window) is the
+reference in ``tests/oracles/mobility.py``; the runs are bit-identical.
 """
 
 from dataclasses import dataclass
 
 from repro.clustering.incremental import IncrementalElection
-from repro.experiments.common import clustered, get_preset
+from repro.experiments.common import get_preset
 from repro.experiments.engine import ExperimentSpec, run_experiment
 from repro.graph.dynamic import DynamicTopology
 from repro.naming.assign import assign_dag_ids
@@ -40,8 +37,6 @@ from repro.experiments.paper_values import MOBILITY, SQUARE_SIDE_METERS
 from repro.metrics.stability import RetentionSeries
 from repro.metrics.tables import Table
 from repro.mobility.random_direction import RandomDirectionModel
-from repro.mobility.trace import topology_at
-from repro.util.errors import ConfigurationError
 from repro.util.rng import as_rng, spawn_rngs
 
 SPEED_REGIMES = {
@@ -78,14 +73,11 @@ def speed_range_in_sides(speed_range_mps, side_meters=SQUARE_SIDE_METERS):
 
 
 def run_mobility_trace(regime, preset, radius=0.1, rng=None,
-                       configurations=None, model_factory=None,
-                       dynamics="delta"):
+                       configurations=None, model_factory=None):
     """One mobility trace, evaluated under each configuration.
 
     ``model_factory(count, speed_range_sides, rng)`` builds the mobility
-    model (default: random direction).  ``dynamics`` selects the
-    delta-maintained fast path or the scratch rebuild oracle; both return
-    bit-identical runs.
+    model (default: random direction).
     """
     preset = get_preset(preset)
     rng = as_rng(rng)
@@ -97,14 +89,7 @@ def run_mobility_trace(regime, preset, radius=0.1, rng=None,
     model = model_factory(preset.mobility_nodes, speed_range, rng)
     windows = int(round(preset.mobility_duration / preset.mobility_window))
 
-    if dynamics == "delta":
-        evaluate = _DeltaTraceEvaluator(radius, configurations, rng)
-    elif dynamics == "rebuild":
-        evaluate = _RebuildTraceEvaluator(radius, configurations, rng)
-    else:
-        raise ConfigurationError(
-            f"unknown dynamics {dynamics!r}; expected 'delta' or 'rebuild'")
-
+    evaluate = _DeltaTraceEvaluator(radius, configurations, rng)
     state = {name: {"previous": None, "series": RetentionSeries()}
              for name in configurations}
     skipped = 0
@@ -129,36 +114,14 @@ def run_mobility_trace(regime, preset, radius=0.1, rng=None,
     )
 
 
-class _RebuildTraceEvaluator:
-    """The scratch per-window pipeline (reference oracle)."""
-
-    def __init__(self, radius, configurations, rng):
-        self.radius = radius
-        self.configurations = configurations
-        self.rng = rng
-        self.dag_ids = None
-
-    def __call__(self, positions, state):
-        topology = topology_at(positions, self.radius)
-        # DAG names persist across windows; repair conflicts incrementally.
-        self.dag_ids, _rounds = assign_dag_ids(topology, self.rng,
-                                               initial_ids=self.dag_ids)
-        for name, options in self.configurations.items():
-            clustering, _ = clustered(
-                topology, use_dag=True, dag_ids=self.dag_ids,
-                order=options["order"], fusion=options["fusion"],
-                previous=state[name]["previous"])
-            yield name, clustering
-
-
 class _DeltaTraceEvaluator:
     """The delta-maintained per-window pipeline.
 
     Keeps the :class:`DynamicTopology` and one election engine per
     configuration alive across windows; re-runs the polite renaming only
-    when an added edge collides two persisted DAG names (the scratch
-    path's only redraw trigger, so RNG consumption matches draw for
-    draw).
+    when an added edge collides two persisted DAG names (a per-window
+    scratch repair's only redraw trigger, so RNG consumption matches
+    draw for draw).
     """
 
     def __init__(self, radius, configurations, rng):
@@ -176,7 +139,7 @@ class _DeltaTraceEvaluator:
             # First (non-empty) window, or a model that changed its
             # population: seed the maintained state from scratch.  With
             # persisted names and a changed population the repair below
-            # raises exactly as the scratch path's assign_dag_ids does.
+            # raises exactly as a scratch assign_dag_ids repair does.
             self.dynamic = DynamicTopology(positions, self.radius)
             topology = self.dynamic.topology
             delta = None
@@ -204,7 +167,7 @@ class _DeltaTraceEvaluator:
         Names only change when two neighbors collide; with persisted
         names and an exact edge delta, a new collision can only ride an
         added edge, and a window without collisions consumes no RNG on
-        the scratch path either -- so skipping the no-op repair keeps
+        a scratch repair either -- so skipping the no-op repair keeps
         the random stream (and therefore every later redraw) identical.
         """
         if self.dag_ids is None:
@@ -213,7 +176,7 @@ class _DeltaTraceEvaluator:
         dag_ids = self.dag_ids
         if delta is None:
             # Re-seeded mid-trace: run the full repair (which rejects a
-            # changed population exactly as the scratch path does).
+            # changed population exactly as a scratch repair does).
             self.dag_ids, _rounds = assign_dag_ids(topology, self.rng,
                                                    initial_ids=dag_ids)
             return True

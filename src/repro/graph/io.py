@@ -20,6 +20,11 @@ round-trip contract the test suite asserts.  Positions are written with
 ``repr`` (shortest exact decimal), so float coordinates round-trip
 exactly too.
 
+A file either loads or raises :class:`ConfigurationError` naming it
+(and, for edge lists, the offending line): bad numbers, self-loops,
+edges to unknown nodes, unterminated GML strings and non-block GML
+entries are all reported as malformed input, never as tracebacks.
+
 Registered as the ``file`` topology scheme:
 ``--topology file:trace.gml`` (or ``file:path=trace.edges,format=edges``)
 feeds a recorded topology to every experiment family.
@@ -32,7 +37,7 @@ import numpy as np
 from repro.graph.generators import Topology
 from repro.graph.graph import Graph
 from repro.graph.models.registry import register_topology
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, TopologyError
 
 #: Supported formats, by canonical name.
 FORMATS = ("edges", "gml")
@@ -126,20 +131,45 @@ def _topology_rows(topology):
     ]
 
 
-def _assemble(nodes, ties, positions, index_pairs, radius=None):
+def _malformed(path, message):
+    """The loaders' one error: ``message`` about the file at ``path``."""
+    return ConfigurationError(f"malformed graph file {str(path)!r}: {message}")
+
+
+def _read_text(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise _malformed(path, f"not UTF-8 text ({error})") from None
+    except OSError as error:
+        raise _malformed(path, f"cannot be read ({error.strerror})") from None
+
+
+def _number(path, value, what, kind=float):
+    """``kind(value)`` for a numeric field, or a malformed-file error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _malformed(path, f"{what} {value!r} is not a number") from None
+
+
+def _assemble(path, nodes, ties, positions, index_pairs, radius=None):
     """Shared loader tail: index pairs -> CSR-first Topology."""
     if len(set(nodes)) != len(nodes):
-        raise ConfigurationError("graph file repeats a node identifier")
-    graph = Graph.from_pair_array(
-        np.asarray(index_pairs, dtype=np.int64).reshape(-1, 2), nodes
-    )
-    ids = dict(zip(nodes, ties))
-    return Topology(
-        graph,
-        positions=positions if positions else None,
-        ids=ids,
-        radius=radius,
-    )
+        raise _malformed(path, "repeats a node identifier")
+    try:
+        graph = Graph.from_pair_array(
+            np.asarray(index_pairs, dtype=np.int64).reshape(-1, 2), nodes
+        )
+        return Topology(
+            graph,
+            positions=positions if positions else None,
+            ids=dict(zip(nodes, ties)),
+            radius=radius,
+        )
+    except (ConfigurationError, TopologyError) as error:
+        raise _malformed(path, error) from None
 
 
 # ----------------------------------------------------------------------
@@ -174,59 +204,62 @@ def save_edge_list(topology, path):
 
 def load_edge_list(path):
     """Load a ``repro edge list v1`` file into a :class:`Topology`."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
+    lines = [line.strip() for line in _read_text(path).splitlines()]
     if not lines or lines[0] != _EDGE_LIST_MAGIC:
-        raise ConfigurationError(
-            f"{path!r} is not a repro edge list (missing "
-            f"{_EDGE_LIST_MAGIC!r} header)"
-        )
+        raise _malformed(path, f"missing {_EDGE_LIST_MAGIC!r} header")
     radius = None
     nodes, ties, positions = [], [], {}
-    index_pairs = []
+    edge_lines, index_pairs = [], []
     expected_nodes = expected_edges = None
     section = None
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields[:1] == ["radius"]:
-                radius = float(fields[1])
-            elif fields[:1] == ["nodes"]:
-                expected_nodes = int(fields[1])
-                section = "nodes"
-            elif fields[:1] == ["edges"]:
-                expected_edges = int(fields[1])
-                section = "edges"
-            continue
-        fields = line.split()
-        if section == "nodes":
-            if len(fields) not in (2, 4):
-                raise ConfigurationError(f"malformed node line {line!r} in {path!r}")
-            node = _parse_node(fields[0])
-            nodes.append(node)
-            ties.append(int(fields[1]))
-            if len(fields) == 4:
-                positions[node] = (float(fields[2]), float(fields[3]))
-        elif section == "edges":
-            if len(fields) != 2:
-                raise ConfigurationError(f"malformed edge line {line!r} in {path!r}")
-            index_pairs.append((int(fields[0]), int(fields[1])))
-        else:
-            raise ConfigurationError(
-                f"data line {line!r} before any section header in {path!r}"
-            )
+        where = f"line {number} {line!r}"
+        try:
+            if line.startswith("#"):
+                fields = line[1:].split()
+                if fields[:1] == ["radius"]:
+                    radius = float(fields[1])
+                elif fields[:1] == ["nodes"]:
+                    expected_nodes = int(fields[1])
+                    section = "nodes"
+                elif fields[:1] == ["edges"]:
+                    expected_edges = int(fields[1])
+                    section = "edges"
+                continue
+            fields = line.split()
+            if section is None:
+                raise _malformed(path, f"{where} comes before any section header")
+            if len(fields) not in ((2, 4) if section == "nodes" else (2,)):
+                raise _malformed(path, f"{where} is a malformed {section[:-1]} line")
+            if section == "nodes":
+                node = _parse_node(fields[0])
+                nodes.append(node)
+                ties.append(int(fields[1]))
+                if len(fields) == 4:
+                    positions[node] = (float(fields[2]), float(fields[3]))
+            else:
+                u, v = int(fields[0]), int(fields[1])
+                if u == v:
+                    raise _malformed(path, f"{where} is a self-loop")
+                edge_lines.append(number)
+                index_pairs.append((u, v))
+        except (IndexError, ValueError):
+            message = f"{where} lacks a value or has a non-number"
+            raise _malformed(path, message) from None
     if expected_nodes is not None and expected_nodes != len(nodes):
-        raise ConfigurationError(
-            f"{path!r} declares {expected_nodes} nodes but lists {len(nodes)}"
-        )
+        message = f"declares {expected_nodes} nodes but lists {len(nodes)}"
+        raise _malformed(path, message)
     if expected_edges is not None and expected_edges != len(index_pairs):
-        raise ConfigurationError(
-            f"{path!r} declares {expected_edges} edges but lists "
-            f"{len(index_pairs)}"
-        )
-    return _assemble(nodes, ties, positions, index_pairs, radius=radius)
+        message = f"declares {expected_edges} edges but lists {len(index_pairs)}"
+        raise _malformed(path, message)
+    for number, (u, v) in zip(edge_lines, index_pairs):
+        if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
+            last = len(nodes) - 1
+            message = f"line {number} edge {u} {v} names a node outside 0..{last}"
+            raise _malformed(path, message)
+    return _assemble(path, nodes, ties, positions, index_pairs, radius=radius)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +304,9 @@ def _tokenize_gml(text):
         if ch.isspace():
             i += 1
         elif ch == '"':
-            j = text.index('"', i + 1)
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ConfigurationError("unterminated GML string")
             tokens.append(("str", text[i + 1 : j]))
             i = j + 1
         elif ch in "[]":
@@ -325,6 +360,21 @@ def _gml_lookup(entries, key, default=None):
     return default
 
 
+def _gml_block(path, key, value):
+    """``value`` as the entry list of a ``key [ ... ]`` block."""
+    if value is not None and not isinstance(value, list):
+        raise _malformed(path, f"GML {key} {value!r} is not a [ ... ] block")
+    return value
+
+
+def _gml_value(path, entries, key):
+    """The value of ``key`` in ``entries`` (None when absent), not a block."""
+    value = _gml_lookup(entries, key)
+    if isinstance(value, list):
+        raise _malformed(path, f"GML {key} is a [ ... ] block, not a value")
+    return value
+
+
 def load_gml(path):
     """Load a GML file into a :class:`Topology`.
 
@@ -333,44 +383,52 @@ def load_gml(path):
     node, else the numeric ``id`` does; ``tie`` defaults to the node's
     position in file order; unknown attributes are skipped.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    entries, _ = _parse_gml_block(_tokenize_gml(text), 0)
-    graph_entries = _gml_lookup(entries, "graph")
+    try:
+        entries, _ = _parse_gml_block(_tokenize_gml(_read_text(path)), 0)
+    except ConfigurationError as error:
+        raise _malformed(path, error) from None
+    graph_entries = _gml_block(path, "graph", _gml_lookup(entries, "graph"))
     if graph_entries is None:
-        raise ConfigurationError(f"{path!r} contains no GML graph block")
-    radius = _gml_lookup(graph_entries, "radius")
-    radius = float(radius) if radius is not None else None
+        raise _malformed(path, "no GML graph block")
+    radius = _gml_value(path, graph_entries, "radius")
+    if radius is not None:
+        radius = _number(path, radius, "radius")
     nodes, ties, positions = [], [], {}
     index_of = {}
-    index_pairs = []
+    edges = []
     for key, value in graph_entries:
         if key == "node":
-            gml_id = _gml_lookup(value, "id")
+            value = _gml_block(path, key, value)
+            gml_id = _gml_value(path, value, "id")
             if gml_id is None:
-                raise ConfigurationError(f"GML node without id in {path!r}")
-            label = _gml_lookup(value, "label")
+                raise _malformed(path, "GML node without id")
+            if gml_id in index_of:
+                raise _malformed(path, f"repeats GML node id {gml_id!r}")
+            label = _gml_value(path, value, "label")
             node = _parse_node(label) if label is not None else gml_id
-            tie = _gml_lookup(value, "tie")
+            tie = _gml_value(path, value, "tie")
             index_of[gml_id] = len(nodes)
             nodes.append(node)
-            ties.append(int(tie) if tie is not None else len(ties))
-            graphics = _gml_lookup(value, "graphics")
+            ties.append(len(ties) if tie is None else _number(path, tie, "tie", int))
+            graphics = _gml_block(path, "graphics", _gml_lookup(value, "graphics"))
             if graphics is not None:
-                x = _gml_lookup(graphics, "x")
-                y = _gml_lookup(graphics, "y")
+                x = _gml_value(path, graphics, "x")
+                y = _gml_value(path, graphics, "y")
                 if x is not None and y is not None:
-                    positions[node] = (float(x), float(y))
+                    positions[node] = (_number(path, x, "x"), _number(path, y, "y"))
         elif key == "edge":
-            source = _gml_lookup(value, "source")
-            target = _gml_lookup(value, "target")
+            value = _gml_block(path, key, value)
+            source = _gml_value(path, value, "source")
+            target = _gml_value(path, value, "target")
             if source is None or target is None:
-                raise ConfigurationError(f"GML edge without source/target in {path!r}")
-            index_pairs.append((source, target))
-    try:
-        index_pairs = [(index_of[u], index_of[v]) for u, v in index_pairs]
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"GML edge references unknown node id {missing} in {path!r}"
-        ) from None
-    return _assemble(nodes, ties, positions, index_pairs, radius=radius)
+                raise _malformed(path, "GML edge without source/target")
+            edges.append((source, target))
+    index_pairs = []
+    for source, target in edges:
+        for end in (source, target):
+            if end not in index_of:
+                raise _malformed(path, f"GML edge references unknown node id {end!r}")
+        if source == target:
+            raise _malformed(path, f"GML edge from node id {source!r} to itself")
+        index_pairs.append((index_of[source], index_of[target]))
+    return _assemble(path, nodes, ties, positions, index_pairs, radius=radius)

@@ -4,7 +4,7 @@ Each node picks a destination uniformly in the square and a speed
 uniformly from the speed range, travels straight to it, optionally pauses,
 then repeats.  Provided as the second classical model so the mobility
 experiment can be cross-checked under a different motion law (the paper
-does not pin its model down; EXPERIMENTS.md reports both).
+does not pin its model down; DESIGN.md, deviation 5).
 """
 
 import numpy as np

@@ -29,6 +29,12 @@ class NameSpace:
     def sample(self, rng, exclude=()):
         """``random(γ \\ exclude)``: uniform over the non-excluded names.
 
+        One ``rng.integers(free)`` draw picks the index of the name among
+        the free ones in increasing order; walking the sorted exclusions
+        maps it to the name (each excluded name at or below the candidate
+        moves it up by one), so a draw costs O(k log k) for ``k``
+        exclusions rather than a scan of ``γ``.
+
         Raises :class:`ConfigurationError` when every name is excluded,
         which means the name space is too small for the local degree.
         """
@@ -39,14 +45,12 @@ class NameSpace:
             raise ConfigurationError(
                 f"name space of size {self.size} exhausted by "
                 f"{len(forbidden)} excluded names; increase |γ| above δ")
-        index = int(rng.integers(free))
-        count = -1
-        for name in range(self.size):
-            if name not in forbidden:
-                count += 1
-                if count == index:
-                    return name
-        raise AssertionError("unreachable: free name accounting is wrong")
+        name = int(rng.integers(free))
+        for excluded in sorted(forbidden):
+            if excluded > name:
+                break
+            name += 1
+        return name
 
     def __repr__(self):
         return f"NameSpace(size={self.size})"

@@ -10,10 +10,10 @@ from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.clustering.engine import engine_for, registered_engines
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
+from tests.oracles.election import compute_clustering
 
 
 def _seed_update(dynamic):

@@ -14,8 +14,8 @@ from repro.clustering.density import (
     float_tie_mask,
 )
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.graph.graph import Graph
+from tests.oracles.election import compute_clustering
 
 
 class _DictBacked:

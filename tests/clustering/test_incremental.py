@@ -1,13 +1,13 @@
-"""IncrementalElection vs the scratch oracle, window by window."""
+"""IncrementalElection vs the per-node election oracle, window by window."""
 
 import numpy as np
 import pytest
 
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.clustering.order import BasicOrder
 from repro.graph.dynamic import DynamicTopology
 from repro.graph.generators import star_topology, uniform_topology
+from tests.oracles.election import compute_clustering
 
 
 def assert_same_clustering(fast, oracle):
@@ -142,7 +142,7 @@ def test_tied_incumbent_flips_force_recompute():
 def test_stationary_trace_matches_oracle():
     """step=0 makes every window an empty delta while incumbency still
     settles over the first windows -- the untied-flip skip engages and
-    must stay bit-identical to the scratch oracle."""
+    must stay bit-identical to the per-node oracle."""
     drive(seed=29, order="incumbent", fusion=True, step=0.0)
     drive(seed=30, order="incumbent", fusion=False, step=0.0)
 

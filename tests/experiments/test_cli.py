@@ -63,3 +63,14 @@ class TestMain:
             main(["table4", "--preset", "smoke", "--topology", spec])
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_graph_file_is_a_parser_error_naming_it(self, tmp_path,
+                                                               capsys):
+        path = tmp_path / "loop.edges"
+        path.write_text("# repro edge list v1\n# nodes 2\n0 0\n1 1\n"
+                        "# edges 1\n0 0\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table4", "--preset", "smoke", "--seed", "1",
+                  "--topology", f"file:{path}"])
+        assert exit_info.value.code == 2
+        assert str(path) in capsys.readouterr().err

@@ -12,6 +12,7 @@ from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
 from repro.util.errors import ConfigurationError
+from tests.oracles import mobility as mobility_oracle
 
 TINY = Preset(name="tiny", runs=2, intensity=150, mobility_nodes=60,
               mobility_duration=8.0, mobility_window=2.0)
@@ -90,16 +91,10 @@ class TestMobility:
 
     @pytest.mark.parametrize("regime", ["pedestrian", "vehicular"])
     def test_delta_and_rebuild_runs_are_bit_identical(self, regime):
-        delta = run_mobility_trace(regime, TINY, radius=0.3, rng=7,
-                                   dynamics="delta")
-        rebuild = run_mobility_trace(regime, TINY, radius=0.3, rng=7,
-                                     dynamics="rebuild")
+        delta = run_mobility_trace(regime, TINY, radius=0.3, rng=7)
+        rebuild = mobility_oracle.run_mobility_trace(regime, TINY,
+                                                     radius=0.3, rng=7)
         assert delta == rebuild
-
-    def test_unknown_dynamics_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_mobility_trace("pedestrian", TINY, radius=0.3, rng=7,
-                               dynamics="telepathy")
 
     def test_empty_windows_are_recorded_as_skipped(self):
         class EmptyThenSome:
@@ -115,11 +110,10 @@ class TestMobility:
                     self.positions = np.array(
                         [[0.1, 0.1], [0.15, 0.1], [0.9, 0.9]])
 
-        for dynamics in ("delta", "rebuild"):
-            outcome = run_mobility_trace(
+        for run in (run_mobility_trace, mobility_oracle.run_mobility_trace):
+            outcome = run(
                 "pedestrian", TINY, radius=0.3, rng=8,
-                model_factory=lambda count, speeds, rng: EmptyThenSome(),
-                dynamics=dynamics)
+                model_factory=lambda count, speeds, rng: EmptyThenSome())
             assert outcome.windows == 4
             assert outcome.skipped == 2
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import Topology, figure1_topology, uniform_topology
 from repro.graph.graph import Graph
@@ -144,6 +146,71 @@ class TestMalformedFiles:
             "  edge [ source 0 target 7 ]\n]\n")
         with pytest.raises(ConfigurationError, match="unknown node id"):
             load_graph(path)
+
+
+EDGE_LIST_HEAD = "# repro edge list v1\n# nodes 2\n0 0\n1 1\n"
+
+
+class TestMalformedValues:
+    """Each malformed file raises a ConfigurationError naming the file
+    (and, for edge lists, the line) instead of a traceback."""
+
+    @pytest.mark.parametrize("text,line", [
+        ("# repro edge list v1\n# radius\n# nodes 0\n", 2),
+        (EDGE_LIST_HEAD + "# edges 1\n0 0\n", 6),
+        (EDGE_LIST_HEAD + "# edges 1\n0 5\n", 6),
+    ], ids=["radius-without-value", "self-loop", "edge-out-of-range"])
+    def test_edge_list(self, tmp_path, text, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as error:
+            load_graph(path)
+        assert str(path) in str(error.value)
+        assert f"line {line} " in str(error.value)
+
+    @pytest.mark.parametrize("body", [
+        "node [ id 0 ] node [ id 1 ] edge [ source 0 target 0 ]",
+        'node [ id 0 label "a ]',
+        "node [ id 0 tie x ]",
+        "radius abc node [ id 0 ]",
+        "node [ id 0 graphics [ x abc y 1 ] ]",
+        "node 5",
+    ], ids=["self-loop", "unterminated-string", "non-numeric-tie",
+            "non-numeric-radius", "non-numeric-graphics-x", "node-not-a-block"])
+    def test_gml(self, tmp_path, body):
+        path = tmp_path / "bad.gml"
+        path.write_text(f"graph [\n  {body}\n]\n")
+        with pytest.raises(ConfigurationError, match="malformed") as error:
+            load_graph(path)
+        assert str(path) in str(error.value)
+
+
+def _corrupt(text, data):
+    """``text`` truncated, or with a span replaced by drawn characters."""
+    cut = data.draw(st.integers(0, len(text)), label="cut")
+    if data.draw(st.booleans(), label="truncate"):
+        return text[:cut]
+    stop = data.draw(st.integers(cut, min(cut + 8, len(text))), label="stop")
+    junk = data.draw(st.text(alphabet='0123456789-.e#[]" xyabn\n', max_size=8),
+                     label="junk")
+    return text[:cut] + junk + text[stop:]
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_or_corrupted_file_loads_or_raises(tmp_path, format, data):
+    topology = uniform_topology(6, 0.5, rng=3)
+    path = tmp_path / f"fuzz.{format}"
+    save_graph(topology, path, format=format)
+    path.write_text(_corrupt(path.read_text(), data))
+    try:
+        loaded = load_graph(path, format=format)
+    except ConfigurationError as error:
+        assert str(path) in str(error)
+    else:
+        assert set(loaded.ids) == set(loaded.graph.nodes)
 
 
 class TestForeignGml:

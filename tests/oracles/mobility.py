@@ -1,0 +1,94 @@
+"""Mobility oracle: the scratch per-window pipeline of Section 5.
+
+:func:`repro.experiments.mobility.run_mobility_trace` maintains one
+dynamic topology, repairs DAG names only when an added edge collides
+two of them, and re-elects through one engine per configuration.  This
+is the definition it must equal, run for run: every window rebuilds the
+unit-disk topology from the positions, runs the full polite-renaming
+repair over the persisted names, and elects each configuration with the
+per-node fixpoint of ``tests/oracles/election.py``.
+"""
+
+from repro.experiments.common import get_preset
+from repro.experiments.mobility import (
+    CONFIGURATIONS,
+    SPEED_REGIMES,
+    MobilityRun,
+    speed_range_in_sides,
+)
+from repro.metrics.stability import RetentionSeries
+from repro.mobility.random_direction import RandomDirectionModel
+from repro.mobility.trace import topology_at
+from repro.naming.assign import assign_dag_ids
+from repro.util.rng import as_rng
+from tests.oracles.election import compute_clustering
+
+
+class RebuildTraceEvaluator:
+    """One window from scratch: topology, name repair, per-node election.
+
+    Called like the library's delta evaluator: ``evaluator(positions,
+    state)`` yields ``(configuration name, clustering)`` per
+    configuration, where ``state[name]["previous"]`` is that
+    configuration's clustering of the previous window (or ``None``).
+    """
+
+    def __init__(self, radius, configurations, rng):
+        self.radius = radius
+        self.configurations = configurations
+        self.rng = rng
+        self.dag_ids = None
+
+    def __call__(self, positions, state):
+        topology = topology_at(positions, self.radius)
+        # DAG names persist across windows; repair conflicts incrementally.
+        self.dag_ids, _rounds = assign_dag_ids(topology, self.rng,
+                                               initial_ids=self.dag_ids)
+        for name, options in self.configurations.items():
+            clustering = compute_clustering(
+                topology.graph, tie_ids=topology.ids, dag_ids=self.dag_ids,
+                order=options["order"], fusion=options["fusion"],
+                previous=state[name]["previous"])
+            yield name, clustering
+
+
+def run_mobility_trace(regime, preset, radius=0.1, rng=None,
+                       configurations=None, model_factory=None):
+    """``run_mobility_trace``'s window loop over the scratch evaluator.
+
+    Same arguments and result; windows in which the model holds no node
+    are skipped and counted exactly as the library counts them.
+    """
+    preset = get_preset(preset)
+    rng = as_rng(rng)
+    configurations = configurations or CONFIGURATIONS
+    speed_range = speed_range_in_sides(SPEED_REGIMES[regime])
+    if model_factory is None:
+        def model_factory(count, speeds, model_rng):
+            return RandomDirectionModel(count, speeds, rng=model_rng)
+    model = model_factory(preset.mobility_nodes, speed_range, rng)
+    windows = int(round(preset.mobility_duration / preset.mobility_window))
+
+    evaluate = RebuildTraceEvaluator(radius, configurations, rng)
+    state = {name: {"previous": None, "series": RetentionSeries()}
+             for name in configurations}
+    skipped = 0
+    for _ in range(windows + 1):
+        if len(model.positions) == 0:
+            skipped += 1
+            model.advance(preset.mobility_window)
+            continue
+        for name, clustering in evaluate(model.positions, state):
+            run_state = state[name]
+            if run_state["previous"] is not None:
+                run_state["series"].observe(run_state["previous"].heads,
+                                            clustering.heads)
+            run_state["previous"] = clustering
+        model.advance(preset.mobility_window)
+    return MobilityRun(
+        regime=regime,
+        retention_percent={name: run_state["series"].percent
+                           for name, run_state in state.items()},
+        windows=windows,
+        skipped=skipped,
+    )

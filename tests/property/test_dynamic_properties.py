@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.clustering.density import all_densities
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.graph.dynamic import DynamicTopology, DynamicUnitDisk
 from repro.graph.geometry import pairs_within_range
 from repro.mobility.trace import topology_at
 from repro.naming.renaming import conflicting_edges, is_locally_unique
+from tests.oracles.election import compute_clustering
 
 CONFIGS = [("basic", False), ("basic", True),
            ("incumbent", False), ("incumbent", True)]

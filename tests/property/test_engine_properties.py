@@ -22,10 +22,10 @@ from repro.clustering.baselines.common import (
 )
 from repro.clustering.baselines.maxmin import maxmin_clustering_reference
 from repro.clustering.engine import engine_for, registered_engines
-from repro.clustering.oracle import compute_clustering
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
+from tests.oracles.election import compute_clustering
 
 
 def _lowest_id_oracle(topology):
