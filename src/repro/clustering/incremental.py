@@ -108,7 +108,10 @@ class IncrementalElection(ClusteringEngine):
         """Re-elect for one window; returns a :class:`Clustering`.
 
         ``densities`` is the exact density map maintained by the dynamic
-        subsystem; ``density_changed`` the nodes whose value may have
+        subsystem; when it carries a ``float_image`` over this graph's
+        rows (a :class:`~repro.graph.dynamic.DensityMap`), the image is
+        copied instead of converting Fractions node by node.
+        ``density_changed`` names the nodes whose value may have
         changed since the previous call (``None`` = re-seed everything);
         ``graph_changed`` / ``dag_changed`` flag whether the edge set or
         the DAG names moved.  ``previous`` carries the incumbent heads
@@ -143,17 +146,21 @@ class IncrementalElection(ClusteringEngine):
             density_changed = None
             dag_changed = True
 
-        if density_changed is None:
-            self._density = np.fromiter(
-                (float(densities[node]) for node in ids),
-                dtype=np.float64, count=n)
-            self._tied = None
-            self._refine = None
-        elif density_changed:
-            index_of = csr.index_of
-            density = self._density
-            for node in density_changed:
-                density[index_of[node]] = float(densities[node])
+        if density_changed is None or density_changed:
+            image = getattr(densities, "float_image", None)
+            if image is not None and densities.ids == ids:
+                # A DensityMap over this snapshot's rows: its float image
+                # is bit for bit float() of every Fraction.
+                self._density = image.copy()
+            elif density_changed is None:
+                self._density = np.fromiter(
+                    (float(densities[node]) for node in ids),
+                    dtype=np.float64, count=n)
+            else:
+                index_of = csr.index_of
+                density = self._density
+                for node in density_changed:
+                    density[index_of[node]] = float(densities[node])
             self._tied = None
             self._refine = None
 

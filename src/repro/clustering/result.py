@@ -15,14 +15,16 @@ neighbor, or itself), and the root of each tree is the cluster-head
 Both metric families ride the CSR traversal kernel
 (:mod:`repro.graph.traversal`): *all* head eccentricities come from one
 batched label-constrained BFS sweep over the whole graph (no induced
-subgraphs), and *all* joining-tree depths from one pointer-doubling
-resolve of the parent forest (no per-node link-chasing).  Distances and
+subgraphs), and every node's head and joining-tree depth from the one
+pointer-doubling resolve of the parent forest that construction runs
+(no per-node link-chasing).  Distances and
 depths are tie-break-free, so every reported number is identical to the
 per-node implementations, which survive as ``*_reference`` oracles.
 """
 
 import numpy as np
 
+from repro.graph.dynamic import DensityMap
 from repro.graph.paths import bfs_distances_reference
 from repro.graph.traversal import csr_multi_source_distances, resolve_forest
 from repro.util.errors import TopologyError
@@ -35,16 +37,21 @@ class Clustering:
                  order_name=None, fusion=False):
         self.graph = graph
         self.parents = dict(parents)
-        self.densities = dict(densities) if densities is not None else None
+        # A DensityMap is immutable per window; anything else is copied.
+        if densities is not None and not isinstance(densities, DensityMap):
+            densities = dict(densities)
+        self.densities = densities
         self.dag_ids = dict(dag_ids) if dag_ids is not None else None
         self.order_name = order_name
         self.fusion = fusion
-        self._validate_parents()
-        self.head_of = self._resolve_heads()
+        nodes, index, rows = self._parent_rows()
+        # One pointer-doubling resolve finds every head and rejects cycles.
+        roots, depths = resolve_forest(rows)
+        self.head_of = dict(zip(nodes, [nodes[root] for root in roots.tolist()]))
         self.heads = frozenset(node for node, parent in self.parents.items()
                                if parent == node)
-        self.clusters = self._group_clusters()
-        self._forest_cache = None
+        self.clusters = _group_clusters(nodes, roots)
+        self._forest_cache = (index, depths)
         self._height_cache = None
         self._sweep_cache = None
 
@@ -52,42 +59,40 @@ class Clustering:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _validate_parents(self):
-        if set(self.parents) != set(self.graph.nodes):
+    def _parent_rows(self):
+        """``(nodes, index, rows)``: the nodes in parents order, node ->
+        position, and each node's parent position; validates the parents.
+
+        On a CSR-only graph (streamed, or rebased by the dynamic
+        subsystem) whose rows the parents follow -- every engine's
+        output -- positions are CSR rows and adjacency is one vectorized
+        membership test; otherwise one ``has_edge`` per node.
+        """
+        graph = self.graph
+        if set(self.parents) != set(graph.nodes):
             raise TopologyError("parents must cover exactly the graph's nodes")
-        for node, parent in self.parents.items():
-            if parent != node and not self.graph.has_edge(node, parent):
-                raise TopologyError(
-                    f"parent of {node!r} is {parent!r}, which is not a neighbor")
-
-    def _resolve_heads(self):
-        """Follow parent links to the root of each tree, detecting cycles."""
-        head_of = {}
-        for start in self.parents:
-            if start in head_of:
-                continue
-            path = []
-            node = start
-            while node not in head_of:
-                if node in path:
-                    cycle = path[path.index(node):]
-                    raise TopologyError(f"parent links form a cycle: {cycle!r}")
-                path.append(node)
-                parent = self.parents[node]
-                if parent == node:
-                    head_of[node] = node
-                    break
-                node = parent
-            root = head_of[node] if node in head_of else node
-            for visited in path:
-                head_of[visited] = root
-        return head_of
-
-    def _group_clusters(self):
-        clusters = {}
-        for node, head in self.head_of.items():
-            clusters.setdefault(head, set()).add(node)
-        return {head: frozenset(members) for head, members in clusters.items()}
+        nodes = tuple(self.parents)
+        csr = graph.to_csr() if graph._adj_map is None else None
+        if csr is not None and csr.ids == nodes:
+            index = csr.index_of
+        else:
+            csr = None
+            index = {node: i for i, node in enumerate(nodes)}
+        rows = np.fromiter(
+            (index.get(parent, -1) for parent in self.parents.values()),
+            dtype=np.int64, count=len(nodes))
+        if csr is not None:
+            own = np.arange(len(nodes), dtype=np.int64)
+            bad = np.flatnonzero((rows != own) & ~csr.has_edges(own, rows))
+            invalid = [nodes[i] for i in bad[:1]]
+        else:
+            invalid = (node for node, parent in self.parents.items()
+                       if parent != node and not graph.has_edge(node, parent))
+        for node in invalid:
+            raise TopologyError(
+                f"parent of {node!r} is {self.parents[node]!r}, which is not "
+                "a neighbor")
+        return nodes, index, rows
 
     # ------------------------------------------------------------------
     # traversal-kernel caches
@@ -106,18 +111,13 @@ class Clustering:
     def _forest(self):
         """``(index, depths)``: per-node joining-forest depths.
 
-        One pointer-doubling resolve over the whole forest (O(n log h)
-        numpy ops), computed lazily and cached -- the parent map is
-        immutable.  Cycles were already ruled out by
-        :meth:`_resolve_heads`.
+        The pointer-doubling resolve of the construction (O(n log h)
+        numpy ops), kept as a cache -- the parent map is immutable -- and
+        redone only after unpickling.
         """
         if self._forest_cache is None:
-            nodes = list(self.parents)
-            index = {node: i for i, node in enumerate(nodes)}
-            rows = np.fromiter((index[self.parents[node]] for node in nodes),
-                               dtype=np.int64, count=len(nodes))
-            _roots, depths = resolve_forest(rows)
-            self._forest_cache = (index, depths)
+            _nodes, index, rows = self._parent_rows()
+            self._forest_cache = (index, resolve_forest(rows)[1])
         return self._forest_cache
 
     def _tree_heights(self):
@@ -319,3 +319,21 @@ class Clustering:
     def __repr__(self):
         return (f"Clustering(clusters={self.cluster_count}, "
                 f"order={self.order_name!r}, fusion={self.fusion})")
+
+
+def _group_clusters(nodes, roots):
+    """``{head: frozenset(members)}`` from per-position root positions,
+    heads in the order of their first member."""
+    if not nodes:
+        return {}
+    order = np.argsort(roots, kind="stable")
+    grouped = roots[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    bounds = np.r_[starts, len(order)].tolist()
+    members = order.tolist()
+    clusters = {}
+    for group in np.argsort(order[starts], kind="stable").tolist():
+        head = nodes[int(grouped[starts[group]])]
+        clusters[head] = frozenset(
+            nodes[i] for i in members[bounds[group]:bounds[group + 1]])
+    return clusters

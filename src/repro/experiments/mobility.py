@@ -15,8 +15,8 @@ DAG names persist on nodes across windows and are incrementally repaired
 when movement creates conflicts, as a real deployment would.
 
 One :class:`~repro.graph.dynamic.DynamicTopology` is maintained across
-the whole trace -- exact per-window edge deltas, incremental
-triangle/density updates, and per-configuration
+the whole trace -- exact per-window edge deltas, batched triangle
+updates and array densities, and per-configuration
 :class:`~repro.clustering.incremental.IncrementalElection` engines.  DAG
 names are only re-repaired when an *added* edge collides two names, which
 is exactly when a per-window scratch repair's legitimacy check would

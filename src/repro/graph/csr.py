@@ -14,8 +14,9 @@ read-only array view used by those paths:
   ``index_of`` is the inverse, so callers can move between the array
   world and the identifier world without per-edge Python loops;
 * the snapshot is frozen: the arrays are marked non-writeable and derived
-  quantities (triangle counts) are memoized on it, so repeated analytics
-  over an unchanged graph cost O(1) after the first call.
+  quantities (triangle counts, the sorted edge keys) are memoized on it,
+  so repeated analytics over an unchanged graph cost O(1) after the first
+  call.
 
 Snapshots are built either from the dict backend
 (:meth:`CSRAdjacency.from_dict`, used by ``Graph.to_csr``) or directly
@@ -40,7 +41,7 @@ class CSRAdjacency:
     indptr[i+1]]`` are the neighbors of row ``i``, sorted ascending.
     """
 
-    __slots__ = ("indptr", "indices", "ids", "_index_of", "_triangles")
+    __slots__ = ("indptr", "indices", "ids", "_index_of", "_triangles", "_keys")
 
     def __init__(self, indptr, indices, ids):
         indptr = np.ascontiguousarray(indptr, dtype=np.int32)
@@ -57,6 +58,7 @@ class CSRAdjacency:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index_of", None)
         object.__setattr__(self, "_triangles", None)
+        object.__setattr__(self, "_keys", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CSRAdjacency is frozen")
@@ -114,10 +116,13 @@ class CSRAdjacency:
         n = len(ids)
         src = np.concatenate((lo, hi)).astype(np.int64)
         dst = np.concatenate((hi, lo)).astype(np.int64)
-        # One scalar-key argsort orders rows and, within each row, the
-        # neighbor indices ascending -- cheaper than a two-key lexsort.
-        order = np.argsort(src * n + dst)
-        indices = dst[order].astype(np.int32)
+        # Sorting the scalar keys ``row * n + col`` orders rows and, within
+        # each row, the neighbor indices ascending -- cheaper than an
+        # argsort and gather, let alone a two-key lexsort.
+        keys = src * n
+        keys += dst
+        keys.sort()
+        indices = (keys % n).astype(np.int32)
         degrees = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -147,6 +152,52 @@ class CSRAdjacency:
         row = self.neighbors_of(i)
         pos = int(np.searchsorted(row, j))
         return pos < len(row) and int(row[pos]) == j
+
+    def has_edges(self, rows, cols):
+        """Vectorized :meth:`has_edge` over equal-length row/column arrays.
+
+        One ``searchsorted`` when :meth:`edge_keys` is already memoized;
+        otherwise a lockstep binary search over the rows' sorted neighbor
+        slices: O(k log δ) time and O(k) memory for ``k`` queries, with
+        no temporary proportional to the edge count.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if not self.indices.size:
+            return np.zeros(rows.shape, dtype=bool)
+        if self._keys is not None:
+            probe = rows * len(self.ids) + cols
+            pos = np.searchsorted(self._keys, probe)
+            found = self._keys[np.minimum(pos, self._keys.size - 1)] == probe
+            return found & (cols >= 0)
+        last = self.indices.size - 1
+        lo = self.indptr[rows].astype(np.int64)
+        end = self.indptr[rows + 1].astype(np.int64)
+        hi = end.copy()
+        active = lo < hi
+        while active.any():
+            mid = (lo + hi) >> 1
+            right = active & (self.indices[np.minimum(mid, last)] < cols)
+            np.copyto(lo, mid + 1, where=right)
+            np.copyto(hi, mid, where=active & ~right)
+            active = lo < hi
+        return (lo < end) & (self.indices[np.minimum(lo, last)] == cols)
+
+    def edge_keys(self):
+        """Sorted ``int64`` keys ``row * n + col`` of every CSR entry, memoized.
+
+        Each undirected edge appears twice, once per direction; CSR order
+        is key order, so membership of any directed pair is one
+        ``searchsorted``.  Built on first use rather than at construction,
+        so snapshots that never probe pairs carry no extra O(m) array.
+        """
+        if self._keys is None:
+            n = len(self.ids)
+            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+            keys = rows * n + self.indices
+            keys.flags.writeable = False
+            object.__setattr__(self, "_keys", keys)
+        return self._keys
 
     def edge_arrays(self):
         """Undirected edges as index arrays ``(u, v)`` with ``u < v``.

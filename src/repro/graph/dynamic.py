@@ -5,7 +5,8 @@ The Section 5 experiments are *dynamic*: nodes move every 2-second window
 re-evaluated each time.  Rebuilding everything from scratch per window --
 the full cell-grid pair join, a fresh ``Graph``, a global triangle recount
 -- costs O(n + m) regardless of how little actually changed.  This module
-keeps the per-window cost proportional to the *delta*:
+makes a window one array pass over its CSR snapshot, with the geometric
+work proportional to the *delta*:
 
 * :class:`DynamicUnitDisk` keeps the geometry cell grid alive across
   windows as a skin-padded **candidate list** (the Verlet-list idea from
@@ -22,29 +23,25 @@ keeps the per-window cost proportional to the *delta*:
   arithmetic; the candidate list is a superset by the triangle
   inequality, enforced with a small safety margin on the drift bound).
 
-* :class:`TriangleCounter` maintains the per-node integer triangle counts
-  under edge insertions/removals (one ``common_neighbors`` intersection
-  per changed edge, riding the observer hooks of
-  :meth:`~repro.graph.graph.Graph.apply_edge_delta`), so Definition-1
-  densities can be refreshed for exactly the nodes whose neighborhood
-  changed -- the Fractions are built from the same machine integers as
-  :func:`~repro.clustering.density.all_densities`, hence bit-identical,
-  without a global recount.  For bulk deltas where per-edge Python
-  updates would cost more than the vectorized kernel, it falls back to a
-  CSR recount and reports the changed nodes by array comparison.
+* :class:`DynamicTopology` rebases one live
+  :class:`~repro.graph.graph.Graph` onto each window's snapshot
+  (:meth:`~repro.graph.graph.Graph.adopt_csr`): no per-edge dict updates,
+  and the dict adjacency, when a consumer needs one, is rebuilt lazily in
+  the order a fresh build fills it.  Per-row triangle counts live in an
+  ``int64`` array and move by one batched delta over the changed edges:
+  triangles through removed edges are counted on the old snapshot, those
+  through added edges on the new one, each credited once -- through its
+  smallest-key changed edge -- to its three corners.  The window's exact
+  densities are a read-only :class:`DensityMap` over the degree and
+  triangle arrays, whose float image the election engine ranks with
+  directly.
 
-* :class:`DynamicTopology` ties the two to a live
-  :class:`~repro.graph.graph.Graph`: it applies each delta in bulk,
-  installs a cheap CSR snapshot rebuilt from the maintained edge arrays
-  (an O(m) argsort instead of the O(m) Python dict translation), keeps
-  the exact density map current, and wraps everything in a fresh
-  :class:`~repro.graph.generators.Topology` per window.
-
-The scratch pipeline (``topology_at`` -> ``all_densities``) survives
-untouched as the reference oracle; the property suite drives randomized
-move/join/leave sequences through both and asserts equality.
+The scratch pipeline (``topology_at`` -> ``all_densities``) is the
+reference oracle; the property suite drives randomized move/join/leave
+sequences through both and asserts equality.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +51,7 @@ from repro.graph.csr import CSRAdjacency
 from repro.graph.generators import Topology
 from repro.graph.geometry import pairs_within_range
 from repro.graph.graph import Graph
-from repro.util.errors import ConfigurationError, TopologyError
+from repro.util.errors import ConfigurationError
 
 # Identifiers are packed two-per-int64 key for the set-difference delta
 # path, so they must fit in 31 bits.
@@ -65,10 +62,10 @@ _MAX_ID = 2 ** 31
 # noise of the squared-distance evaluations.
 _DRIFT_GUARD = 1e-12
 
-# Per-edge Python triangle updates beat the vectorized CSR recount only
-# while the delta is a small fraction of the edge set; past this ratio
-# the counter recounts instead (same integers either way).
-_RECOUNT_FRACTION = 8
+# Expanded-candidate budget of the batched triangle delta: a bulk delta
+# (every node teleported) is processed in chunks of at most this many
+# candidate corners, bounding peak memory like the CSR triangle kernel.
+_CANDIDATE_BUDGET = 2_000_000
 
 # Re-anchoring drifted nodes cell-by-cell beats a full grid re-join only
 # while few nodes drifted; past this fraction of the population the whole
@@ -105,16 +102,25 @@ class EdgeDelta:
         return cls(added=_EMPTY_PAIRS, removed=_EMPTY_PAIRS)
 
 
-def _canonical_id_pairs(ids, index_pairs):
-    """Index pairs -> canonical, lexicographically sorted identifier pairs."""
-    if not len(index_pairs):
-        return _EMPTY_PAIRS
+def _id_keys(ids, index_pairs):
+    """Sorted ``int64`` keys ``lo << 32 | hi`` of index pairs, in
+    identifier space (one scalar sort instead of a two-key lexsort)."""
     a = ids[index_pairs[:, 0]]
     b = ids[index_pairs[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    order = np.lexsort((hi, lo))
-    return np.column_stack((lo[order], hi[order]))
+    keys = (np.minimum(a, b) << 32) | np.maximum(a, b)
+    keys.sort()
+    return keys
+
+
+def _decode_id_keys(keys):
+    if not len(keys):
+        return _EMPTY_PAIRS
+    return np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
+
+
+def _canonical_id_pairs(ids, index_pairs):
+    """Index pairs -> canonical, lexicographically sorted identifier pairs."""
+    return _decode_id_keys(_id_keys(ids, index_pairs))
 
 
 class DynamicUnitDisk:
@@ -194,7 +200,7 @@ class DynamicUnitDisk:
         """A fresh CSR snapshot of the current edge set.
 
         Built straight from the maintained candidate arrays with
-        :meth:`CSRAdjacency.from_pairs` -- one argsort, no per-edge
+        :meth:`CSRAdjacency.from_pairs` -- one key sort, no per-edge
         Python -- and identical to ``Graph.to_csr()`` over the same
         adjacency (same ids order, rows sorted ascending).
         """
@@ -319,26 +325,16 @@ class DynamicUnitDisk:
 
     def _edge_keys(self):
         """Sorted int64 keys of the current edges, in identifier space."""
-        pairs = self.edge_index_pairs()
-        if not len(pairs):
-            return np.empty(0, dtype=np.int64)
-        a = self._ids[pairs[:, 0]]
-        b = self._ids[pairs[:, 1]]
-        keys = (np.minimum(a, b) << 32) | np.maximum(a, b)
-        keys.sort()
-        return keys
+        return _id_keys(self._ids, self.edge_index_pairs())
 
     @staticmethod
     def _diff_keys(old_keys, new_keys):
         """Delta between two sorted key sets, decoded to identifier pairs."""
-        def decode(keys):
-            if not len(keys):
-                return _EMPTY_PAIRS
-            return np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
-        return EdgeDelta(added=decode(np.setdiff1d(new_keys, old_keys,
-                                                   assume_unique=True)),
-                         removed=decode(np.setdiff1d(old_keys, new_keys,
-                                                     assume_unique=True)))
+        return EdgeDelta(
+            added=_decode_id_keys(np.setdiff1d(new_keys, old_keys,
+                                               assume_unique=True)),
+            removed=_decode_id_keys(np.setdiff1d(old_keys, new_keys,
+                                                 assume_unique=True)))
 
     # ------------------------------------------------------------------
     # updates
@@ -366,9 +362,9 @@ class DynamicUnitDisk:
             return EdgeDelta.empty()
         self._pos = positions.copy()
         if self._pos_dict is not None:
-            for i in moved:
-                self._pos_dict[self._ids_list[i]] = (float(positions[i, 0]),
-                                                     float(positions[i, 1]))
+            self._pos_dict.update(zip(self._ids[moved].tolist(),
+                                      zip(positions[moved, 0].tolist(),
+                                          positions[moved, 1].tolist())))
         disp2 = ((self._pos - self._anchor) ** 2).sum(axis=1)
         drifted = np.flatnonzero(disp2 >= self._drift2)
         if not drifted.size:
@@ -479,130 +475,183 @@ class DynamicUnitDisk:
                 f"radius={self.radius}, skin={self.skin})")
 
 
-class TriangleCounter:
-    """Exact per-node triangle counts maintained under edge deltas.
+def _row_pairs(ids, pairs):
+    """Identifier pairs -> canonical row pairs ``(lo, hi)``, ``lo < hi``,
+    over the snapshot row order ``ids`` (an ``int64`` array)."""
+    sorter = np.argsort(ids, kind="stable")
+    rows = sorter[np.searchsorted(ids, pairs, sorter=sorter)]
+    return (np.minimum(rows[:, 0], rows[:, 1]),
+            np.maximum(rows[:, 0], rows[:, 1]))
 
-    Seeded from the graph's CSR kernel, then updated one
-    ``common_neighbors`` intersection per changed edge via the observer
-    hooks of :meth:`Graph.apply_edge_delta` (``edge_removed`` fires while
-    the edge is still present, ``edge_added`` once it is in place, so the
-    sequential counts match a scratch recount after any batch).  Nodes
-    whose count changed accumulate in a dirty set drained with
-    :meth:`pop_dirty` -- exactly the nodes whose Definition-1 density
-    needs a refresh, together with the delta endpoints themselves.
+
+def triangle_credits(csr, lo, hi):
+    """Per-row corner counts of ``csr``'s triangles through changed edges.
+
+    ``lo`` / ``hi`` are the changed edges as row pairs (``lo < hi``), all
+    present in ``csr``.  Each edge expands its endpoint with the shorter
+    neighbor list; a candidate corner ``w`` closes a triangle iff the
+    other endpoint and ``w`` are adjacent -- one ``searchsorted`` over the
+    snapshot's sorted :meth:`~repro.graph.csr.CSRAdjacency.edge_keys`,
+    which also locates that edge's CSR entry.  A triangle holding several
+    changed edges is found through each of them and credited once,
+    through the one with the smallest key ``lo * n + hi``, to each of its
+    three corners; whether its other two edges changed is read off a
+    per-entry flag at the two entries the probe touched.
+    """
+    n = len(csr)
+    credits = np.zeros(n, dtype=np.int64)
+    if not lo.size:
+        return credits
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    table = csr.edge_keys()
+    changed = np.zeros(table.size, dtype=bool)
+    changed[np.searchsorted(table, lo * n + hi)] = True
+    changed[np.searchsorted(table, hi * n + lo)] = True
+    indptr = csr.indptr.astype(np.int64)
+    degrees = csr.degrees()
+    swap = degrees[hi] < degrees[lo]
+    expand = np.where(swap, hi, lo)
+    probe_row = np.where(swap, lo, hi)
+    counts = degrees[expand]
+    ends = np.cumsum(counts)
+    last = table.size - 1
+    start = 0
+    while start < lo.size:
+        base = int(ends[start] - counts[start])
+        stop = max(int(np.searchsorted(ends, base + _CANDIDATE_BUDGET,
+                                       side="right")), start + 1)
+        size = counts[start:stop]
+        total = int(size.sum())
+        if total:
+            edge = np.repeat(np.arange(start, stop), size)
+            # CSR entry of (expand, w) for every candidate corner w.
+            at = (np.repeat(indptr[expand[start:stop]], size)
+                  + np.arange(total, dtype=np.int64)
+                  - np.repeat(ends[start:stop] - size - base, size))
+            w = csr.indices[at].astype(np.int64)
+            probe = probe_row[edge] * n + w
+            pos = np.minimum(np.searchsorted(table, probe), last)
+            closed = np.flatnonzero(table[pos] == probe)
+            edge = edge[closed]
+            w = w[closed]
+            key = lo[edge] * n + hi[edge]
+            a = expand[edge]
+            b = probe_row[edge]
+            earlier = ((changed[at[closed]]
+                        & (np.minimum(a, w) * n + np.maximum(a, w) < key))
+                       | (changed[pos[closed]]
+                          & (np.minimum(b, w) * n + np.maximum(b, w) < key)))
+            first = ~earlier
+            corners = np.concatenate((a[first], b[first], w[first]))
+            credits += np.bincount(corners, minlength=n)
+        start = stop
+    return credits
+
+
+class DensityMap(Mapping):
+    """Exact Definition-1 densities of one window, as a read-only mapping.
+
+    A view over the window's row-ordered ``ids`` and its ``int64``
+    ``degrees`` and ``triangles`` arrays.  A lookup builds
+    ``Fraction(deg + tri, deg)`` -- ``Fraction(0)`` for an isolated node
+    -- from the same machine integers as ``all_densities(graph,
+    exact=True)``, so the two compare equal from either side of ``==``;
+    iteration follows ``ids``.  :attr:`float_image` is
+    ``density_float_image(degrees, triangles)``: each entry is the
+    correctly rounded quotient of the same two integers, hence bit for
+    bit ``float(self[node])``, and the election engine ranks with it
+    directly.
     """
 
-    def __init__(self, graph):
-        csr = graph.to_csr()
-        self.counts = dict(zip(csr.ids, csr.triangle_counts().tolist()))
-        self._dirty = set()
+    def __init__(self, ids, degrees, triangles):
+        self.ids = tuple(ids)
+        self.degrees = degrees
+        self.triangles = triangles
+        self._index_of = None
+        self._float_image = None
 
-    def edge_added(self, graph, u, v):
-        common = graph.common_neighbors(u, v)
-        if common:
-            counts = self.counts
-            gained = len(common)
-            counts[u] += gained
-            counts[v] += gained
-            for w in common:
-                counts[w] += 1
-            self._dirty.add(u)
-            self._dirty.add(v)
-            self._dirty.update(common)
+    def __getitem__(self, node):
+        if self._index_of is None:
+            self._index_of = {key: i for i, key in enumerate(self.ids)}
+        row = self._index_of[node]
+        deg = int(self.degrees[row])
+        if not deg:
+            return Fraction(0)
+        return Fraction(deg + int(self.triangles[row]), deg)
 
-    def edge_removed(self, graph, u, v):
-        common = graph.common_neighbors(u, v)
-        if common:
-            counts = self.counts
-            lost = len(common)
-            counts[u] -= lost
-            counts[v] -= lost
-            for w in common:
-                counts[w] -= 1
-            self._dirty.add(u)
-            self._dirty.add(v)
-            self._dirty.update(common)
+    def __iter__(self):
+        return iter(self.ids)
 
-    def node_added(self, node):
-        if node in self.counts:
-            raise TopologyError(f"node {node!r} already counted")
-        self.counts[node] = 0
+    def __len__(self):
+        return len(self.ids)
 
-    def node_removed(self, node):
-        del self.counts[node]
-        self._dirty.discard(node)
+    @property
+    def float_image(self):
+        """``float64`` densities in ``ids`` order (read-only)."""
+        if self._float_image is None:
+            # Deferred import: repro.clustering reaches back into
+            # repro.graph at package level.
+            from repro.clustering.density import density_float_image
 
-    def recount(self, graph):
-        """Recount via the CSR kernel; dirty = nodes whose count changed.
+            image = density_float_image(self.degrees, self.triangles)
+            image.flags.writeable = False
+            self._float_image = image
+        return self._float_image
 
-        Used for bulk deltas where per-edge updates would cost more than
-        the vectorized kernel; the integers are identical either way.
-        """
-        csr = graph.to_csr()
-        fresh = dict(zip(csr.ids, csr.triangle_counts().tolist()))
-        old = self.counts
-        self._dirty.update(node for node, count in fresh.items()
-                           if old.get(node) != count)
-        self.counts = fresh
+    def __reduce__(self):
+        return (DensityMap, (self.ids, self.degrees, self.triangles))
 
-    def pop_dirty(self):
-        """Return and clear the set of nodes whose count changed."""
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
+    def __repr__(self):
+        return f"DensityMap(n={len(self.ids)})"
 
 
 @dataclass(frozen=True)
 class WindowUpdate:
     """Everything one window of dynamics produced.
 
-    ``topology`` wraps the *live* maintained graph (mutated again by the
-    next window -- read metrics within the window, as the experiment
-    loops do); ``delta`` is the exact edge difference from the previous
-    window; ``density_changed`` the identifiers whose exact density value
-    may have changed (conservative superset).  ``densities`` is the live
-    exact density map of the producing :class:`DynamicTopology` (again:
-    read within the window), or ``None`` when density tracking is off --
-    ``density_changed`` is then ``None`` as well.
+    ``topology`` wraps the *live* graph (rebased again by the next window
+    -- read metrics within the window, as the experiment loops do);
+    ``delta`` is the exact edge difference from the previous window;
+    ``density_changed`` the identifiers whose degree or triangle count
+    changed (a superset of those whose exact density changed).
+    ``densities`` is this window's immutable :class:`DensityMap`, or
+    ``None`` when density tracking is off -- ``density_changed`` is then
+    ``None`` as well.
     """
 
     topology: Topology
     delta: EdgeDelta
     density_changed: frozenset
-    densities: dict = None
+    densities: Mapping = None
 
 
 class DynamicTopology:
     """A unit-disk :class:`Topology` kept current by exact edge deltas.
 
     Owns the :class:`DynamicUnitDisk`, a live :class:`Graph` (the same
-    object across all windows, so simulators and caches keyed on it keep
-    working), the :class:`TriangleCounter`, and the exact density map.
-    Every update leaves the trio in the state a scratch rebuild
-    (``topology_at`` + ``all_densities(exact=True)``) would produce,
-    bit-for-bit; only the cost differs.
+    object across all windows, rebased onto each window's snapshot, so
+    simulators and caches keyed on it keep working), the per-row
+    ``triangles`` array and the window's :class:`DensityMap`.  Every
+    update leaves them in the state a scratch rebuild (``topology_at`` +
+    ``all_densities(exact=True)``) would produce, bit for bit; only the
+    cost differs.  ``track_densities=False`` skips the triangles and the
+    densities for consumers that never read them (the baseline engines).
     """
 
     def __init__(self, positions, radius, ids=None, skin=None,
-                 recount_fraction=_RECOUNT_FRACTION, track_densities=True):
+                 track_densities=True):
         self._disk = DynamicUnitDisk(positions, radius, ids=ids, skin=skin)
         self.radius = float(radius)
-        self._recount_fraction = int(recount_fraction)
         self.graph = Graph.from_pair_array(self._disk.edge_index_pairs(),
                                            self._disk.ids)
+        self.triangles = None
+        self.densities = None
         if track_densities:
-            self.triangles = TriangleCounter(self.graph)
-            # Deferred import: repro.clustering reaches back into
-            # repro.graph at package level, so binding at call time
-            # avoids the cycle.
-            from repro.clustering.density import all_densities
-            self.densities = all_densities(self.graph, exact=True)
-        else:
-            # Consumers that never read densities (the baseline engines)
-            # skip the triangle counter and the Fraction refreshes; the
-            # updates then carry ``densities=None``.
-            self.triangles = None
-            self.densities = None
+            csr = self.graph.to_csr()
+            self.triangles = csr.triangle_counts()
+            self.densities = DensityMap(csr.ids, csr.degrees(),
+                                        self.triangles)
         self.topology = self._wrap()
 
     def _wrap(self):
@@ -619,102 +668,67 @@ class DynamicTopology:
     def move(self, positions):
         """One mobility window: adopt new positions, return the update."""
         delta = self._disk.move(positions)
-        if self.triangles is None:
-            if delta:
-                self.graph.apply_edge_delta(added=delta.added,
-                                            removed=delta.removed)
-                self.graph.adopt_csr(self._disk.snapshot())
-            dirty = None
-        elif delta:
-            dirty = self._apply_delta(delta)
-        else:
-            dirty = frozenset()
-        self.topology = self._wrap()
-        return WindowUpdate(topology=self.topology, delta=delta,
-                            density_changed=dirty,
-                            densities=self.densities)
+        changed = self._rebase(delta, self._disk._ids) if delta \
+            else frozenset()
+        return self._update(delta, changed)
 
     def apply_churn(self, departed=(), arrivals=()):
         """One churn epoch: departures vanish with their edges, arrivals
         boot fresh; returns the update."""
         departed = [int(x) for x in departed]
         arrivals = [(int(node), position) for node, position in arrivals]
+        old_ids = self._disk._ids
         delta = self._disk.apply_churn(departed, arrivals)
-        graph = self.graph
-        counter = self.triangles
-        if counter is None:
-            graph.apply_edge_delta(removed=delta.removed)
-            for node in departed:
-                graph.remove_node(node)
-            for node, _position in arrivals:
-                graph.add_node(node)
-            graph.apply_edge_delta(added=delta.added)
-            graph.adopt_csr(self._disk.snapshot())
-            self.topology = self._wrap()
-            return WindowUpdate(topology=self.topology, delta=delta,
-                                density_changed=None, densities=None)
-        # A heavy epoch (most of the population replaced) recounts on the
-        # fresh snapshot instead of paying per-edge intersections, same
-        # as the bulk branch of _apply_delta.
-        recount = (delta.size * self._recount_fraction
-                   >= self._disk.edge_count())
-        observer = None if recount else counter
-        # Removals while every endpoint still exists, then the node churn,
-        # then additions over the final node set.
-        graph.apply_edge_delta(removed=delta.removed, observer=observer)
-        for node in departed:
-            graph.remove_node(node)
-            if not recount:
-                counter.node_removed(node)
-            del self.densities[node]
-        for node, _position in arrivals:
-            graph.add_node(node)
-            if not recount:
-                counter.node_added(node)
-        graph.apply_edge_delta(added=delta.added, observer=observer)
-        self.graph.adopt_csr(self._disk.snapshot())
-        if recount:
-            for node in departed:
-                counter.counts.pop(node, None)
-            counter.recount(graph)
-        dirty = counter.pop_dirty()
-        dirty.update(int(x) for x in delta.added.flat)
-        dirty.update(int(x) for x in delta.removed.flat)
-        dirty.difference_update(departed)
-        dirty.update(node for node, _position in arrivals)
-        self._refresh_densities(dirty)
-        self.topology = self._wrap()
-        return WindowUpdate(topology=self.topology, delta=delta,
-                            density_changed=frozenset(dirty),
-                            densities=self.densities)
-
-    def _apply_delta(self, delta):
-        graph = self.graph
-        counter = self.triangles
-        if delta.size * self._recount_fraction >= self._disk.edge_count():
-            # Bulk delta: skip per-edge bookkeeping, recount on the fresh
-            # snapshot instead (same integers, vectorized).
-            graph.apply_edge_delta(added=delta.added, removed=delta.removed)
-            graph.adopt_csr(self._disk.snapshot())
-            counter.recount(graph)
+        if departed or arrivals:
+            changed = self._rebase(delta, old_ids,
+                                   keep=~np.isin(old_ids, departed))
         else:
-            graph.apply_edge_delta(added=delta.added, removed=delta.removed,
-                                   observer=counter)
-            graph.adopt_csr(self._disk.snapshot())
-        dirty = counter.pop_dirty()
-        dirty.update(int(x) for x in delta.added.flat)
-        dirty.update(int(x) for x in delta.removed.flat)
-        self._refresh_densities(dirty)
-        return frozenset(dirty)
+            changed = frozenset()
+        return self._update(delta, changed)
 
-    def _refresh_densities(self, dirty):
-        graph = self.graph
-        counts = self.triangles.counts
-        densities = self.densities
-        for node in dirty:
-            deg = graph.degree(node)
-            densities[node] = (Fraction(deg + counts[node], deg) if deg
-                               else Fraction(0))
+    def _update(self, delta, changed):
+        self.topology = self._wrap()
+        return WindowUpdate(
+            topology=self.topology, delta=delta,
+            density_changed=None if self.triangles is None else changed,
+            densities=self.densities)
+
+    def _rebase(self, delta, old_ids, keep=None):
+        """Install the disk's snapshot and move the triangle counts.
+
+        ``old_ids`` are the previous snapshot's row identifiers and
+        ``keep`` masks its surviving rows (churn): survivors keep their
+        order and arrivals append, so the survivors' rows come first in
+        the new snapshot.  Returns the identifiers whose degree or
+        triangle count changed, arrivals included.
+        """
+        old = self.graph.to_csr()
+        new = self._disk.snapshot()
+        survivors = len(old) if keep is None else int(keep.sum())
+        self.graph.adopt_csr(new, added=len(delta.added),
+                             removed=len(delta.removed),
+                             joined=len(new) - survivors,
+                             left=len(old) - survivors)
+        if self.triangles is None:
+            return None
+        old_tri = self.triangles
+        old_deg = old.degrees()
+        tri = old_tri - triangle_credits(old,
+                                         *_row_pairs(old_ids, delta.removed))
+        if keep is not None:
+            tri, old_tri, old_deg = tri[keep], old_tri[keep], old_deg[keep]
+        tri = np.concatenate(
+            (tri, np.zeros(len(new) - survivors, dtype=np.int64)))
+        tri += triangle_credits(new, *_row_pairs(self._disk._ids,
+                                                 delta.added))
+        tri.flags.writeable = False
+        degrees = new.degrees()
+        changed = np.ones(len(new), dtype=bool)
+        changed[:survivors] = ((degrees[:survivors] != old_deg)
+                               | (tri[:survivors] != old_tri))
+        self.triangles = tri
+        self.densities = DensityMap(new.ids, degrees, tri)
+        return frozenset(self._disk._ids[changed].tolist())
 
     def __repr__(self):
         return (f"DynamicTopology(n={len(self.graph)}, "

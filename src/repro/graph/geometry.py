@@ -118,8 +118,20 @@ def pairs_within_range(positions, radius):
 
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
-    pairs = np.concatenate(chunks)
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return _sorted_rows(np.concatenate(chunks), n)
+
+
+def _sorted_rows(pairs, n):
+    """Distinct ``(i, j)`` index rows in lexicographic order.
+
+    One sort of the scalar keys ``i * n + j`` -- the row order of a
+    two-key lexsort, at a fraction of its cost.
+    """
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    keys.sort()
+    rows = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
+    return rows
 
 
 def chunk_pairs(positions, radius, max_pairs=None):
@@ -156,7 +168,7 @@ def _iter_pair_chunks(positions, radius, budget):
     Left endpoints are processed in blocks of ascending original index;
     within a block every candidate ``j > i`` is found through one
     ``searchsorted`` join per 9-neighborhood offset against the globally
-    cell-sorted order, then distance-filtered and lexsorted.  Blocks
+    cell-sorted order, then distance-filtered and sorted.  Blocks
     ascend in left index, so concatenating the per-block rows reproduces
     the global lexicographic order of the one-shot driver.
     """
@@ -200,8 +212,7 @@ def _iter_pair_chunks(positions, radius, budget):
                 parts.append(np.column_stack((left[close], right[close])))
         if not parts:
             continue
-        pairs = np.concatenate(parts)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = _sorted_rows(np.concatenate(parts), n)
         for cut in range(0, len(pairs), budget):
             yield pairs[cut : cut + budget]
 

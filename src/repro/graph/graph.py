@@ -5,7 +5,7 @@ The paper's model (Section 3): a set ``V`` of nodes with unique identifiers;
 is bidirectional; ``N^i_p`` is the i-neighborhood.  This module implements
 that model directly, with the symmetry invariant enforced on every mutation.
 
-Two construction regimes coexist:
+Three construction regimes coexist:
 
 * incremental (``add_node`` / ``add_edge``), for the protocol simulations
   that churn single edges;
@@ -18,6 +18,14 @@ Two construction regimes coexist:
   ``int32`` pair arrays are accumulated and the dict adjacency is
   materialized *lazily* from the CSR snapshot on first dict-shaped
   access, so read-only consumers never pay for per-node Python sets.
+
+A graph can also be *rebased* onto a new snapshot (``adopt_csr``): the
+dynamic subsystem installs each mobility window's snapshot as the
+structure of the same live object and drops the dict, which is rebuilt
+lazily as above.  The lazily built sets hold the same neighbors, filled
+in the same ascending order, as a ``from_pair_array`` build of that edge
+set, and ``neighbors`` iterates identically on either backend -- so a
+rebased graph is indistinguishable from a fresh build.
 
 ``to_csr`` exposes a frozen :class:`~repro.graph.csr.CSRAdjacency`
 snapshot for array-speed analytics; it is built on first use, cached, and
@@ -71,11 +79,12 @@ class Graph:
     def _materialize_adj(self):
         """Build the dict adjacency from the CSR snapshot (lazy graphs).
 
-        Graphs built by :meth:`from_pair_chunks` -- and graphs attached
-        from a shared-memory snapshot -- carry only the CSR arrays until a
-        caller needs dict semantics.  Neighbor sets are filled in
-        ascending index order: identical *contents* to the eager path,
-        though not necessarily the same set iteration order.
+        Graphs built by :meth:`from_pair_chunks`, graphs attached from a
+        shared-memory snapshot and graphs rebased by :meth:`adopt_csr`
+        carry only the CSR arrays until a caller needs dict semantics.
+        Neighbor sets are filled in ascending row order -- the insertion
+        sequence of :meth:`_bulk_merge` over the same pairs, so the sets
+        equal a :meth:`from_pair_array` build's, iteration order included.
         """
         csr = self._csr
         if csr is None:
@@ -301,51 +310,6 @@ class Graph:
             raise TopologyError(f"edge ({u!r}, {v!r}) not in graph") from None
         self._csr = None
 
-    def apply_edge_delta(self, added=(), removed=(), observer=None):
-        """Apply an exact undirected edge delta: removals, then additions.
-
-        ``added`` / ``removed`` are ``(k, 2)`` integer arrays or iterables of
-        ``(u, v)`` pairs whose endpoints must already be nodes of the graph
-        (node churn goes through :meth:`add_node` / :meth:`remove_node`).
-        A delta is an exact set difference, not an idempotent merge: every
-        removed edge must exist and every added edge must be absent, so a
-        stale delta fails loudly instead of silently desynchronizing the
-        maintained state.
-
-        ``observer`` hooks incremental analytics into the mutation sequence
-        (the dynamic subsystem's triangle counter rides this): for each
-        removal, ``observer.edge_removed(graph, u, v)`` runs while the edge
-        is still present; for each addition, ``observer.edge_added(graph,
-        u, v)`` runs once the edge is in place.  The CSR snapshot is
-        invalidated once for the whole batch.
-        """
-        adj = self._adj  # materialize (lazy graphs) before dropping the CSR
-        self._csr = None
-        if isinstance(removed, np.ndarray):
-            removed = removed.tolist()
-        for u, v in removed:
-            if u not in adj or v not in adj[u]:
-                raise TopologyError(f"edge ({u!r}, {v!r}) not in graph")
-            if observer is not None:
-                observer.edge_removed(self, u, v)
-            adj[u].remove(v)
-            adj[v].remove(u)
-        if isinstance(added, np.ndarray):
-            added = added.tolist()
-        for u, v in added:
-            if u == v:
-                raise TopologyError(f"self-loop on node {u!r} is not allowed")
-            if u not in adj or v not in adj:
-                missing = u if u not in adj else v
-                raise TopologyError(f"node {missing!r} not in graph")
-            if v in adj[u]:
-                raise TopologyError(
-                    f"edge ({u!r}, {v!r}) already in graph; deltas are exact")
-            adj[u].add(v)
-            adj[v].add(u)
-            if observer is not None:
-                observer.edge_added(self, u, v)
-
     def remove_node(self, node):
         """Remove ``node`` and all its incident edges."""
         if node not in self._adj:
@@ -458,20 +422,24 @@ class Graph:
             self._csr = CSRAdjacency.from_dict(self._adj)
         return self._csr
 
-    def adopt_csr(self, csr):
-        """Install an externally built snapshot as the CSR cache.
+    def adopt_csr(self, csr, added=0, removed=0, joined=0, left=0):
+        """Rebase the graph onto ``csr``: the snapshot becomes its structure.
 
-        The dynamic subsystem rebuilds snapshots from its maintained edge
-        arrays (an O(m) argsort) instead of the O(m) Python translation of
-        :meth:`CSRAdjacency.from_dict`; this hands the result back to the
-        graph so every snapshot consumer sees it.  The caller guarantees
-        the snapshot describes the current adjacency -- node count and
-        edge count are cross-checked here as a cheap guard, the full
-        equivalence is the property suite's job.
+        The dynamic subsystem builds each window's snapshot from its
+        maintained edge arrays and installs it here, so the same live
+        object (and every cache keyed on it) follows the topology without
+        per-edge dict updates.  The dict adjacency is dropped and rebuilt
+        from the snapshot on the next dict-shaped access.  As a cheap
+        guard, the snapshot must have this graph's node and edge counts
+        after ``joined``/``left`` nodes and ``added``/``removed`` edges;
+        the full equivalence is the property suite's job.
         """
-        if len(csr) != len(self) or csr.edge_count() != self.edge_count():
+        if (len(csr) != len(self) + joined - left
+                or csr.edge_count() != self.edge_count() + added - removed):
             raise TopologyError(
-                "adopted CSR snapshot does not match the graph's shape")
+                "adopted CSR snapshot does not match the graph's shape "
+                "after the delta")
+        self._adj_map = None
         self._csr = csr
 
     def has_edge(self, u, v):
@@ -491,24 +459,13 @@ class Graph:
             if index is None:
                 raise TopologyError(f"node {node!r} not in graph")
             ids = csr.ids
-            return {ids[j] for j in csr.neighbors_of(index).tolist()}
+            # Built in ascending row order like a materialized set, then
+            # copied like the dict branch's ``set(...)``: a copy re-lays
+            # the table, and only the same two steps iterate identically.
+            return set({ids[j] for j in csr.neighbors_of(index).tolist()})
         if node not in self._adj_map:
             raise TopologyError(f"node {node!r} not in graph")
         return set(self._adj_map[node])
-
-    def common_neighbors(self, u, v):
-        """``Nu ∩ Nv``: nodes adjacent to both ``u`` and ``v``.
-
-        One set intersection over the internal adjacency (no copies of the
-        full neighborhoods); each endpoint is excluded automatically since
-        ``p not in Np``.  The triangle-delta maintenance of
-        :mod:`repro.graph.dynamic` calls this once per changed edge.
-        """
-        try:
-            return self._adj[u] & self._adj[v]
-        except KeyError:
-            missing = u if u not in self._adj else v
-            raise TopologyError(f"node {missing!r} not in graph") from None
 
     def closed_neighbors(self, node):
         """``{p} ∪ Np``: node plus its 1-neighborhood."""

@@ -34,14 +34,17 @@ class MobilityModel:
         """Advance all nodes by ``dt`` seconds; returns the new positions."""
         raise NotImplementedError
 
-    def _reflect(self, proposed):
-        """Reflect positions (and report flipped axes) at the square borders.
+    def _reflect(self, positions, flipped):
+        """Reflect ``positions`` at the square borders, in place.
 
-        Returns ``(positions, flipped)`` where ``flipped`` is a boolean
-        array marking coordinates whose direction of travel must invert.
+        ``flipped`` (a boolean array of the same shape) receives the
+        coordinates whose direction of travel must invert.
         """
         span = 2.0 * self.side
-        folded = np.mod(proposed, span)
-        over = folded > self.side
-        reflected = np.where(over, span - folded, folded)
-        return reflected, over
+        # fmod is exact, so only coordinates outside [+0, span) change
+        # under the modulo (the sign bit catches -0.0, which np.mod maps
+        # to +0.0): skipping the rest leaves every bit as a full np.mod.
+        np.mod(positions, span, out=positions,
+               where=np.signbit(positions) | (positions >= span))
+        np.greater(positions, self.side, out=flipped)
+        np.subtract(span, positions, out=positions, where=flipped)

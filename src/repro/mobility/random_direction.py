@@ -40,29 +40,40 @@ class RandomDirectionModel(MobilityModel):
         if dt < 0:
             raise ConfigurationError(f"dt must be non-negative, got {dt}")
         remaining = float(dt)
+        if remaining <= 1e-12:
+            return self.positions
+        # A fresh position array per call (callers may keep the previous
+        # one); each sub-step then updates it, the velocities and the
+        # reflection mask in place.
+        positions = self.positions.copy()
+        velocities = self._velocities
+        legs = self._leg_remaining
+        step = np.empty_like(positions)
+        flipped = np.empty(positions.shape, dtype=bool)
         # Process in sub-steps so a leg change mid-interval is honored for
         # the remainder of the interval.
         while remaining > 1e-12:
-            sub = min(remaining, float(np.min(self._leg_remaining)))
+            sub = min(remaining, float(legs.min()))
             sub = max(sub, 1e-9)
-            proposed = self.positions + self._velocities * sub
-            self.positions, flipped = self._reflect(proposed)
-            self._velocities = np.where(flipped, -self._velocities,
-                                        self._velocities)
-            self._leg_remaining -= sub
-            expired = self._leg_remaining <= 1e-12
-            if np.any(expired):
+            np.multiply(velocities, sub, out=step)
+            np.add(positions, step, out=positions)
+            self._reflect(positions, flipped)
+            np.negative(velocities, out=velocities, where=flipped)
+            legs -= sub
+            expired = np.flatnonzero(legs <= 1e-12)
+            if expired.size:
                 self._redraw(expired)
             remaining -= sub
-        return self.positions
+        self.positions = positions
+        return positions
 
-    def _redraw(self, mask):
-        count = int(np.count_nonzero(mask))
+    def _redraw(self, rows):
+        count = rows.size
         low, high = self.speed_range
         speeds = self.rng.uniform(low, high, size=count)
         headings = self.rng.uniform(0.0, 2.0 * np.pi, size=count)
-        self._speeds[mask] = speeds
-        self._velocities[mask] = speeds[:, None] * np.column_stack(
+        self._speeds[rows] = speeds
+        self._velocities[rows] = speeds[:, None] * np.column_stack(
             (np.cos(headings), np.sin(headings)))
-        self._leg_remaining[mask] = self.rng.exponential(
+        self._leg_remaining[rows] = self.rng.exponential(
             self.mean_leg_duration, size=count)

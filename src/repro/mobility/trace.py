@@ -32,8 +32,8 @@ def topology_stream(position_snapshots, radius, ids=None):
 
     Equivalent to calling :func:`topology_at` per snapshot, but the
     unit-disk structure is maintained incrementally: every yielded
-    Topology wraps the *same* live graph, mutated by exact edge deltas
-    between snapshots.  Consume each topology before advancing the
+    Topology wraps the *same* live graph, rebased onto each snapshot's
+    exact edge set.  Consume each topology before advancing the
     generator (as the experiment loops do) -- metrics read later see the
     latest window, exactly like a real deployment's current view.
     """
@@ -49,9 +49,9 @@ def window_stream(position_snapshots, radius, ids=None,
     update carries the freshly built topology with ``delta=None`` (an
     engine re-seeds on it), every later update the exact edge delta from
     the previous window.  ``track_densities=False`` skips the triangle
-    counter and the exact density map for consumers that never read
-    densities (the baseline engines); updates then carry
-    ``densities=None`` / ``density_changed=None``.
+    counts and the exact densities for consumers that never read them
+    (the baseline engines); updates then carry ``densities=None`` /
+    ``density_changed=None``.
     """
     dynamic = None
     for positions in position_snapshots:

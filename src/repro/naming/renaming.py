@@ -49,20 +49,34 @@ def is_locally_unique(graph, ids):
     name comparison over the edge arrays instead of the per-edge Python
     scan of :func:`conflicting_edges` -- the per-window mobility repair
     evaluates this on every (re)named topology, so it sits on the hot
-    path.  Non-integer names (or graphs without a snapshot) fall back to
-    the reference scan, which always remains the oracle.
+    path.  Graphs without a snapshot take the reference scan.
     """
-    to_csr = getattr(graph, "to_csr", None)
-    if to_csr is not None:
-        csr = to_csr()
-        # np.array (not fromiter) so nothing is silently cast: floats,
-        # mixed types, and over-int64 names all land on a non-integer
-        # dtype and take the reference scan instead.
-        names = np.array([ids[node] for node in csr.ids])
-        if names.dtype.kind in "iu":
-            eu, ev = csr.edge_arrays()
-            return not bool((names[eu] == names[ev]).any())
+    if hasattr(graph, "to_csr"):
+        eu, _ev, _names = _colliding_rows(graph.to_csr(), ids)
+        return not eu.size
     return not conflicting_edges(graph, ids)
+
+
+def _colliding_rows(csr, ids):
+    """``(u, v, names)``: the row pairs of CSR edges whose endpoints
+    share a name, and the names in row order.
+
+    Integer names are compared as one int64 column; any other names
+    (floats, over-int64 integers, mixed types) are first coded by
+    equality through a dict, so the comparison stays exact.
+    """
+    names = [ids[node] for node in csr.ids]
+    # np.array (not fromiter) so nothing is silently cast: floats, mixed
+    # types, and over-int64 names all land on a non-integer dtype.
+    codes = np.array(names)
+    if codes.dtype.kind not in "iu" or codes.ndim != 1:
+        index = {}
+        codes = np.fromiter((index.setdefault(name, len(index))
+                             for name in names),
+                            dtype=np.int64, count=len(names))
+    eu, ev = csr.edge_arrays()
+    same = codes[eu] == codes[ev]
+    return eu[same], ev[same], names
 
 
 @dataclass
@@ -161,13 +175,25 @@ class PoliteRenaming(_RenamingBase):
     and so on until every node has a different DAG Id than its neighbors")."""
 
     def _redraw_round(self, graph, ids, namespace, tie_ids, rng):
-        updated = {}
-        for node in graph:
-            colliders = [q for q in graph.neighbors(node) if ids[q] == ids[node]]
-            must_redraw = any(tie_ids[node] < tie_ids[q] for q in colliders)
-            if must_redraw:
-                neighbor_ids = [ids[q] for q in graph.neighbors(node)]
-                updated[node] = namespace.sample(rng, exclude=neighbor_ids)
-            else:
-                updated[node] = ids[node]
+        # The redrawers come from one name comparison over the edge
+        # arrays: on each colliding edge the endpoint with the smaller
+        # normal identifier redraws.  They then draw in graph order,
+        # excluding their neighbors' names, as a per-node scan would.
+        csr = graph.to_csr()
+        nodes = csr.ids
+        eu, ev, names = _colliding_rows(csr, ids)
+        redraw = set()
+        for u, v in zip(eu.tolist(), ev.tolist()):
+            tie_u, tie_v = tie_ids[nodes[u]], tie_ids[nodes[v]]
+            if tie_u < tie_v:
+                redraw.add(u)
+            elif tie_v < tie_u:
+                redraw.add(v)
+        updated = dict(zip(nodes, names))
+        indptr = csr.indptr
+        indices = csr.indices
+        for row in sorted(redraw):
+            exclude = [names[q] for q in
+                       indices[indptr[row]:indptr[row + 1]].tolist()]
+            updated[nodes[row]] = namespace.sample(rng, exclude=exclude)
         return updated

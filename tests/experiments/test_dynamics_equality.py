@@ -5,7 +5,8 @@ experiment must render the *identical* report whether its windows come
 from :func:`~repro.experiments.metric_windows.metric_windows` in
 ``delta`` mode (incremental engines over the edge-delta stream) or in
 ``rebuild`` mode (per-window scratch clusterings), at every ``jobs``
-value.  These tests pin that on the smoke preset.
+value.  These tests pin that on the smoke preset, and the workload's
+mobility shape also on the quick preset for every clustering metric.
 """
 
 import pytest
@@ -73,3 +74,15 @@ class TestRunnersByteIdentical:
         delta = run_workload(dynamics="delta", **kwargs)
         rebuild = run_workload(dynamics="rebuild", **kwargs)
         assert str(delta) == str(rebuild)
+
+
+@pytest.mark.parametrize("metric", ["density", "degree", "lowest_id",
+                                    "maxmin"])
+def test_workload_mobility_quick_preset(metric):
+    """20 windows at 400 nodes: long enough for a graph maintained by
+    per-edge dict updates to iterate its neighbor sets (and hence its
+    gateways) in another order than a fresh build."""
+    kwargs = dict(rng=2024, kinds=("mobility",), requests=400, metric=metric)
+    delta = run_workload("quick", dynamics="delta", **kwargs)
+    rebuild = run_workload("quick", dynamics="rebuild", **kwargs)
+    assert str(delta) == str(rebuild)

@@ -1,5 +1,6 @@
 """Unit tests for the delta-based dynamic topology subsystem."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 from repro.clustering.density import all_densities
 from repro.graph.dynamic import (
+    DensityMap,
     DynamicTopology,
     DynamicUnitDisk,
-    TriangleCounter,
+    _canonical_id_pairs,
 )
 from repro.graph.geometry import pairs_within_range
 from repro.graph.graph import Graph
@@ -134,115 +136,61 @@ class TestDynamicUnitDisk:
         assert not one.move(np.array([[0.6, 0.6]]))
 
 
+def test_canonical_id_pairs_equal_the_lexsort():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        ids = rng.choice(2 ** 31, size=40, replace=False).astype(np.int64)
+        pairs = rng.integers(40, size=(60, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        keys = np.unique(np.sort(pairs, axis=1) @ np.array([40, 1]))
+        pairs = np.column_stack((keys // 40, keys % 40))
+        pairs = pairs[rng.permutation(len(pairs))]
+        lo = np.minimum(ids[pairs[:, 0]], ids[pairs[:, 1]])
+        hi = np.maximum(ids[pairs[:, 0]], ids[pairs[:, 1]])
+        order = np.lexsort((hi, lo))
+        expected = np.column_stack((lo[order], hi[order]))
+        assert np.array_equal(_canonical_id_pairs(ids, pairs), expected)
+
+
 class TestGraphEdgeDelta:
+    """Rebasing a graph onto the snapshot that follows an edge delta."""
+
     def build(self):
         return Graph(nodes=range(5), edges=[(0, 1), (1, 2), (2, 3)])
-
-    def test_apply_edge_delta(self):
-        graph = self.build()
-        graph.apply_edge_delta(added=[(3, 4), (0, 2)], removed=[(1, 2)])
-        assert edge_set(graph) == {frozenset(e) for e in
-                                   [(0, 1), (2, 3), (3, 4), (0, 2)]}
-        graph.check_symmetry()
-
-    def test_array_delta(self):
-        graph = self.build()
-        graph.apply_edge_delta(added=np.array([[3, 4]]),
-                               removed=np.array([[0, 1]]))
-        assert graph.has_edge(3, 4) and not graph.has_edge(0, 1)
-
-    def test_removing_missing_edge_fails(self):
-        with pytest.raises(TopologyError):
-            self.build().apply_edge_delta(removed=[(0, 3)])
-
-    def test_adding_existing_edge_fails(self):
-        with pytest.raises(TopologyError):
-            self.build().apply_edge_delta(added=[(0, 1)])
-
-    def test_adding_self_loop_or_unknown_node_fails(self):
-        with pytest.raises(TopologyError):
-            self.build().apply_edge_delta(added=[(2, 2)])
-        with pytest.raises(TopologyError):
-            self.build().apply_edge_delta(added=[(0, 9)])
-
-    def test_observer_sequencing(self):
-        events = []
-
-        class Observer:
-            def edge_removed(self, graph, u, v):
-                events.append(("removed", u, v, graph.has_edge(u, v)))
-
-            def edge_added(self, graph, u, v):
-                events.append(("added", u, v, graph.has_edge(u, v)))
-
-        graph = self.build()
-        graph.apply_edge_delta(added=[(0, 3)], removed=[(0, 1)],
-                               observer=Observer())
-        # Removal observed while present, addition once in place.
-        assert events == [("removed", 0, 1, True), ("added", 0, 3, True)]
-
-    def test_common_neighbors(self):
-        graph = Graph(nodes=range(4), edges=[(0, 1), (0, 2), (1, 2), (1, 3)])
-        assert graph.common_neighbors(0, 1) == {2}
-        assert graph.common_neighbors(2, 3) == {1}
-        with pytest.raises(TopologyError):
-            graph.common_neighbors(0, 9)
 
     def test_adopt_csr_shape_guard(self):
         graph = self.build()
         other = Graph(nodes=range(3), edges=[(0, 1)])
         with pytest.raises(TopologyError):
             graph.adopt_csr(other.to_csr())
-        graph.adopt_csr(self.build().to_csr())
-
-
-class TestTriangleCounter:
-    def kernel_counts(self, graph):
-        csr = Graph(nodes=graph.nodes, edges=graph.edges).to_csr()
-        return dict(zip(csr.ids, csr.triangle_counts().tolist()))
-
-    def test_tracks_kernel_under_deltas(self):
-        rng = np.random.default_rng(7)
-        graph = Graph(nodes=range(12))
-        counter = TriangleCounter(graph)
-        present = set()
-        universe = [(u, v) for u in range(12) for v in range(u + 1, 12)]
-        for _ in range(200):
-            u, v = universe[int(rng.integers(len(universe)))]
-            if frozenset((u, v)) in present:
-                graph.apply_edge_delta(removed=[(u, v)], observer=counter)
-                present.discard(frozenset((u, v)))
-            else:
-                graph.apply_edge_delta(added=[(u, v)], observer=counter)
-                present.add(frozenset((u, v)))
-            assert counter.counts == self.kernel_counts(graph)
-
-    def test_dirty_set_covers_changed_counts(self):
-        graph = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (0, 2)])
-        counter = TriangleCounter(graph)
-        counter.pop_dirty()
-        graph.apply_edge_delta(added=[(2, 3)], observer=counter)
-        assert counter.pop_dirty() == set()  # no triangle closed
-        graph.apply_edge_delta(added=[(1, 3)], observer=counter)
-        assert counter.pop_dirty() == {1, 2, 3}
-
-    def test_recount_marks_changes(self):
-        graph = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (0, 2)])
-        counter = TriangleCounter(graph)
-        graph.apply_edge_delta(added=[(1, 3), (2, 3)])  # no observer
-        counter.recount(graph)
-        assert counter.counts == self.kernel_counts(graph)
-        assert counter.pop_dirty() == {1, 2, 3}
-
-    def test_node_lifecycle(self):
-        graph = Graph(nodes=range(3), edges=[(0, 1)])
-        counter = TriangleCounter(graph)
-        counter.node_added(3)
-        assert counter.counts[3] == 0
+        after = Graph(nodes=range(5), edges=[(0, 1), (2, 3), (3, 4), (0, 2)])
         with pytest.raises(TopologyError):
-            counter.node_added(0)
-        counter.node_removed(3)
-        assert 3 not in counter.counts
+            graph.adopt_csr(after.to_csr())  # edge count moved by +1
+        with pytest.raises(TopologyError):
+            graph.adopt_csr(after.to_csr(), added=2)  # removal undeclared
+        graph.adopt_csr(after.to_csr(), added=2, removed=1)
+        assert edge_set(graph) == edge_set(after)
+        churned = Graph(nodes=[1, 2, 3, 4, 5, 6], edges=[(1, 2), (2, 3)])
+        graph = self.build()
+        with pytest.raises(TopologyError):
+            graph.adopt_csr(churned.to_csr(), removed=1)
+        graph.adopt_csr(churned.to_csr(), removed=1, joined=2, left=1)
+        assert graph.nodes == [1, 2, 3, 4, 5, 6]
+
+    def test_rebase_drops_the_dict_and_rebuilds_it_in_build_order(self):
+        rng = np.random.default_rng(13)
+        positions = rng.uniform(0, 1, size=(120, 2))
+        pairs = pairs_within_range(positions, 0.2)
+        fresh = Graph.from_pair_array(pairs, 120)
+        graph = Graph(nodes=range(120), edges=[(0, 1)])
+        graph.adopt_csr(fresh.to_csr(), added=len(pairs) - 1)
+        assert graph.to_csr() is fresh.to_csr()
+        # CSR-only queries, then the lazy dict: same order as the build.
+        for node in range(120):
+            assert list(graph.neighbors(node)) == list(fresh.neighbors(node))
+        assert graph.edges == fresh.edges
+        for node in range(120):
+            assert list(graph.neighbors(node)) == list(fresh.neighbors(node))
 
 
 class TestDynamicTopology:
@@ -257,6 +205,8 @@ class TestDynamicTopology:
         assert dynamic.densities == all_densities(dynamic.graph, exact=True)
         assert all(isinstance(value, Fraction)
                    for value in dynamic.densities.values())
+        assert np.array_equal(dynamic.triangles,
+                              dynamic.graph.to_csr().triangle_counts())
 
     def test_moves_maintain_graph_and_densities(self):
         rng = np.random.default_rng(8)
@@ -268,11 +218,10 @@ class TestDynamicTopology:
             assert update.topology.graph is dynamic.graph
             self.assert_matches_scratch(dynamic)
 
-    def test_bulk_delta_recount_path(self):
+    def test_bulk_delta_replaces_every_edge(self):
         rng = np.random.default_rng(9)
         positions = rng.uniform(0, 1, size=(50, 2))
-        # recount_fraction so aggressive every non-empty delta recounts.
-        dynamic = DynamicTopology(positions, 0.2, recount_fraction=10 ** 6)
+        dynamic = DynamicTopology(positions, 0.2)
         positions = rng.uniform(0, 1, size=(50, 2))  # teleport all nodes
         dynamic.move(positions)
         self.assert_matches_scratch(dynamic)
@@ -287,18 +236,16 @@ class TestDynamicTopology:
                    if dynamic.densities[node] != before[node]}
         assert changed <= update.density_changed
 
-    def test_heavy_churn_recount_path(self):
-        # Replacing most of the population trips the bulk-recount branch;
-        # the state must stay exact either way.
+    def test_heavy_churn_replaces_most_nodes(self):
         rng = np.random.default_rng(12)
         positions = rng.uniform(0, 1, size=(20, 2))
-        dynamic = DynamicTopology(positions, 0.3, recount_fraction=10 ** 6)
+        dynamic = DynamicTopology(positions, 0.3)
         dynamic.apply_churn(
             departed=list(range(15)),
             arrivals=[(20 + i, tuple(rng.uniform(0, 1, size=2)))
                       for i in range(12)])
         self.assert_matches_scratch(dynamic)
-        assert dynamic.triangles.counts.keys() == set(dynamic.graph.nodes)
+        assert len(dynamic.triangles) == len(dynamic.graph)
 
     def test_churn_maintains_everything(self):
         rng = np.random.default_rng(11)
@@ -311,3 +258,40 @@ class TestDynamicTopology:
         self.assert_matches_scratch(dynamic)
         # Node order stays ascending (the simulators' determinism rides it).
         assert dynamic.graph.nodes == sorted(dynamic.graph.nodes)
+
+
+class TestDensityMap:
+    def window(self):
+        graph = Graph(nodes=[5, 3, 9, 4], edges=[(5, 3), (3, 9), (9, 5)])
+        csr = graph.to_csr()
+        return graph, DensityMap(csr.ids, csr.degrees(), csr.triangle_counts())
+
+    def test_lookups_build_exact_fractions(self):
+        _graph, densities = self.window()
+        assert densities[5] == Fraction(3, 2)
+        assert densities[4] == Fraction(0)  # isolated
+        assert isinstance(densities[4], Fraction)
+        with pytest.raises(KeyError):
+            densities[7]
+        assert 9 in densities and 7 not in densities
+
+    def test_equality_iteration_and_pickling(self):
+        graph, densities = self.window()
+        expected = all_densities(graph, exact=True)
+        assert densities == expected and expected == densities
+        assert list(densities) == list(expected) == [5, 3, 9, 4]
+        assert len(densities) == 4
+        clone = pickle.loads(pickle.dumps(densities))
+        assert isinstance(clone, DensityMap) and clone == expected
+        assert densities != {5: Fraction(3, 2)}
+
+    def test_float_image_is_float_of_every_fraction(self):
+        _graph, densities = self.window()
+        image = densities.float_image
+        assert image.tolist() == [float(densities[node]) for node in densities]
+        assert not image.flags.writeable
+
+    def test_mapping_is_read_only(self):
+        _graph, densities = self.window()
+        with pytest.raises(TypeError):
+            densities[5] = Fraction(1)

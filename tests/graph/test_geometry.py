@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.geometry import (
+    _sorted_rows,
+    chunk_pairs,
     pairs_within_range,
     pairwise_within_range,
     unit_disk_graph,
@@ -120,6 +122,24 @@ class TestPairsWithinRangeArray:
     def test_empty_cases(self):
         assert pairs_within_range(np.empty((0, 2)), 0.1).shape == (0, 2)
         assert pairs_within_range([(0.5, 0.5)], 0.1).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_order_equals_lexsort_with_coincident_points(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 1, size=(150, 2))
+        # Coincident points share cells and distances: ties everywhere.
+        points[rng.integers(150, size=40)] = points[rng.integers(150, size=40)]
+        radius = float(rng.choice([0.05, 0.1, 0.2]))
+        expected = np.array(sorted(brute_force_pairs(points, radius)),
+                            dtype=np.int64).reshape(-1, 2)
+        shuffled = expected[rng.permutation(len(expected))]
+        lexsorted = shuffled[np.lexsort((shuffled[:, 1], shuffled[:, 0]))]
+        assert np.array_equal(_sorted_rows(shuffled, len(points)), lexsorted)
+        assert np.array_equal(pairs_within_range(points, radius), lexsorted)
+        streamed = np.concatenate(
+            list(chunk_pairs(points, radius, max_pairs=97))
+            or [np.empty((0, 2), dtype=np.int64)])
+        assert np.array_equal(streamed, lexsorted)
 
 
 class TestUnitDiskGraph:

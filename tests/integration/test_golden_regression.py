@@ -105,6 +105,7 @@ class TestGoldenExperiments:
     ("table3", "a4f4a8dcf495381a5406e6c61f4850a77fd5aaafbf2d8277dcc4066189820b01"),
     ("table4", "3d0d52937ab725677fddac18a63b54fd0c3b9ca2119404e2ca250e90bacd8a3e"),
     ("table5", "549fd4187064ed8f4c096e9e8943c7248b9b3872ba87501ebb30776cd8c3d1e8"),
+    ("mobility", "0228e9dff843f13371ddfd5ba0ed864709a811ed6cf7d70b569aedcfa6308058"),
 ])
 def test_paper_table_stdout_is_frozen(family, digest, capsys):
     """sha256 of ``repro <family> --preset quick --seed 2024`` stdout."""

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.experiments.mobility import SPEED_REGIMES, speed_range_in_sides
 from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.random_waypoint import RandomWaypointModel
 from repro.util.errors import ConfigurationError
+from tests.oracles import mobility as oracle
 
 
 ALL_MODELS = [
@@ -111,3 +113,70 @@ class TestRandomWaypoint:
     def test_rejects_negative_pause(self):
         with pytest.raises(ConfigurationError):
             RandomWaypointModel(5, speed_range=(0, 0.1), pause=-1.0)
+
+
+class TestRandomDirectionMatchesOracle:
+    """The in-place sub-step loop equals the fresh-array oracle bit for
+    bit: positions, velocities, speeds, leg timers and the RNG stream."""
+
+    @staticmethod
+    def pair(regime, count=300, seed=17):
+        speeds = speed_range_in_sides(SPEED_REGIMES[regime])
+        return (RandomDirectionModel(count, speeds, rng=seed),
+                RandomDirectionModel(count, speeds, rng=seed))
+
+    @staticmethod
+    def assert_same_state(fast, slow):
+        # Bytes, not values: -0.0 == 0.0 would hide a sign-bit drift.
+        for name in ("positions", "_velocities", "_speeds", "_leg_remaining"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+    @pytest.mark.parametrize("regime", sorted(SPEED_REGIMES))
+    def test_windows_match(self, regime):
+        fast, slow = self.pair(regime)
+        for _ in range(60):
+            fast.advance(2.0)
+            oracle.advance(slow, 2.0)
+            self.assert_same_state(fast, slow)
+        assert fast.rng.random() == slow.rng.random()
+
+    def test_zero_dt(self):
+        fast, slow = self.pair("vehicular", count=20)
+        before = fast.positions
+        assert fast.advance(0.0) is before
+        oracle.advance(slow, 0.0)
+        self.assert_same_state(fast, slow)
+        assert fast.rng.random() == slow.rng.random()
+
+    def test_leg_expiring_at_the_window_boundary(self):
+        fast, slow = self.pair("pedestrian", count=20)
+        for model in (fast, slow):
+            model._leg_remaining[[3, 11]] = 2.0
+        fast.advance(2.0)
+        oracle.advance(slow, 2.0)
+        self.assert_same_state(fast, slow)
+        assert fast._leg_remaining[3] != 0.0  # redrawn at the boundary
+        for _ in range(5):
+            fast.advance(0.5)
+            oracle.advance(slow, 0.5)
+            self.assert_same_state(fast, slow)
+        assert fast.rng.random() == slow.rng.random()
+
+    def test_far_and_negative_zero_coordinates(self):
+        fast, slow = self.pair("vehicular", count=6)
+        for model in (fast, slow):
+            model.positions[0] = (-0.0, 0.0)
+            model.positions[1] = (0.999, 1.0)
+            model._velocities[2] = (0.9, -0.7)  # several folds per window
+        for _ in range(8):
+            fast.advance(2.0)
+            oracle.advance(slow, 2.0)
+            self.assert_same_state(fast, slow)
+
+    def test_previous_position_array_is_left_alone(self):
+        model, _ = self.pair("vehicular", count=20)
+        before = model.positions
+        snapshot = before.copy()
+        model.advance(2.0)
+        assert model.positions is not before
+        assert np.array_equal(before, snapshot)

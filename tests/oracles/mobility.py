@@ -1,4 +1,5 @@
-"""Mobility oracle: the scratch per-window pipeline of Section 5.
+"""Mobility oracles: the scratch per-window pipeline of Section 5, and
+the random-direction sub-step loop with one fresh array per operation.
 
 :func:`repro.experiments.mobility.run_mobility_trace` maintains one
 dynamic topology, repairs DAG names only when an added edge collides
@@ -8,6 +9,8 @@ unit-disk topology from the positions, runs the full polite-renaming
 repair over the persisted names, and elects each configuration with the
 per-node fixpoint of ``tests/oracles/election.py``.
 """
+
+import numpy as np
 
 from repro.experiments.common import get_preset
 from repro.experiments.mobility import (
@@ -92,3 +95,40 @@ def run_mobility_trace(regime, preset, radius=0.1, rng=None,
         windows=windows,
         skipped=skipped,
     )
+
+
+def advance(model, dt):
+    """``RandomDirectionModel.advance`` with fresh arrays per sub-step.
+
+    The definition the in-place library loop must equal bit for bit:
+    positions, reflections, velocities, leg timers and every RNG draw.
+    """
+    remaining = float(dt)
+    while remaining > 1e-12:
+        sub = min(remaining, float(np.min(model._leg_remaining)))
+        sub = max(sub, 1e-9)
+        proposed = model.positions + model._velocities * sub
+        span = 2.0 * model.side
+        folded = np.mod(proposed, span)
+        flipped = folded > model.side
+        model.positions = np.where(flipped, span - folded, folded)
+        model._velocities = np.where(flipped, -model._velocities,
+                                     model._velocities)
+        model._leg_remaining -= sub
+        expired = model._leg_remaining <= 1e-12
+        if np.any(expired):
+            _redraw(model, expired)
+        remaining -= sub
+    return model.positions
+
+
+def _redraw(model, mask):
+    count = int(np.count_nonzero(mask))
+    low, high = model.speed_range
+    speeds = model.rng.uniform(low, high, size=count)
+    headings = model.rng.uniform(0.0, 2.0 * np.pi, size=count)
+    model._speeds[mask] = speeds
+    model._velocities[mask] = speeds[:, None] * np.column_stack(
+        (np.cos(headings), np.sin(headings)))
+    model._leg_remaining[mask] = model.rng.exponential(
+        model.mean_leg_duration, size=count)

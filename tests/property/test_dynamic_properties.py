@@ -10,16 +10,23 @@ sequences -- including the all-nodes-moved and empty-delta edge cases --
 and seeded medium-size walks cover the drift-triggered grid re-joins.
 """
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.density import all_densities
 from repro.clustering.incremental import IncrementalElection
-from repro.graph.dynamic import DynamicTopology, DynamicUnitDisk
+from repro.graph.csr import CSRAdjacency
+from repro.graph.dynamic import (
+    DensityMap,
+    DynamicTopology,
+    DynamicUnitDisk,
+    triangle_credits,
+)
 from repro.graph.geometry import pairs_within_range
 from repro.mobility.trace import topology_at
 from repro.naming.renaming import conflicting_edges, is_locally_unique
@@ -58,17 +65,103 @@ def apply_action(rng, action, positions):
 def assert_state_matches_scratch(dynamic, positions):
     scratch = topology_at(positions, dynamic.radius,
                           ids=dynamic.graph.nodes)
-    assert {frozenset(e) for e in dynamic.graph.edges} == \
-        {frozenset(e) for e in scratch.graph.edges}
     assert dynamic.graph.nodes == scratch.graph.nodes
-    expected = all_densities(scratch.graph, exact=True)
-    assert dynamic.densities == expected
-    assert all(isinstance(v, Fraction) for v in dynamic.densities.values())
     # The adopted CSR snapshot equals the scratch-built one.
     ours, theirs = dynamic.graph.to_csr(), scratch.graph.to_csr()
     assert ours.ids == theirs.ids
     assert np.array_equal(ours.indptr, theirs.indptr)
     assert np.array_equal(ours.indices, theirs.indices)
+    assert np.array_equal(dynamic.triangles, theirs.triangle_counts())
+    # The densities equal the scratch Fractions from both sides, iterate
+    # in the same order, carry float() of every value, and pickle.
+    expected = all_densities(scratch.graph, exact=True)
+    densities = dynamic.densities
+    assert isinstance(densities, DensityMap)
+    assert densities == expected and expected == densities
+    assert list(densities) == list(expected)
+    assert all(isinstance(v, Fraction) for v in densities.values())
+    assert densities.float_image.tolist() == \
+        [float(value) for value in expected.values()]
+    assert pickle.loads(pickle.dumps(densities)) == expected
+    # Neighbor sets iterate as a fresh build's, before and after the
+    # rebased graph materializes its dict, so edge order matches too.
+    for node in scratch.graph:
+        assert list(dynamic.graph.neighbors(node)) == \
+            list(scratch.graph.neighbors(node))
+    assert dynamic.graph.edges == scratch.graph.edges
+
+
+def delta_case(n, old_edges, removed, added):
+    """Old and new snapshots of one edge delta over rows ``0..n-1``."""
+    new_edges = (set(old_edges) - set(removed)) | set(added)
+
+    def snapshot(edges):
+        pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        return CSRAdjacency.from_pairs(pairs[:, 0], pairs[:, 1], range(n))
+
+    def rows(edges):
+        pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    return snapshot(old_edges), snapshot(new_edges), rows(removed), \
+        rows(added)
+
+
+def assert_batched_delta_exact(n, old_edges, removed, added):
+    old, new, removed_rows, added_rows = delta_case(n, old_edges, removed,
+                                                    added)
+    moved = (old.triangle_counts() - triangle_credits(old, *removed_rows)
+             + triangle_credits(new, *added_rows))
+    assert moved.tolist() == new.triangle_counts().tolist()
+
+
+@st.composite
+def edge_deltas(draw):
+    """A random graph on ``n`` rows and an exact delta against it."""
+    n = draw(st.integers(1, 12))
+    universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    old = draw(st.sets(st.sampled_from(universe), max_size=len(universe))
+               if universe else st.just(set()))
+    removed = draw(st.sets(st.sampled_from(sorted(old))) if old
+                   else st.just(set()))
+    absent = [edge for edge in universe if edge not in old]
+    added = draw(st.sets(st.sampled_from(absent)) if absent
+                 else st.just(set()))
+    return n, old, removed, added
+
+
+TRIANGLE = {(0, 1), (0, 2), (1, 2)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_deltas())
+# A removal and an addition on one triangle (found on either snapshot).
+@example(case=(4, TRIANGLE | {(2, 3)}, {(0, 1)}, {(1, 3)}))
+# All three edges of a triangle removed, then added: one credit each.
+@example(case=(3, TRIANGLE, TRIANGLE, set()))
+@example(case=(3, set(), set(), TRIANGLE))
+# Isolated rows, and an empty delta.
+@example(case=(6, {(1, 2)}, set(), set()))
+@example(case=(5, TRIANGLE, set(), set()))
+# The whole edge set replaced (the new one closes triangle 0-3-5).
+@example(case=(6, TRIANGLE | {(3, 4)}, TRIANGLE | {(3, 4)},
+               {(0, 3), (0, 5), (3, 5), (1, 4), (2, 4), (1, 5)}))
+def test_batched_triangle_delta_matches_recount(case):
+    assert_batched_delta_exact(*case)
+
+
+def test_batched_triangle_delta_on_dense_graphs():
+    """Triangles sharing changed edges in every combination."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(5, 25))
+        universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        present = rng.random(len(universe)) < rng.uniform(0.3, 0.9)
+        old = {edge for edge, keep in zip(universe, present) if keep}
+        flip = rng.random(len(universe)) < rng.uniform(0.05, 1.0)
+        removed = {e for e, f in zip(universe, flip) if f and e in old}
+        added = {e for e, f in zip(universe, flip) if f and e not in old}
+        assert_batched_delta_exact(n, old, removed, added)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from repro.naming.renaming import (
     is_locally_unique,
 )
 
+from tests.oracles.renaming import polite_redraw_round
 from tests.property.strategies import graphs
 
 
@@ -66,3 +67,31 @@ def test_stable_names_are_never_redrawn(graph, seed):
         graph, rng=rng, initial_ids=first.ids)
     assert second.ids == first.ids
     assert second.redraw_rounds == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs(), data=st.data(), size=st.integers(2, 5),
+       lazy=st.booleans())
+def test_polite_round_matches_per_node_oracle(graph, data, size, lazy):
+    """Same names, same dict order and the same generator state as the
+    per-node round, from names colliding in a tiny space, with tied and
+    shuffled normal identifiers, on dict and CSR-only graphs."""
+    nodes = graph.nodes
+    ids = {node: data.draw(st.integers(0, size - 1)) for node in nodes}
+    ties = data.draw(st.permutations(nodes))
+    tie_ids = {node: ties[node] // data.draw(st.integers(1, 2))
+               for node in nodes}
+    if lazy:
+        csr = graph.to_csr()
+        rows, cols = csr.edge_arrays()
+        graph = type(graph).from_pair_chunks([np.column_stack((rows, cols))],
+                                             csr.ids)
+    namespace = NameSpace(size + graph.max_degree())
+    seed = data.draw(st.integers(0, 99))
+    fast_rng = np.random.default_rng(seed)
+    slow_rng = np.random.default_rng(seed)
+    fast = PoliteRenaming(namespace=namespace)._redraw_round(
+        graph, ids, namespace, tie_ids, fast_rng)
+    slow = polite_redraw_round(graph, ids, namespace, tie_ids, slow_rng)
+    assert list(fast.items()) == list(slow.items())
+    assert fast_rng.random() == slow_rng.random()
