@@ -22,7 +22,8 @@ per-cluster sweep per group).  The ``*_floor_batch`` /
 5000 nodes through a fresh router in each mode -- the regime every
 workload-experiment run is in (a new router per shape and per mobility
 window) -- and the regression gate holds batched to >= 3x the
-per-request loop on exactly that pair (``SPEEDUP_FLOORS``).  The 10^5
+per-request loop on exactly that pair (``SPEEDUP_FLOORS``); that loop
+is the serving oracle of ``tests/oracles/serving.py``.  The 10^5
 benches are deliberately not the floor pair: over a long enough stream
 on a fixed graph both modes converge to warm-cache tuple assembly, so
 the steady-state ratio understates what batching buys a fresh run.
@@ -41,6 +42,7 @@ from repro.graph.generators import uniform_topology
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.workload.generators import ZipfPopularity, poisson_requests
 from repro.workload.serve import serve_workload
+from tests.oracles import serving
 
 SCALES = (1000, 5000)
 RADIUS = 0.05
@@ -73,8 +75,8 @@ def _serve(hierarchy, kind, mode="batch", count=REQUESTS):
     requests = poisson_requests(nodes, count,
                                 rng=np.random.default_rng(7),
                                 popularity=popularity)
-    return serve_workload(hierarchy, requests, proxy, flat_every=0,
-                          mode=mode)
+    serve = serving.serve_workload if mode == "request" else serve_workload
+    return serve(hierarchy, requests, proxy, flat_every=0)
 
 
 @pytest.mark.parametrize("count,kind", [

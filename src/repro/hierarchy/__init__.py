@@ -7,11 +7,7 @@ from repro.hierarchy.hierarchy import (
     build_hierarchy,
 )
 from repro.hierarchy.overlay import Overlay, gateway_for, overlay_topology
-from repro.hierarchy.routing import (
-    hierarchical_route,
-    route_stretch,
-    shortest_path,
-)
+from repro.hierarchy.routing import hierarchical_route, route_stretch
 
 __all__ = [
     "DEFAULT_MAX_LEVELS",
@@ -23,5 +19,4 @@ __all__ = [
     "hierarchical_route",
     "overlay_topology",
     "route_stretch",
-    "shortest_path",
 ]

@@ -18,18 +18,16 @@ Traversal-heavy pieces ride the CSR kernel: the flat BFS distance of
 :func:`route_stretch` is one array-frontier sweep, and the intra-cluster
 legs are label-constrained path searches over the full-graph snapshot
 (sharing the clustering's cached per-row labels), so no induced subgraph
-is ever materialized.  Leg *lengths* are shortest-path lengths between
-fixed endpoints, a tie-break-free quantity, so every reported hop count
-and stretch is unchanged.  The overlay leg keeps the dict-backend
-:func:`shortest_path`.  Overlays are not small -- a 10^5-node
-``pipeline`` pass elects ~4.6k heads, the 10^6-node route bench 46.6k
--- but the dict BFS's expansion order fixes the head-path tie-breaks,
-so keeping it keeps the chosen head path (and hence the gateway
-sequence) bit-identical.
+is ever materialized.  The head path is
+:meth:`~repro.hierarchy.overlay.Overlay.head_path`: a kernel BFS over
+the overlay's rank-ordered CSR, so a head's parent is the smallest-row
+head at the previous BFS level, and each overlay hop crosses its
+lowest-``(row, row)`` gateway.  Every choice is stated on physical
+rows; :class:`~repro.workload.serve.CachedRouter` applies the same
+rules, so its routes equal these exactly.
 """
 
 import math
-from collections import deque
 
 from repro.graph.traversal import csr_bfs_distances, csr_shortest_path
 from repro.hierarchy.overlay import gateway_for
@@ -40,33 +38,6 @@ from repro.util.errors import ConfigurationError, TopologyError
 #: sample pairs filter with ``math.isinf(stretch)`` instead of catching
 #: an exception.
 UNREACHABLE = (math.inf, math.inf, math.inf)
-
-
-def shortest_path(graph, source, target):
-    """One shortest path (as a node list) or None when disconnected."""
-    if source not in graph or target not in graph:
-        raise TopologyError("endpoints must be in the graph")
-    if source == target:
-        return [source]
-    parents = {source: None}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in parents:
-                parents[neighbor] = node
-                if neighbor == target:
-                    return _unwind(parents, target)
-                queue.append(neighbor)
-    return None
-
-
-def _unwind(parents, target):
-    path = [target]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
 
 
 def _intra_cluster_path(level, head, source, target):
@@ -107,7 +78,7 @@ def hierarchical_route(hierarchy, source, destination):
         return _intra_cluster_path(level, head_src, source, destination)
 
     overlay = level.overlay
-    head_path = shortest_path(overlay.topology.graph, head_src, head_dst)
+    head_path = overlay.head_path(head_src, head_dst)
     if head_path is None:
         return None
 

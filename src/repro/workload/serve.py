@@ -7,10 +7,12 @@ any realistic workload those pieces repeat across requests far more
 often than whole (source, destination) pairs do.  :class:`CachedRouter`
 exploits that: it memoizes
 
-* the overlay BFS tree per source head (one dict BFS each, identical
-  expansion order to :func:`~repro.hierarchy.routing.shortest_path`, so
-  the chosen head path and hence the gateway sequence are bit-identical
-  to the uncached routine);
+* the overlay BFS parents per source head (one
+  :func:`~repro.graph.kernels.bfs_parents` sweep over the overlay's
+  rank-ordered CSR each, the tree
+  :meth:`~repro.hierarchy.overlay.Overlay.head_path` unwinds, so a
+  head's parent is the smallest-row head at the previous BFS level
+  exactly as in the uncached routine);
 * a compact **per-cluster sub-CSR** (member rows ascending, neighbor
   blocks filtered to the cluster) so intra-cluster parent fan-outs are
   sweeps over cluster-sized arrays instead of graph-sized ones.  The
@@ -18,9 +20,12 @@ exploits that: it memoizes
   at the previous BFS level", so every unwound leg is bit-identical to
   the label-constrained full-graph search of
   :func:`~repro.hierarchy.routing._intra_cluster_path`;
-* a dense all-pairs distance matrix per cluster -- one level-synchronous
+* a dense all-pairs distance matrix per cluster of at most
+  :data:`DENSE_MAX_MEMBERS` members -- one level-synchronous
   multi-source sweep (boolean matrix products) covering every leg the
-  cluster will ever serve;
+  cluster will ever serve; larger clusters serve their legs from
+  per-source kernel BFS parents over the sub-CSR instead (same parent
+  rule, same legs, memory linear in the cluster);
 * the gateway orientation per ordered head pair;
 * flat BFS distance arrays per *destination* (distances are symmetric,
   and skewed workloads concentrate destinations) in a bounded **LRU**
@@ -36,13 +41,13 @@ destination head), resolves each group's head path, gateways and middle
 legs once, covers each endpoint cluster's leg fan-out with one dense
 multi-source sweep, and assembles per-request routes by tuple
 concatenation -- emitting a :class:`ServedRequest` stream byte-identical
-to the per-request loop.  :func:`serve_workload` consumes generator
-batches directly and hands them to the collector pipeline's batched
-``process_batch`` path.
+to routing each request with :meth:`CachedRouter.serve`.
+:func:`serve_workload` consumes generator batches directly and hands
+them to the collector pipeline's batched ``process_batch`` path.
 """
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -59,8 +64,13 @@ from repro.util.errors import ConfigurationError, TopologyError
 #: call in batched serving (bounds per-batch memory at any stream length).
 BATCH_REQUESTS = 4096
 
-#: Serving-loop modes accepted by :func:`serve_workload`.
-SERVING_MODES = ("batch", "request")
+#: Clusters with more members than this serve their legs from per-source
+#: kernel BFS parents instead of a dense all-pairs distance matrix, whose
+#: build holds four m x m arrays (about 11 bytes per member pair).
+DENSE_MAX_MEMBERS = 1024
+
+#: Per-source BFS parent arrays of over-cap clusters kept (LRU).
+SPARSE_TREES = 64
 
 
 class ServedRequest(NamedTuple):
@@ -101,10 +111,10 @@ class CachedRouter:
         self._subs = {}           # head row -> (indptr, indices, members)
         self._sub_lists = {}      # head row -> (indptr list, indices list)
         self._dense = {}          # head row -> all-pairs distance matrix
-        self._leg_parents = {}    # reference path: full-graph parents
+        self._sparse = OrderedDict()  # (head row, local source) -> parents
         self._leg_paths = {}      # (head, source, target) -> node tuple
         self._member_slices = None  # head row -> member row array
-        self._overlay_trees = {}  # head -> {head: parent} BFS tree
+        self._overlay_trees = {}  # head -> overlay BFS parent ranks
         self._overlay_paths = {}  # (src head, dst head) -> head tuple|None
         self._gateways = {}       # (here, there) -> (exit node, entry node)
         self._flat = OrderedDict()  # destination -> distance array (LRU)
@@ -114,42 +124,24 @@ class CachedRouter:
 
     # -- overlay ------------------------------------------------------
 
-    def _overlay_tree(self, head):
-        """Full BFS parent tree over the overlay graph from ``head``.
-
-        Same discovery order as :func:`repro.hierarchy.routing.
-        shortest_path` (deque BFS in neighbor order), minus the early
-        exit -- which never changes the parents of rows discovered
-        before the target, so unwound paths match it exactly.
-        """
-        tree = self._overlay_trees.get(head)
-        if tree is None:
-            graph = self.overlay.topology.graph
-            tree = {head: None}
-            queue = deque([head])
-            while queue:
-                node = queue.popleft()
-                for neighbor in graph.neighbors(node):
-                    if neighbor not in tree:
-                        tree[neighbor] = node
-                        queue.append(neighbor)
-            self._overlay_trees[head] = tree
-        return tree
-
     def overlay_path(self, head_src, head_dst):
-        """The head path ``hierarchical_route`` would walk, or ``None``."""
+        """The head path ``hierarchical_route`` would walk, or ``None``.
+
+        One kernel BFS over the overlay per source head, cached; paths
+        unwind from it (:meth:`~repro.hierarchy.overlay.Overlay.
+        head_path`), so every pair shares the uncached routine's
+        smallest-row-parent rule.
+        """
         key = (head_src, head_dst)
-        if key not in self._overlay_paths:
-            tree = self._overlay_tree(head_src)
-            if head_dst not in tree:
-                self._overlay_paths[key] = None
-            else:
-                path = [head_dst]
-                while tree[path[-1]] is not None:
-                    path.append(tree[path[-1]])
-                path.reverse()
-                self._overlay_paths[key] = tuple(path)
-        return self._overlay_paths[key]
+        path = self._overlay_paths.get(key, key)
+        if path is key:
+            parents = self._overlay_trees.get(head_src)
+            if parents is None:
+                parents = self.overlay.bfs_parents(head_src)
+                self._overlay_trees[head_src] = parents
+            path = self.overlay.head_path(head_src, head_dst, parents)
+            self._overlay_paths[key] = path
+        return path
 
     # -- intra-cluster legs -------------------------------------------
 
@@ -215,13 +207,17 @@ class CachedRouter:
         intra-cluster hop distance (``-1`` disconnected).  Distances
         are tie-break-free, so the matrix is exact; one build serves
         every request group that ever touches the cluster, replacing a
-        BFS per (cluster, leg source).
+        BFS per (cluster, leg source).  ``None`` for clusters of more
+        than :data:`DENSE_MAX_MEMBERS` members, whose legs
+        :meth:`_leg` takes from per-source BFS parents instead.
         """
         head_row = self.index_of[head]
         dense = self._dense.get(head_row)
         if dense is None:
             indptr, indices, _members = self._sub(head)
             n = len(indptr) - 1
+            if n > DENSE_MAX_MEMBERS:
+                return None
             adjacency = np.zeros((n, n), dtype=np.float32)
             adjacency[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
             dense = np.full((n, n), -1, dtype=np.int16)
@@ -249,68 +245,67 @@ class CachedRouter:
         level", so given the cluster's dense distance matrix the path
         unwinds target -> source by scanning each row's ascending CSR
         block for the first neighbor one level closer to the source.
-        The member renumbering is monotonic, hence the local rule picks
-        exactly the nodes the full-graph label-constrained search
-        picks.
+        Over-cap clusters unwind the kernel's own BFS parents from the
+        source instead.  The member renumbering is monotonic, hence
+        either way the local rule picks exactly the nodes the
+        full-graph label-constrained search picks.
         """
         key = (head, source, target)
         path = self._leg_paths.get(key)
         if path is None:
             head_row = self.index_of[head]
-            _indptr, _indices, members = self._sub(head)
-            ptr, ind = self._sub_lists[head_row]
+            indptr, indices, members = self._sub(head)
             dense = self._cluster_distances(head)
             local_src = int(np.searchsorted(members, self.index_of[source]))
             local_tgt = int(np.searchsorted(members, self.index_of[target]))
-            hops = int(dense[local_src, local_tgt])
-            if hops < 0:
+            if dense is None:
+                parents = self._sparse_parents(head_row, indptr, indices,
+                                               local_src)
+                rows = kernels.unwind_path(parents, local_src,
+                                           local_tgt).tolist()
+            else:
+                rows = self._dense_rows(head_row, dense[local_src],
+                                        local_tgt)
+            if not rows:
                 raise TopologyError(
                     f"cluster of {head!r} is internally disconnected")
-            from_src = dense[local_src].tolist()
-            rows = [local_tgt]
-            node = local_tgt
-            for level in range(hops - 1, -1, -1):
-                for p in range(ptr[node], ptr[node + 1]):
-                    neighbor = ind[p]
-                    if from_src[neighbor] == level:
-                        node = neighbor
-                        break
-                rows.append(node)
-            rows.reverse()
             ids = self.ids
             path = tuple(ids[members[row]] for row in rows)
             self._leg_paths[key] = path
         return path
 
-    def _leg_reference(self, head, source, target):
-        """:meth:`_leg` via the historical full-graph sweep.
+    def _dense_rows(self, head_row, from_src, target):
+        """Local rows source .. ``target`` unwound against the source's
+        dense distance row ``from_src``; ``[]`` when unreachable."""
+        hops = int(from_src[target])
+        if hops < 0:
+            return []
+        ptr, ind = self._sub_lists[head_row]
+        from_src = from_src.tolist()
+        rows = [target]
+        node = target
+        for level in range(hops - 1, -1, -1):
+            for p in range(ptr[node], ptr[node + 1]):
+                neighbor = ind[p]
+                if from_src[neighbor] == level:
+                    node = neighbor
+                    break
+            rows.append(node)
+        rows.reverse()
+        return rows
 
-        The pre-batching implementation: one label-constrained BFS over
-        the *whole* graph per (cluster, leg source), cached, paths
-        unwound per target.  Kept as the regression-gate reference --
-        the serving benchmarks measure ``mode="request"`` against the
-        batched path -- and as an independent oracle for the sub-CSR
-        machinery (identical tuples land in the shared path cache).
-        """
-        key = (head, source, target)
-        path = self._leg_paths.get(key)
-        if path is None:
-            src_row = self.index_of[source]
-            cached = self._leg_parents.get((head, source))
-            if cached is None:
-                cached, _dist = kernels.bfs_parents(
-                    self.csr.indptr, self.csr.indices, src_row,
-                    labels=self.labels)
-                self._leg_parents[(head, source)] = cached
-            tgt_row = self.index_of[target]
-            rows = kernels.unwind_path(cached, src_row, tgt_row)
-            if rows.size == 0 and src_row != tgt_row:
-                raise TopologyError(
-                    f"cluster of {head!r} is internally disconnected")
-            ids = self.ids
-            path = tuple(ids[row] for row in rows)
-            self._leg_paths[key] = path
-        return path
+    def _sparse_parents(self, head_row, indptr, indices, local_src):
+        """Kernel BFS parents over an over-cap cluster's sub-CSR (LRU)."""
+        key = (head_row, local_src)
+        parents = self._sparse.get(key)
+        if parents is None:
+            parents, _dist = kernels.bfs_parents(indptr, indices, local_src)
+            self._sparse[key] = parents
+            if len(self._sparse) > SPARSE_TREES:
+                self._sparse.popitem(last=False)
+        else:
+            self._sparse.move_to_end(key)
+        return parents
 
     def _gateway(self, here, there):
         key = (here, there)
@@ -329,21 +324,10 @@ class CachedRouter:
         destination)``; ``head_path`` is the overlay head sequence the
         route crossed (``(head,)`` for intra-cluster pairs).
         """
-        return self._route_impl(source, destination, self._leg)
-
-    def route_reference(self, source, destination):
-        """:meth:`route` over the historical full-graph leg sweeps.
-
-        Byte-identical output; only the wall-clock differs.  This is
-        the per-request loop the batched path is benchmarked against.
-        """
-        return self._route_impl(source, destination, self._leg_reference)
-
-    def _route_impl(self, source, destination, leg):
         head_src = self.head_of[source]
         head_dst = self.head_of[destination]
         if head_src == head_dst:
-            return list(leg(head_src, source, destination)), (head_src,)
+            return list(self._leg(head_src, source, destination)), (head_src,)
         if self.overlay is None:
             return None, None
         head_path = self.overlay_path(head_src, head_dst)
@@ -354,10 +338,10 @@ class CachedRouter:
         for hop in range(len(head_path) - 1):
             here, there = head_path[hop], head_path[hop + 1]
             exit_node, entry_node = self._gateway(here, there)
-            route.extend(leg(here, current, exit_node)[1:])
+            route.extend(self._leg(here, current, exit_node)[1:])
             route.append(entry_node)
             current = entry_node
-        route.extend(leg(head_path[-1], current, destination)[1:])
+        route.extend(self._leg(head_path[-1], current, destination)[1:])
         return route, head_path
 
     def _group_plan(self, head_src, head_dst):
@@ -480,15 +464,9 @@ class CachedRouter:
             "hit_ratio": self.flat_hits / lookups if lookups else math.nan,
         }
 
-    def serve(self, request, with_flat=False, reference=False):
-        """Route one request into a :class:`ServedRequest`.
-
-        ``reference=True`` routes through :meth:`route_reference` (the
-        historical full-graph per-request sweeps) -- identical outcome,
-        reference wall-clock.
-        """
-        route_fn = self.route_reference if reference else self.route
-        route, head_path = route_fn(request.source, request.destination)
+    def serve(self, request, with_flat=False):
+        """Route one request into a :class:`ServedRequest`."""
+        route, head_path = self.route(request.source, request.destination)
         if route is None:
             return ServedRequest(request=request, route=None, head_path=None,
                                  hops=None)
@@ -579,7 +557,7 @@ def _router_stats_sink(collector):
 
 
 def serve_workload(hierarchy, requests, collector, flat_every=1,
-                   router=None, mode="batch", batch_size=BATCH_REQUESTS):
+                   router=None, batch_size=BATCH_REQUESTS):
     """Serve a request stream through ``hierarchy`` into ``collector``.
 
     ``flat_every=k`` computes the flat shortest-path length (the
@@ -587,16 +565,13 @@ def serve_workload(hierarchy, requests, collector, flat_every=1,
     stretch is a sampled statistic, latency/load are exact over all
     requests.  ``flat_every=0`` disables stretch accounting entirely.
 
-    ``mode="batch"`` (the default) consumes the generator in
-    ``batch_size`` chunks through :meth:`CachedRouter.route_batch` and
-    the collectors' ``process_batch``; ``mode="request"`` is the
-    historical per-request loop.  The collector ends in the identical
-    state either way (the test suite and the CI smoke assert it).
-    Returns the collector.
+    The generator is consumed in ``batch_size`` chunks through
+    :meth:`CachedRouter.route_batch` and the collectors'
+    ``process_batch``; the collector ends in the state a per-request
+    loop over :meth:`CachedRouter.serve` would leave (the test suite
+    asserts it against ``tests/oracles/serving.py``).  Returns the
+    collector.
     """
-    if mode not in SERVING_MODES:
-        raise ConfigurationError(
-            f"unknown serving mode {mode!r}; expected one of {SERVING_MODES}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if flat_every < 0:
@@ -605,24 +580,16 @@ def serve_workload(hierarchy, requests, collector, flat_every=1,
         router = CachedRouter(hierarchy)
     sink = _router_stats_sink(collector)
     hits0, misses0 = router.flat_hits, router.flat_misses
-    if mode == "request":
-        index = 0
-        for request in requests:
-            with_flat = bool(flat_every) and index % flat_every == 0
-            collector.process(router.serve(request, with_flat=with_flat,
-                                           reference=True))
-            index += 1
-    else:
-        index = 0
-        stream = iter(requests)
-        while True:
-            batch = list(islice(stream, batch_size))
-            if not batch:
-                break
-            served = router.route_batch(batch, flat_every=flat_every,
-                                        first_index=index)
-            collector.process_batch(served)
-            index += len(batch)
+    index = 0
+    stream = iter(requests)
+    while True:
+        batch = list(islice(stream, batch_size))
+        if not batch:
+            break
+        served = router.route_batch(batch, flat_every=flat_every,
+                                    first_index=index)
+        collector.process_batch(served)
+        index += len(batch)
     if sink is not None:
         sink.absorb(router.flat_hits - hits0, router.flat_misses - misses0)
     return collector

@@ -12,6 +12,7 @@ from repro.experiments.workload import (
     run_workload,
 )
 from repro.util.errors import ConfigurationError
+from tests.oracles import serving
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestRunWorkload:
     def test_request_serving_matches_batched(self, smoke_report):
         # The batched router must serve the exact stream the per-request
         # loop does, flat-cache hit ratio included (same LRU sequence).
-        request = run_workload("smoke", rng=2024, serving="request")
+        request = serving.run_workload("smoke", rng=2024)
         assert str(request) == str(smoke_report)
 
     def test_chunk_count_does_not_change_results(self, smoke_report):

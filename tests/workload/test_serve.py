@@ -16,6 +16,7 @@ from repro.graph.paths import is_connected
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import hierarchical_route, route_stretch
 from repro.util.errors import ConfigurationError
+from repro.workload import serve
 from repro.workload.generators import Request, poisson_requests
 from repro.workload.serve import (
     CachedRouter,
@@ -23,6 +24,7 @@ from repro.workload.serve import (
     ServedRequest,
     serve_workload,
 )
+from tests.oracles import serving
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +143,6 @@ class TestServeWorkload:
         assert proxy.results()["latency"]["requests"] == 20
         assert router._leg_paths  # warmed by the serve loop
 
-    def test_unknown_mode_raises(self, deployment):
-        _topo, hierarchy = deployment
-        with pytest.raises(ConfigurationError):
-            serve_workload(hierarchy, [], CollectorProxy([]), mode="stream")
-
     @pytest.mark.parametrize("option,value", [
         ("batch_size", 0), ("batch_size", -1), ("flat_every", -2),
     ])
@@ -169,13 +166,13 @@ class TestBatchedRouting:
         nodes = sorted(topo.graph.nodes)
         requests = list(poisson_requests(nodes, 240, rng=5))
         batch_router = CachedRouter(hierarchy)
-        loop_router = CachedRouter(hierarchy)
+        loop_router = serving.ReferenceRouter(hierarchy)
         served = batch_router.route_batch(requests, flat_every=7,
                                           first_index=3)
         assert len(served) == len(requests)
         for i, request in enumerate(requests):
             reference = loop_router.serve(
-                request, with_flat=(3 + i) % 7 == 0, reference=True)
+                request, with_flat=(3 + i) % 7 == 0)
             assert served[i] == reference
 
     def test_route_reference_equals_route(self, deployment):
@@ -183,7 +180,7 @@ class TestBatchedRouting:
         router = CachedRouter(hierarchy)
         for source, destination in sample_pairs(topo, count=60):
             assert router.route(source, destination) == \
-                CachedRouter(hierarchy).route_reference(source, destination)
+                serving.ReferenceRouter(hierarchy).route(source, destination)
 
     def test_serving_modes_end_in_identical_collector_state(self, deployment):
         topo, hierarchy = deployment
@@ -197,13 +194,12 @@ class TestBatchedRouting:
                 RouterStatsCollector(),
             ])
 
-        outcomes = {}
-        for mode in ("request", "batch"):
-            collector = serve_workload(
-                hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
-                flat_every=5, mode=mode, batch_size=64)
-            outcomes[mode] = collector
-        a, b = outcomes["request"], outcomes["batch"]
+        a = serving.serve_workload(
+            hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
+            flat_every=5)
+        b = serve_workload(
+            hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
+            flat_every=5, batch_size=64)
         assert a.results() == b.results()
         assert a["link_load"].loads == b["link_load"].loads
         assert a["head_load"].loads == b["head_load"].loads
@@ -282,3 +278,33 @@ class TestRouterStatsCollector:
         assert merged["flat_hits"] == 4
         assert merged["flat_misses"] == 6
         assert merged["flat_hit_ratio"] == 0.4
+
+
+class TestDenseCap:
+    """Clusters above ``DENSE_MAX_MEMBERS`` keep no dense matrix."""
+
+    def test_over_cap_clusters_route_identically(self, deployment,
+                                                 monkeypatch):
+        topo, hierarchy = deployment
+        clustering = hierarchy.physical.clustering
+        sizes = sorted(len(clustering.members(head))
+                       for head in clustering.heads)
+        cap = sizes[len(sizes) // 2]
+        monkeypatch.setattr(serve, "DENSE_MAX_MEMBERS", cap)
+        router = CachedRouter(hierarchy)
+        nodes = sorted(topo.graph.nodes)
+        requests = list(poisson_requests(nodes, 300, rng=12))
+        served = router.route_batch(requests)
+        for event in served:
+            request = event.request
+            assert event.route == hierarchical_route(
+                hierarchy, request.source, request.destination)
+        for source, destination in sample_pairs(topo, count=60):
+            assert router.route(source, destination)[0] == \
+                hierarchical_route(hierarchy, source, destination)
+        index_of = router.index_of
+        large = {index_of[head] for head in clustering.heads
+                 if len(clustering.members(head)) > cap}
+        assert large and router._sparse
+        assert router._dense and not large & set(router._dense)
+        assert all(len(matrix) <= cap for matrix in router._dense.values())
