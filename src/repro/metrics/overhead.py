@@ -18,17 +18,47 @@ from fractions import Fraction
 
 _SCALAR_BYTES = 4
 _FRACTION_BYTES = 8
+_FIXED_BYTES = {type(None): 1, bool: 1, Fraction: _FRACTION_BYTES,
+                int: _SCALAR_BYTES, float: _SCALAR_BYTES}
+_CONTAINERS = (list, tuple, set, frozenset)
 
 
 def payload_bytes(value):
     """Estimated on-air bytes for one payload value.
 
-    A deliberately simple fixed-width model: 4 bytes per scalar
-    (identifier, int, float, bool), 8 per exact fraction, UTF-8 length
-    for strings, recursive sum plus a 1-byte length prefix for
-    containers.  Absolute values are nominal; *comparisons* between
-    protocol configurations are the point.
+    A deliberately simple fixed-width model: 1 byte for ``None`` and for
+    a bool, 4 per other scalar (identifier, int, float), 8 per exact
+    fraction, UTF-8 length for strings, recursive sum plus a 1-byte
+    length prefix for containers.  Absolute values are nominal;
+    *comparisons* between protocol configurations are the point.
+
+    Values of the listed built-in types are sized by one lookup of their
+    exact type; anything else (subclasses included) walks the
+    ``isinstance`` chain, with the same result.
     """
+    kind = type(value)
+    size = _FIXED_BYTES.get(kind)
+    if size is not None:
+        return size
+    if kind is str:
+        return len(value.encode("utf-8"))
+    if kind is dict:
+        return 1 + _items_bytes(value.keys()) + _items_bytes(value.values())
+    if kind in _CONTAINERS:
+        return 1 + _items_bytes(value)
+    return _payload_bytes_by_isinstance(value)
+
+
+def _items_bytes(items):
+    """Summed sizes of ``items``, fixed-size scalars read off the table."""
+    total = 0
+    for item in items:
+        size = _FIXED_BYTES.get(type(item))
+        total += payload_bytes(item) if size is None else size
+    return total
+
+
+def _payload_bytes_by_isinstance(value):
     if value is None:
         return 1
     if isinstance(value, bool):

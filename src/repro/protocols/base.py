@@ -49,10 +49,10 @@ class ProtocolStack(Protocol):
         merged = {}
         for layer in self.layers:
             part = layer.payload(runtime)
-            overlap = set(part) & set(merged)
-            if overlap:
+            if not merged.keys().isdisjoint(part):
+                overlap = sorted(set(part) & set(merged))
                 raise ConfigurationError(
-                    f"payload key collision across layers: {sorted(overlap)}")
+                    f"payload key collision across layers: {overlap}")
             merged.update(part)
         return merged
 

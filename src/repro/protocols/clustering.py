@@ -21,6 +21,7 @@ behaviour self-stabilization tolerates.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from repro.runtime.guarded import GuardedCommand, Program, always
 from repro.util.errors import ConfigurationError
@@ -28,6 +29,13 @@ from repro.util.errors import ConfigurationError
 UNKNOWN_DENSITY = Fraction(-1)
 _UNKNOWN_DAG = float("-inf")  # negated component: loses all ties
 _ORDERS = ("basic", "incumbent")
+
+
+@lru_cache(maxsize=4096)
+def _density(degree, links):
+    """``(degree + links) / degree``, one shared object per value pair: a
+    key comparison between equal densities then stops at identity."""
+    return Fraction(degree + links, degree)
 
 
 class DensityClusteringProtocol:
@@ -40,6 +48,9 @@ class DensityClusteringProtocol:
         self.order = order
         self.fusion = fusion
         self.use_dag = use_dag
+        # A cache entry's key depends on the order and on use_dag: the
+        # memo on a shared entry is kept per configuration.
+        self._memo_tag = (order, use_dag)
 
     # ------------------------------------------------------------------
     # Protocol interface
@@ -76,15 +87,23 @@ class DensityClusteringProtocol:
         if not neighbors:
             runtime.shared["density"] = Fraction(0)
             return
-        links = len(neighbors)
-        counted = set()
+        # A link {q, r} between two neighbors counts once if either end
+        # reports it: the directed reports, plus each one-way report once
+        # more, make twice the links.
+        caches = runtime.caches
+        mutual = {}
         for q in neighbors:
-            reported = runtime.cached(q, "neighbors") or frozenset()
-            for r in reported:
-                if r in neighbors and r != q:
-                    counted.add(frozenset((q, r)))
-        runtime.shared["density"] = Fraction(len(neighbors) + len(counted),
-                                             len(neighbors))
+            linked = neighbors.intersection(
+                caches[q].payload.get("neighbors") or ())
+            linked.discard(q)
+            mutual[q] = linked
+        twice = 0
+        for q, linked in mutual.items():
+            twice += len(linked)
+            for r in linked:
+                if q not in mutual[r]:
+                    twice += 1
+        runtime.shared["density"] = _density(len(neighbors), twice // 2)
 
     # ------------------------------------------------------------------
     # R2: cluster-head choice
@@ -94,7 +113,11 @@ class DensityClusteringProtocol:
         own_key = self._own_key(runtime)
         neighbor_keys = {q: self._neighbor_key(runtime, q)
                          for q in runtime.known_neighbors()}
-        if all(key < own_key for key in neighbor_keys.values()):
+        # Keys are totally ordered: every neighbor key is below our own
+        # iff the greatest one is.
+        best = max(neighbor_keys, key=neighbor_keys.get) if neighbor_keys \
+            else None
+        if not neighbor_keys or neighbor_keys[best] < own_key:
             if not self.fusion:
                 self._become_head(runtime)
                 return
@@ -104,7 +127,6 @@ class DensityClusteringProtocol:
                 return
             self._join_toward(runtime, dominator, neighbor_keys)
             return
-        best = max(neighbor_keys, key=neighbor_keys.get)
         self._join(runtime, best)
 
     def _become_head(self, runtime):
@@ -151,12 +173,18 @@ class DensityClusteringProtocol:
         )
 
     def _neighbor_key(self, runtime, q):
-        return self._key(
-            density=runtime.cached(q, "density"),
-            is_head=runtime.cached(q, "head") == q,
-            dag_id=runtime.cached(q, "dag_id") if self.use_dag else None,
-            tie_id=runtime.cached(q, "tie_id", q),
-        )
+        """``q``'s key from its cache entry, memoized on the entry: the
+        receivers of one frame share the entry and all need this key."""
+        entry = runtime.caches[q]
+        key = entry.memo.get(self._memo_tag)
+        if key is None:
+            key = entry.memo[self._memo_tag] = self._key(
+                density=entry.get("density"),
+                is_head=entry.get("head") == q,
+                dag_id=entry.get("dag_id") if self.use_dag else None,
+                tie_id=entry.get("tie_id", q),
+            )
+        return key
 
     # ------------------------------------------------------------------
     # fusion support: 2-hop head claims via summaries

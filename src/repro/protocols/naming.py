@@ -46,7 +46,8 @@ class DagNamingProtocol:
 
     def _n1(self, runtime, rng):
         current = runtime.shared.get("dag_id")
-        cached_ids = [value for value in runtime.cached_all("dag_id").values()
+        cached_names = runtime.cached_all("dag_id")
+        cached_ids = [value for value in cached_names.values()
                       if value is not None]
         if self.variant == "randomized":
             runtime.shared["dag_id"] = new_id(current, cached_ids,
@@ -58,7 +59,7 @@ class DagNamingProtocol:
             runtime.shared["dag_id"] = self.namespace.sample(
                 rng, exclude=cached_ids)
             return
-        colliders = [q for q, value in runtime.cached_all("dag_id").items()
+        colliders = [q for q, value in cached_names.items()
                      if value == current]
         if any(runtime.cached(q, "tie_id", q) > runtime.tie_id
                for q in colliders):

@@ -10,6 +10,12 @@ runtime never lets a node read the true graph.  Entries carry the step at
 which they were last refreshed and expire after ``cache_timeout`` steps,
 which is how departed neighbors (mobility, crash) fade out and how stale
 corrupted caches heal -- a prerequisite for self-stabilization.
+
+Caches hold one shared, immutable copy per frame: the simulator
+snapshots a sender's payload once per step and every receiver caches the
+same :class:`CacheEntry`, so what a receiver derives from the entry alone
+(a clustering key) is computed once and memoized on it.  Direct callers
+of :meth:`NodeRuntime.ingest` still get a private copy.
 """
 
 from dataclasses import dataclass, field
@@ -19,12 +25,20 @@ from repro.util.errors import ConfigurationError
 DEFAULT_CACHE_TIMEOUT = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheEntry:
-    """Cached shared variables of one neighbor."""
+    """Cached shared variables of one neighbor.
+
+    Immutable, payload included (by convention: nothing writes to it), so
+    every receiver of a frame may hold the same entry.  ``memo`` keeps
+    values derived from the payload and the sender alone, keyed by the
+    configuration that derived them; an entry is only ever cached under
+    its sender.
+    """
 
     payload: dict
     refreshed_at: int
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def get(self, name, default=None):
         return self.payload.get(name, default)
@@ -92,11 +106,12 @@ class NodeRuntime:
         entry = self.caches.get(neighbor)
         if entry is None:
             return default
-        return entry.get(name, default)
+        return entry.payload.get(name, default)
 
     def cached_all(self, name, default=None):
         """``{q: )name_q}`` over all cached neighbors."""
-        return {q: entry.get(name, default) for q, entry in self.caches.items()}
+        return {q: entry.payload.get(name, default)
+                for q, entry in self.caches.items()}
 
     def two_hop_view(self, neighbors_field="neighbors"):
         """The believed 2-neighborhood: union of reported neighbor sets.
@@ -105,8 +120,8 @@ class NodeRuntime:
         """
         view = self.known_neighbors()
         for entry in self.caches.values():
-            reported = entry.get(neighbors_field)
+            reported = entry.payload.get(neighbors_field)
             if reported:
-                view |= set(reported)
+                view.update(reported)
         view.discard(self.node_id)
         return view

@@ -13,6 +13,11 @@ is exactly one such Δ(τ):
 3. every node ingests its inbox into its caches and expires stale entries;
 4. every node executes its guarded-command program (round-robin, Section 4).
 
+A step costs one unit of work per frame plus cheap reads per delivery:
+each payload is snapshotted once, into one immutable
+:class:`~repro.runtime.node.CacheEntry` that all of the frame's
+receivers cache, and the frame is sized once.
+
 The simulator never lets protocol code read the true graph: all knowledge
 flows through frames, which is what makes the self-stabilization
 experiments meaningful.  The graph may be replaced between steps (mobility,
@@ -23,7 +28,7 @@ from repro.metrics.overhead import TrafficStats
 from repro.runtime.channel import IdealChannel
 from repro.runtime.daemon import SynchronousDaemon
 from repro.runtime.frames import Frame
-from repro.runtime.node import DEFAULT_CACHE_TIMEOUT, NodeRuntime
+from repro.runtime.node import DEFAULT_CACHE_TIMEOUT, CacheEntry, NodeRuntime
 from repro.util.errors import ConfigurationError, ConvergenceError
 from repro.util.rng import as_rng
 
@@ -99,18 +104,28 @@ class StepSimulator:
     def step(self):
         """Advance one Δ(τ) step; return ``{node: [fired command names]}``."""
         self.now += 1
+        now = self.now
+        graph = self.graph
+        runtimes = self.runtimes
+        payload = self.protocol.payload
         frames = {}
-        for node in self.graph:
-            runtime = self.runtimes[node]
-            frames[node] = Frame(sender=node,
-                                 payload=self.protocol.payload(runtime))
-        inboxes = self.channel.deliver(frames, self.graph, self.rng)
+        entries = {}
+        for node in graph:
+            # One snapshot per frame: the payload as broadcast, before any
+            # program runs, shared by every receiver's cache.
+            snapshot = dict(payload(runtimes[node]))
+            frames[node] = Frame(sender=node, payload=snapshot)
+            entries[node] = CacheEntry(payload=snapshot, refreshed_at=now)
+        inboxes = self.channel.deliver(frames, graph, self.rng)
         self.traffic.record_step(frames, inboxes)
-        for node in self.graph:
-            runtime = self.runtimes[node]
+        for node in graph:
+            runtime = runtimes[node]
+            caches = runtime.caches
             for frame in inboxes.get(node, ()):
-                runtime.ingest(frame, self.now)
-            runtime.expire_caches(self.now)
+                sender = frame.sender
+                if sender != node:  # a node never caches itself
+                    caches[sender] = entries[sender]
+            runtime.expire_caches(now)
         fired = {}
         activated = self.daemon.select(self.runtimes, self.rng)
         order = self._activation_order
@@ -141,12 +156,15 @@ class StepSimulator:
         """Step until ``predicate(self)`` holds for ``settle`` consecutive
         steps; return the step count at which it first held.
 
-        Raises :class:`ConvergenceError` if the budget is exhausted.  The
-        ``settle`` window distinguishes transient truth from stabilization
-        (closure is checked separately by the monitor).
+        Raises :class:`ConvergenceError` if the budget is exhausted, and
+        :class:`ConfigurationError` if ``max_steps`` or ``settle`` is below
+        1.  The ``settle`` window distinguishes transient truth from
+        stabilization (closure is checked separately by the monitor).
         """
         if max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {max_steps}")
+        if settle < 1:
+            raise ConfigurationError(f"settle must be >= 1, got {settle}")
         first_true = None
         consecutive = 0
         for _ in range(max_steps):

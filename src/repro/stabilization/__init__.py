@@ -16,6 +16,7 @@ from repro.stabilization.monitor import (
     verify_closure,
 )
 from repro.stabilization.predicates import (
+    GroundTruth,
     clustering_legitimate,
     densities_legitimate,
     make_stack_predicate,
@@ -26,6 +27,7 @@ from repro.stabilization.predicates import (
 )
 
 __all__ = [
+    "GroundTruth",
     "StabilizationReport",
     "clear_caches",
     "clear_shared",

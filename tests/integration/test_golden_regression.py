@@ -112,3 +112,25 @@ def test_paper_table_stdout_is_frozen(family, digest, capsys):
     assert main([family, "--preset", "quick", "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["recovery", "--preset", "smoke"],
+     "f755a2e1fe5451425447e81ef813d397218c9f75681ec04288b0cda3ecbf45f5"),
+    (["table2", "--preset", "smoke"],
+     "ec999523db6bb3cf64f89c4cd8546a51caefc19f7c87f648d15c91b16db85d07"),
+    (["scaling"],
+     "eef4858566fd8f69cc593c8b8d8f51b9b517aea816c066dafdb7f85abc9baa91"),
+    (["beacons"],
+     "9bcc65cf9dbeb95497f95c91dfd2dd5c103ab29c1991ffc856cb621d39bddb27"),
+    (["node-churn"],
+     "918141f89497a16ebcb52921ec1542e852ad658a63f87ef4634a35596ef2445e"),
+], ids=["recovery", "table2", "scaling", "beacons", "node-churn"])
+def test_simulator_family_stdout_is_frozen(args, digest, capsys):
+    """sha256 of ``repro <args> --seed 2024`` stdout, for the five
+    families that drive the message-passing simulator (``scaling``,
+    ``beacons`` and ``node-churn`` take no preset).  ``beacons`` is the
+    only table that reads the simulator's byte counts."""
+    assert main([*args, "--seed", "2024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

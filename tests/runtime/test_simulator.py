@@ -89,6 +89,13 @@ class TestRunUntil:
         with pytest.raises(ConfigurationError):
             sim.run_until(lambda s: True, max_steps=0)
 
+    @pytest.mark.parametrize("settle", [0, -1])
+    def test_bad_settle_rejected(self, settle):
+        sim = StepSimulator(line_topology(2), CountingProtocol(), rng=0)
+        with pytest.raises(ConfigurationError, match="settle"):
+            sim.run_until(lambda s: True, max_steps=5, settle=settle)
+        assert sim.now == 0  # rejected before any step
+
 
 class TestTopologyReplacement:
     def test_replace_preserves_runtimes(self):

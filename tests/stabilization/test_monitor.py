@@ -13,6 +13,7 @@ from repro.stabilization.monitor import (
     verify_closure,
 )
 from repro.stabilization.predicates import make_stack_predicate
+from repro.util.errors import ConfigurationError
 
 
 def fresh_sim(seed=0):
@@ -38,6 +39,12 @@ class TestStepsToLegitimacy:
         assert "converged in 4/10 steps" in str(report)
         report = StabilizationReport(steps=10, converged=False, budget=10)
         assert "DID NOT CONVERGE" in str(report)
+
+    def test_settle_below_one_raises(self):
+        # settle=0 used to pass as settle=1; a report would hide the typo.
+        sim, _ = fresh_sim()
+        with pytest.raises(ConfigurationError, match="settle"):
+            steps_to_legitimacy(sim, make_stack_predicate(), 200, settle=0)
 
     def test_measures_relative_to_current_time(self):
         sim, _ = fresh_sim()
@@ -88,6 +95,12 @@ class TestRecoveryTime:
         steps_to_legitimacy(sim, predicate, 200)
         report = recovery_time(sim, garbage_shared, predicate, 200)
         assert report.converged
+
+    def test_settle_below_one_raises(self):
+        sim, _ = fresh_sim()
+        with pytest.raises(ConfigurationError, match="settle"):
+            recovery_time(sim, garbage_shared, make_stack_predicate(), 200,
+                          settle=0)
 
     def test_scoped_fault(self):
         sim, topo = fresh_sim(seed=3)

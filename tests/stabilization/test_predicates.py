@@ -6,6 +6,7 @@ from repro.graph.generators import line_topology, uniform_topology
 from repro.protocols.stack import standard_stack
 from repro.runtime.simulator import StepSimulator
 from repro.stabilization.predicates import (
+    GroundTruth,
     clustering_legitimate,
     densities_legitimate,
     make_stack_predicate,
@@ -77,6 +78,20 @@ class TestIncumbentLegitimacy:
                             rng=4)
         sim.run(40)
         assert clustering_legitimate(sim, order="incumbent")
+
+    def test_reused_truth_follows_claimed_heads(self):
+        # Two stationary states of one snapshot: on a 2-node line both
+        # endpoints have density 1, so whichever claims headship keeps it.
+        # A truth reused across them must re-solve when the claim moves.
+        sim = StepSimulator(line_topology(2),
+                            standard_stack(use_dag=False, order="incumbent"),
+                            rng=0)
+        truth = GroundTruth(sim.graph)
+        for head, member in ((0, 1), (1, 0)):
+            sim.runtime(head).shared.update(head=head, parent=head)
+            sim.runtime(member).shared.update(head=head, parent=head)
+            assert clustering_legitimate(sim, order="incumbent",
+                                         use_dag=False, truth=truth)
 
     def test_no_dag_stack_legitimate(self):
         topo = line_topology(5)
