@@ -16,17 +16,21 @@ records two serving-quality keys in ``extra_info``:
 serving path itself, not the flat-BFS oracle.
 
 The parametrized benches serve in the default batched mode
-(``route_batch`` groups each chunk by head pair and runs one dense
-per-cluster sweep per group).  The ``*_floor_batch`` /
+(``route_batch`` serves each request from a cached plan per (source
+head, destination head) pair plus two cached endpoint legs; it does
+not group requests by head pair).  The ``*_floor_batch`` /
 ``*_reference`` pair serves one identical 20k-request Zipf stream at
 5000 nodes through a fresh router in each mode -- the regime every
 workload-experiment run is in (a new router per shape and per mobility
 window) -- and the regression gate holds batched to >= 3x the
-per-request loop on exactly that pair (``SPEEDUP_FLOORS``); that loop
-is the serving oracle of ``tests/oracles/serving.py``.  The 10^5
-benches are deliberately not the floor pair: over a long enough stream
-on a fixed graph both modes converge to warm-cache tuple assembly, so
-the steady-state ratio understates what batching buys a fresh run.
+per-request loop on exactly that pair (``SPEEDUP_FLOORS``).  That loop
+is the serving oracle of ``tests/oracles/serving.py``: it walks every
+head path hop by hop and unwinds legs from full-graph label-constrained
+BFS trees, so the pair measures plans and per-cluster leg sweeps
+against that historical work.  The 10^5 benches are deliberately not
+the floor pair: over a long enough stream on a fixed graph both modes
+converge to warm-cache assembly, so the steady-state ratio understates
+what the router's caches buy a fresh run.
 """
 
 import numpy as np

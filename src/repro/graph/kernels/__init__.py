@@ -1,9 +1,10 @@
 """Backend-selectable traversal kernels: pure numpy or compiled numba.
 
 Every hot traversal loop in the repo -- BFS frontier expansion, the
-label-constrained multi-source sweep, parent unwinding, component label
-propagation, and the pointer-doubling forest resolve -- lives behind
-this seam.  Two interchangeable backends implement it:
+label-constrained multi-source sweep (resumable, level by level, up to
+a stop row), parent unwinding, component label propagation, and the
+pointer-doubling forest resolve -- lives behind this seam.  Two
+interchangeable backends implement it:
 
 * :mod:`~repro.graph.kernels.numpy_backend` -- the reference
   implementation (the historical inline code of
@@ -70,6 +71,7 @@ if REQUESTED in ("auto", "numba"):
 #: The active backend's name: ``"numpy"`` or ``"numba"``.
 BACKEND = "numpy" if _active is numpy_backend else "numba"
 
+expand_distances = _active.expand_distances
 multi_source_distances = _active.multi_source_distances
 bfs_parents = _active.bfs_parents
 component_labels = _active.component_labels
@@ -78,6 +80,7 @@ unwind_path = _active.unwind_path
 
 #: The kernel entry points every backend must provide.
 KERNELS = (
+    "expand_distances",
     "multi_source_distances",
     "bfs_parents",
     "component_labels",
@@ -147,6 +150,7 @@ __all__ = [
     "backend_info",
     "bfs_parents",
     "component_labels",
+    "expand_distances",
     "get_backend",
     "multi_source_distances",
     "resolve_forest",

@@ -24,24 +24,12 @@ from numba import njit
 
 
 @njit(cache=True)
-def _ms_distances(indptr, indices, sources, labels, constrained):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, -1, np.int64)
-    frontier = np.empty(n, np.int64)
-    fsize = 0
-    seeds = np.sort(sources)
-    for i in range(seeds.shape[0]):
-        s = seeds[i]
-        if dist[s] < 0:
-            dist[s] = 0
-            frontier[fsize] = s
-            fsize += 1
-    scratch = np.empty(n, np.int64)
-    level = 0
-    while fsize > 0:
+def _expand_distances(indptr, indices, dist, frontier, level, stop, labels, constrained):
+    scratch = np.empty(dist.shape[0], np.int64)
+    while frontier.shape[0] > 0 and (stop < 0 or dist[stop] < 0):
         level += 1
         k = 0
-        for fi in range(fsize):
+        for fi in range(frontier.shape[0]):
             u = frontier[fi]
             for p in range(indptr[u], indptr[u + 1]):
                 v = indices[p]
@@ -49,11 +37,8 @@ def _ms_distances(indptr, indices, sources, labels, constrained):
                     dist[v] = level
                     scratch[k] = v
                     k += 1
-        nxt = np.sort(scratch[:k])
-        for i in range(k):
-            frontier[i] = nxt[i]
-        fsize = k
-    return dist
+        frontier = scratch[:k].copy()
+    return frontier, level
 
 
 @njit(cache=True)
@@ -171,11 +156,22 @@ def _label_args(labels):
     return np.ascontiguousarray(labels), True
 
 
+def expand_distances(indptr, indices, dist, frontier, level, stop, labels=None):
+    """Compiled :func:`~repro.graph.kernels.numpy_backend.expand_distances`."""
+    frontier = np.ascontiguousarray(frontier, dtype=np.int64)
+    label_array, constrained = _label_args(labels)
+    return _expand_distances(
+        indptr, indices, dist, frontier, int(level), int(stop), label_array, constrained
+    )
+
+
 def multi_source_distances(indptr, indices, sources, labels=None):
     """Compiled :func:`~repro.graph.kernels.numpy_backend.multi_source_distances`."""
-    sources = np.ascontiguousarray(sources, dtype=np.int64)
-    label_array, constrained = _label_args(labels)
-    return _ms_distances(indptr, indices, sources, label_array, constrained)
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    frontier = np.unique(sources).astype(np.int64)
+    dist[frontier] = 0
+    expand_distances(indptr, indices, dist, frontier, 0, -1, labels=labels)
+    return dist
 
 
 def bfs_parents(indptr, indices, source, labels=None):

@@ -42,6 +42,35 @@ def _expand_frontier(indptr, indices, frontier):
     return indices[take].astype(np.int64), np.repeat(frontier, counts)
 
 
+def expand_distances(indptr, indices, dist, frontier, level, stop, labels=None):
+    """Advance a BFS in place until ``dist[stop] >= 0`` or it runs out.
+
+    ``dist`` holds the distances found so far (``-1`` unreached),
+    ``frontier`` the distinct rows discovered at ``level``.  Each wave
+    discovers the next level; the sweep stops as soon as row ``stop``
+    has a distance, or when the frontier empties (a negative ``stop``
+    sweeps to exhaustion).  Returns ``(frontier, level)``, from which a
+    later call resumes.  ``labels`` constrains expansion exactly as in
+    :func:`multi_source_distances`.
+    """
+    stamp = np.empty(len(dist), dtype=np.int64)
+    while frontier.size and (stop < 0 or dist[stop] < 0):
+        level += 1
+        neigh, src = _expand_frontier(indptr, indices, frontier)
+        keep = dist[neigh] < 0
+        if labels is not None:
+            keep &= labels[neigh] == labels[src]
+        cand = neigh[keep]
+        # One position per distinct row survives: whichever duplicate
+        # wrote ``stamp[row]`` last.  O(k) where np.unique sorts, and
+        # distances do not depend on frontier order.
+        position = np.arange(cand.size)
+        stamp[cand] = position
+        frontier = cand[stamp[cand] == position]
+        dist[frontier] = level
+    return frontier, level
+
+
 def multi_source_distances(indptr, indices, sources, labels=None):
     """Hop distances from the nearest of ``sources`` to every row.
 
@@ -50,28 +79,10 @@ def multi_source_distances(indptr, indices, sources, labels=None):
     row) is given, an edge is traversed only if both endpoints carry the
     same label.  Unreached rows get ``-1``.
     """
-    n = len(indptr) - 1
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[sources] = 0
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
     frontier = np.unique(sources)
-    stamp = np.empty(n, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        neigh, src = _expand_frontier(indptr, indices, frontier)
-        keep = dist[neigh] < 0
-        if labels is not None:
-            keep &= labels[neigh] == labels[src]
-        cand = neigh[keep]
-        if not cand.size:
-            break
-        # One position per distinct row survives: whichever duplicate
-        # wrote ``stamp[row]`` last.  O(k) where np.unique sorts, and
-        # distances do not depend on frontier order.
-        position = np.arange(cand.size)
-        stamp[cand] = position
-        frontier = cand[stamp[cand] == position]
-        dist[frontier] = level
+    dist[frontier] = 0
+    expand_distances(indptr, indices, dist, frontier, 0, -1, labels=labels)
     return dist
 
 

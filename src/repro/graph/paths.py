@@ -19,7 +19,11 @@ from collections import deque
 
 import numpy as np
 
-from repro.graph.traversal import csr_bfs_distances, csr_component_labels
+from repro.graph.traversal import (
+    DistanceSweep,
+    csr_bfs_distances,
+    csr_component_labels,
+)
 from repro.util.errors import TopologyError
 
 INFINITY = float("inf")
@@ -52,10 +56,17 @@ def bfs_distances_reference(graph, source):
 
 
 def hop_distance(graph, u, v):
-    """Minimum hop count from ``u`` to ``v``; ``inf`` if disconnected."""
+    """Minimum hop count from ``u`` to ``v``; ``inf`` if disconnected.
+
+    The BFS from ``u`` stops at the level that reaches ``v``.
+    """
     if v not in graph:
         raise TopologyError(f"node {v!r} not in graph")
-    return bfs_distances(graph, u).get(v, INFINITY)
+    if u not in graph:
+        raise TopologyError(f"source {u!r} not in graph")
+    csr = graph.to_csr()
+    hops = DistanceSweep(csr, csr.index_of[u]).distance(csr.index_of[v])
+    return INFINITY if hops < 0 else hops
 
 
 def eccentricity(graph, node, within=None):

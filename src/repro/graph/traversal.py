@@ -11,6 +11,9 @@ here is the id/row plumbing and the error contract:
 
 * :func:`csr_bfs_distances` -- single-source BFS returning an ``int64``
   distance array (``-1`` marks unreachable rows);
+* :class:`DistanceSweep` -- the same BFS expanded lazily: a lookup
+  sweeps only the levels up to the row it asks for, and later lookups
+  resume where the last one stopped;
 * :func:`csr_multi_source_distances` -- the batched form: any number of
   sources expand simultaneously, and an optional per-row ``labels`` array
   constrains expansion to label-matching edges.  Seeding every
@@ -65,6 +68,41 @@ def csr_bfs_distances(csr, source):
     if not 0 <= source < n:
         raise TopologyError(f"source row {source} out of range [0, {n})")
     return csr_multi_source_distances(csr, np.array([source], dtype=np.int64))
+
+
+class DistanceSweep:
+    """One source's BFS, expanded only as far as lookups need.
+
+    ``dist`` holds the distances found so far (``-1`` for rows not yet
+    reached or unreachable).  :meth:`distance` resumes the sweep
+    (:func:`~repro.graph.kernels.expand_distances`) only when its row
+    is not reached yet, and stops at the level that reaches it, so a
+    lookup near the source costs the levels up to it and never more
+    than one full BFS over all lookups.  Distances are tie-break-free,
+    so every answer equals :func:`csr_bfs_distances`.
+    """
+
+    __slots__ = ("dist", "_indptr", "_indices", "_frontier", "_level")
+
+    def __init__(self, csr, source):
+        n = len(csr)
+        if not 0 <= source < n:
+            raise TopologyError(f"source row {source} out of range [0, {n})")
+        self._indptr, self._indices = csr.indptr, csr.indices
+        self.dist = np.full(n, -1, dtype=np.int64)
+        self.dist[source] = 0
+        self._frontier = np.array([source], dtype=np.int64)
+        self._level = 0
+
+    def distance(self, row):
+        """Hop distance from the source to ``row``; ``-1`` unreachable."""
+        hops = int(self.dist[row])
+        if hops < 0 and self._frontier.size:
+            self._frontier, self._level = kernels.expand_distances(
+                self._indptr, self._indices, self.dist, self._frontier,
+                self._level, row)
+            hops = int(self.dist[row])
+        return hops
 
 
 def csr_shortest_path(csr, source, target, labels=None):

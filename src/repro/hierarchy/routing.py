@@ -15,7 +15,8 @@ overlay legs follow shortest paths in the overlay graph.  The *stretch*
 routing-state savings cost; the scalability experiment reports both.
 
 Traversal-heavy pieces ride the CSR kernel: the flat BFS distance of
-:func:`route_stretch` is one array-frontier sweep, and the intra-cluster
+:func:`route_stretch` is one array-frontier sweep that stops at the
+level reaching the destination, and the intra-cluster
 legs are label-constrained path searches over the full-graph snapshot
 (sharing the clustering's cached per-row labels), so no induced subgraph
 is ever materialized.  The head path is
@@ -29,7 +30,7 @@ rules, so its routes equal these exactly.
 
 import math
 
-from repro.graph.traversal import csr_bfs_distances, csr_shortest_path
+from repro.graph.traversal import DistanceSweep, csr_shortest_path
 from repro.hierarchy.overlay import gateway_for
 from repro.util.errors import ConfigurationError, TopologyError
 
@@ -69,15 +70,16 @@ def hierarchical_route(hierarchy, source, destination):
     canonical 2-level scheme.
     """
     level = hierarchy.physical
-    if level.overlay is None and \
-            level.clustering.head(source) != level.clustering.head(destination):
-        return None
-    head_src = level.clustering.head(source)
-    head_dst = level.clustering.head(destination)
+    try:
+        head_src = level.clustering.head(source)
+        head_dst = level.clustering.head(destination)
+    except KeyError as error:
+        raise TopologyError(f"node {error.args[0]!r} not in graph") from None
     if head_src == head_dst:
         return _intra_cluster_path(level, head_src, source, destination)
-
     overlay = level.overlay
+    if overlay is None:
+        return None
     head_path = overlay.head_path(head_src, head_dst)
     if head_path is None:
         return None
@@ -112,11 +114,10 @@ def route_stretch(hierarchy, source, destination):
     if destination not in graph:
         raise TopologyError(f"destination {destination!r} not in graph")
     csr = graph.to_csr()
-    dist = csr_bfs_distances(csr, csr.index_of[source])
-    target_row = csr.index_of[destination]
-    if dist[target_row] < 0:
+    flat = DistanceSweep(csr, csr.index_of[source]).distance(
+        csr.index_of[destination])
+    if flat < 0:
         return UNREACHABLE
-    flat = int(dist[target_row])
     if flat == 0:
         return (0, 0, 1.0)
     route = hierarchical_route(hierarchy, source, destination)

@@ -27,21 +27,28 @@ exploits that: it memoizes
   per-source kernel BFS parents over the sub-CSR instead (same parent
   rule, same legs, memory linear in the cluster);
 * the gateway orientation per ordered head pair;
-* flat BFS distance arrays per *destination* (distances are symmetric,
-  and skewed workloads concentrate destinations) in a bounded **LRU**
+* one **plan** per (source head, destination head) pair: the head
+  path, the source cluster's exit gateway, the transit-cluster legs
+  (references to the cached leg tuples) and the destination cluster's
+  entry gateway, or ``None`` when the pair is unroutable -- so a warm
+  inter-cluster request costs one plan read, two cached endpoint legs
+  and one list build;
+* flat BFS sweeps per *destination* (distances are symmetric, and
+  skewed workloads concentrate destinations) in a bounded **LRU**
   cache -- hits move to the back of the eviction queue, so Zipf-skewed
   destination popularity keeps its hot set resident -- with hit/miss
-  counters the workload family reports.
+  counters the workload family reports.  Each entry is a
+  :class:`~repro.graph.traversal.DistanceSweep` that expands only the
+  BFS levels its lookups reach, resuming where the last one stopped.
 
 The routes it returns are therefore exactly
 ``hierarchical_route(hierarchy, source, destination)`` -- the test
 suite asserts equality.  :meth:`CachedRouter.route_batch` is the high
-throughput entry: it groups a request chunk by (source head,
-destination head), resolves each group's head path, gateways and middle
-legs once, covers each endpoint cluster's leg fan-out with one dense
-multi-source sweep, and assembles per-request routes by tuple
-concatenation -- emitting a :class:`ServedRequest` stream byte-identical
-to routing each request with :meth:`CachedRouter.serve`.
+throughput entry: a plain loop over :meth:`CachedRouter.route` with
+flat sampling inline in input order, emitting a :class:`ServedRequest`
+stream byte-identical to routing each request with
+:meth:`CachedRouter.serve` (requests are not grouped by head pair; the
+plan cache already shares each pair's work across the whole run).
 :func:`serve_workload` consumes generator batches directly and hands
 them to the collector pipeline's batched ``process_batch`` path.
 """
@@ -55,7 +62,7 @@ import numpy as np
 
 from repro.collectors.base import DataCollector, register_collector
 from repro.graph import kernels
-from repro.graph.traversal import csr_bfs_distances
+from repro.graph.traversal import DistanceSweep
 from repro.hierarchy.overlay import gateway_for
 from repro.hierarchy.routing import UNREACHABLE
 from repro.util.errors import ConfigurationError, TopologyError
@@ -94,13 +101,17 @@ class ServedRequest(NamedTuple):
 class CachedRouter:
     """Amortized hierarchical routing over one hierarchy snapshot.
 
-    ``flat_cache`` bounds how many per-destination flat BFS distance
-    arrays are kept (LRU eviction), so memory stays O(cache * n) even
-    under uniform destination popularity.  ``flat_hits`` /
-    ``flat_misses`` count cache outcomes for the workload report.
+    ``flat_cache`` bounds how many per-destination flat BFS sweeps are
+    kept (LRU eviction), so memory stays O(cache * n) even under
+    uniform destination popularity.  ``flat_hits`` / ``flat_misses``
+    count cache outcomes for the workload report.  Every entry point
+    raises :class:`TopologyError` naming a node absent from the graph.
     """
 
     def __init__(self, hierarchy, flat_cache=256):
+        if flat_cache < 0:
+            raise ConfigurationError(
+                f"flat_cache must be >= 0, got {flat_cache}")
         level = hierarchy.physical
         self.hierarchy = hierarchy
         self.head_of = level.clustering.head_of
@@ -117,7 +128,8 @@ class CachedRouter:
         self._overlay_trees = {}  # head -> overlay BFS parent ranks
         self._overlay_paths = {}  # (src head, dst head) -> head tuple|None
         self._gateways = {}       # (here, there) -> (exit node, entry node)
-        self._flat = OrderedDict()  # destination -> distance array (LRU)
+        self._plans = {}          # (src head, dst head) -> plan tuple|None
+        self._flat = OrderedDict()  # destination -> DistanceSweep (LRU)
         self._flat_cache = flat_cache
         self.flat_hits = 0
         self.flat_misses = 0
@@ -206,8 +218,8 @@ class CachedRouter:
         a boolean matrix product (BLAS) per level.  ``D[s, t]`` is the
         intra-cluster hop distance (``-1`` disconnected).  Distances
         are tie-break-free, so the matrix is exact; one build serves
-        every request group that ever touches the cluster, replacing a
-        BFS per (cluster, leg source).  ``None`` for clusters of more
+        every leg that ever touches the cluster, replacing a BFS per
+        (cluster, leg source).  ``None`` for clusters of more
         than :data:`DENSE_MAX_MEMBERS` members, whose legs
         :meth:`_leg` takes from per-source BFS parents instead.
         """
@@ -317,141 +329,115 @@ class CachedRouter:
 
     # -- routing ------------------------------------------------------
 
+    def _plan(self, head_src, head_dst):
+        """``(head_path, exit_node, transit, entry_last)``, or ``None``.
+
+        The per-hop walk of ``hierarchical_route`` minus its two
+        endpoint legs, run once per (source head, destination head):
+        ``exit_node`` is the source cluster's gateway toward the next
+        head, ``transit`` the legs through every transit cluster (each
+        from its entry gateway to its exit gateway, the very tuples
+        cached for :meth:`_leg`, so a plan holds one reference per
+        transit cluster rather than a copy of the node run), and
+        ``entry_last`` the destination cluster's entry gateway.
+        ``None`` when the overlay offers the pair no route.
+        """
+        key = (head_src, head_dst)
+        plan = self._plans.get(key, key)
+        if plan is not key:
+            return plan
+        head_path = None if self.overlay is None else \
+            self.overlay_path(head_src, head_dst)
+        if head_path is not None:
+            exit_node, current = self._gateway(head_path[0], head_path[1])
+            transit = []
+            for hop in range(1, len(head_path) - 1):
+                here, there = head_path[hop], head_path[hop + 1]
+                exit_mid, entry_mid = self._gateway(here, there)
+                transit.append(self._leg(here, current, exit_mid))
+                current = entry_mid
+            plan = (head_path, exit_node, tuple(transit), current)
+        else:
+            plan = None
+        self._plans[key] = plan
+        return plan
+
+    def _row(self, node):
+        """``node``'s CSR row; :class:`TopologyError` when absent."""
+        try:
+            return self.index_of[node]
+        except KeyError:
+            raise TopologyError(f"node {node!r} not in graph") from None
+
     def route(self, source, destination):
         """``(route, head_path)``; ``(None, None)`` when unroutable.
 
         ``route`` equals ``hierarchical_route(hierarchy, source,
         destination)``; ``head_path`` is the overlay head sequence the
-        route crossed (``(head,)`` for intra-cluster pairs).
+        route crossed (``(head,)`` for intra-cluster pairs).  Each leg
+        starts at the gateway the previous one crossed to, so an
+        inter-cluster route is the concatenation of the source's leg
+        to its plan's exit gateway, the plan's transit legs, and the
+        leg from the plan's last entry gateway to the destination.
         """
-        head_src = self.head_of[source]
-        head_dst = self.head_of[destination]
+        try:
+            head_src = self.head_of[source]
+            head_dst = self.head_of[destination]
+        except KeyError as error:
+            raise TopologyError(
+                f"node {error.args[0]!r} not in graph") from None
         if head_src == head_dst:
             return list(self._leg(head_src, source, destination)), (head_src,)
-        if self.overlay is None:
+        plan = self._plan(head_src, head_dst)
+        if plan is None:
             return None, None
-        head_path = self.overlay_path(head_src, head_dst)
-        if head_path is None:
-            return None, None
-        route = [source]
-        current = source
-        for hop in range(len(head_path) - 1):
-            here, there = head_path[hop], head_path[hop + 1]
-            exit_node, entry_node = self._gateway(here, there)
-            route.extend(self._leg(here, current, exit_node)[1:])
-            route.append(entry_node)
-            current = entry_node
-        route.extend(self._leg(head_path[-1], current, destination)[1:])
+        head_path, exit_node, transit, entry_last = plan
+        route = list(self._leg(head_src, source, exit_node))
+        for leg in transit:
+            route.extend(leg)
+        route.extend(self._leg(head_dst, entry_last, destination))
         return route, head_path
-
-    def _group_plan(self, head_src, head_dst):
-        """``(head_path, exit1, middle, entry_last)`` for one head pair.
-
-        ``middle`` is the fixed mid-route node run shared by every
-        request of the (source head, destination head) group: the first
-        entry gateway, every transit-cluster leg, down to the last
-        cluster's entry gateway.  ``None`` when the pair is unroutable.
-        """
-        head_path = self.overlay_path(head_src, head_dst)
-        if head_path is None:
-            return None
-        exit_node, entry_node = self._gateway(head_path[0], head_path[1])
-        middle = [entry_node]
-        current = entry_node
-        for hop in range(1, len(head_path) - 1):
-            here, there = head_path[hop], head_path[hop + 1]
-            exit_mid, entry_mid = self._gateway(here, there)
-            middle.extend(self._leg(here, current, exit_mid)[1:])
-            middle.append(entry_mid)
-            current = entry_mid
-        return head_path, exit_node, tuple(middle), current
 
     def route_batch(self, requests, flat_every=0, first_index=0):
         """Serve a request chunk; a list of :class:`ServedRequest`.
 
-        Requests are grouped by (source head, destination head); each
-        group resolves its overlay head path, gateway sequence, and
-        transit-cluster legs once, and one dense multi-source sweep per
-        endpoint cluster (:meth:`_cluster_distances`, shared across
-        groups) covers the whole leg fan-out, so per-request work
-        reduces to the two endpoint legs plus tuple concatenation.  The
-        returned stream -- order, routes, head paths, flat sampling --
-        is byte-identical to calling :meth:`serve` per request with
+        A plain loop over the per-request path of :meth:`serve` and
+        :meth:`route`: requests are not grouped by head pair, because
+        each warm request is already one cached plan read plus its two
+        cached endpoint legs.  Flat sampling runs inline in input
+        order, so the LRU of lazy flat sweeps sees the exact
+        per-request access sequence.  The returned stream is
+        byte-identical to calling :meth:`serve` per request with
         ``with_flat = flat_every and (first_index + i) % flat_every ==
         0``.
         """
-        requests = list(requests)
-        served = [None] * len(requests)
-        groups = {}
-        head_of = self.head_of
-        for i, request in enumerate(requests):
-            key = (head_of[request.source], head_of[request.destination])
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-            bucket.append(i)
-        for (head_src, head_dst), bucket in groups.items():
-            if head_src == head_dst:
-                for i in bucket:
-                    request = requests[i]
-                    leg = self._leg(head_src, request.source,
-                                    request.destination)
-                    served[i] = ServedRequest(
-                        request=request, route=list(leg),
-                        head_path=(head_src,), hops=len(leg) - 1)
-                continue
-            plan = None if self.overlay is None else \
-                self._group_plan(head_src, head_dst)
-            if plan is None:
-                for i in bucket:
-                    served[i] = ServedRequest(
-                        request=requests[i], route=None, head_path=None,
-                        hops=None)
-                continue
-            head_path, exit_node, middle, entry_last = plan
-            # One dense multi-source sweep per endpoint cluster (cached
-            # across groups) covers every leg fan-out below.
-            self._cluster_distances(head_src)
-            self._cluster_distances(head_dst)
-            for i in bucket:
-                request = requests[i]
-                first = self._leg(head_src, request.source, exit_node)
-                last = self._leg(head_dst, entry_last, request.destination)
-                route = list(first)
-                route.extend(middle)
-                route.extend(last[1:])
-                served[i] = ServedRequest(
-                    request=request, route=route, head_path=head_path,
-                    hops=len(route) - 1)
-        if flat_every:
-            # Flat sampling runs in input order so the LRU flat cache
-            # sees the exact per-request-loop access sequence.
-            for i, event in enumerate(served):
-                if (first_index + i) % flat_every == 0 \
-                        and event.route is not None:
-                    served[i] = event._replace(flat_hops=self.flat_hops(
-                        event.request.source, event.request.destination))
-        return served
+        return [
+            self.serve(request, with_flat=bool(flat_every)
+                       and index % flat_every == 0)
+            for index, request in enumerate(requests, first_index)
+        ]
 
     def flat_hops(self, source, destination):
         """Flat shortest-path hops, or ``None`` when disconnected.
 
-        BFS arrays are keyed by *destination* (hop distances are
+        Sweeps are keyed by *destination* (hop distances are
         symmetric), which is exactly the axis skewed workloads
         concentrate on; the cache is LRU so a skewed hot set stays
-        resident.
+        resident.  A sweep expands only the BFS levels up to the
+        sources asked of it.
         """
-        dist = self._flat.get(destination)
-        if dist is None:
+        row = self._row(source)
+        sweep = self._flat.get(destination)
+        if sweep is None:
+            sweep = DistanceSweep(self.csr, self._row(destination))
             self.flat_misses += 1
-            dist = csr_bfs_distances(self.csr, self.index_of[destination])
-            self._flat[destination] = dist
+            self._flat[destination] = sweep
             if len(self._flat) > self._flat_cache:
                 self._flat.popitem(last=False)
         else:
             self.flat_hits += 1
             self._flat.move_to_end(destination)
-        hops = int(dist[self.index_of[source]])
+        hops = sweep.distance(row)
         return None if hops < 0 else hops
 
     def flat_cache_stats(self):
@@ -468,14 +454,11 @@ class CachedRouter:
         """Route one request into a :class:`ServedRequest`."""
         route, head_path = self.route(request.source, request.destination)
         if route is None:
-            return ServedRequest(request=request, route=None, head_path=None,
-                                 hops=None)
+            return ServedRequest(request, None, None, None)
         flat = None
         if with_flat:
             flat = self.flat_hops(request.source, request.destination)
-        return ServedRequest(request=request, route=route,
-                             head_path=head_path, hops=len(route) - 1,
-                             flat_hops=flat)
+        return ServedRequest(request, route, head_path, len(route) - 1, flat)
 
     def route_stretch(self, source, destination):
         """``(hier hops, flat hops, stretch)``, = :func:`~repro.hierarchy.
@@ -486,10 +469,6 @@ class CachedRouter:
         route raises :class:`ConfigurationError` (internal
         inconsistency), exactly like the uncached routine.
         """
-        if source not in self.index_of:
-            raise TopologyError(f"source {source!r} not in graph")
-        if destination not in self.index_of:
-            raise TopologyError(f"destination {destination!r} not in graph")
         flat = self.flat_hops(source, destination)
         if flat is None:
             return UNREACHABLE

@@ -2,8 +2,9 @@
 
 The ``repro.graph.kernels`` seam promises that switching backends
 (``REPRO_KERNELS=numpy|numba``) never changes a single output array --
-distances, parents, component labels, forest roots/depths, unwound
-paths.  This suite pins that contract property-wise on random
+distances (one-shot or resumed level by level), parents, component
+labels, forest roots/depths, unwound paths.  This suite pins that
+contract property-wise on random
 (frequently disconnected) graphs, single-node graphs, and graphs with
 isolated nodes, plus seeded UDG deployments.  When numba is not
 installed the cross-backend half skips cleanly (the dedicated CI job
@@ -84,8 +85,82 @@ def assert_backends_match(indptr, indices, other):
         other.component_labels(indptr, indices))
 
 
+def assert_resumed_sweep_matches(backend, indptr, indices, sources, stops,
+                                 labels=None):
+    """``backend.expand_distances`` resumed at each of ``stops`` (then to
+    exhaustion) ends in the numpy one-shot ``multi_source_distances``.
+
+    After every call the reached rows carry their final distances, every
+    row at or below the deepest reached level is reached, and a stop row
+    the sweep can reach is reached at its own level and no deeper.
+    """
+    n = len(indptr) - 1
+    oneshot = numpy_backend.multi_source_distances(
+        indptr, indices, sources, labels=labels)
+    dist = np.full(n, -1, dtype=np.int64)
+    frontier = np.unique(sources)
+    dist[frontier] = 0
+    level = 0
+    for stop in stops:
+        deepest = int(dist.max())
+        frontier, level = backend.expand_distances(
+            indptr, indices, dist, frontier, level, stop, labels=labels)
+        reached = dist >= 0
+        np.testing.assert_array_equal(dist[reached], oneshot[reached])
+        assert not ((oneshot >= 0) & (oneshot <= dist.max()) & ~reached).any()
+        if oneshot[stop] >= 0:
+            assert dist[stop] == oneshot[stop]
+            assert dist.max() == max(deepest, oneshot[stop])
+        else:
+            assert frontier.size == 0
+    backend.expand_distances(
+        indptr, indices, dist, frontier, level, -1, labels=labels)
+    np.testing.assert_array_equal(dist, oneshot)
+
+
+def _sweep_cases(graph, data):
+    """``(indptr, indices, sources, stops, labels)`` drawn for ``graph``."""
+    indptr, indices = _arrays(graph)
+    n = len(indptr) - 1
+    rows = st.integers(0, n - 1)
+    sources = np.array(data.draw(st.lists(rows, min_size=1, max_size=3)),
+                       dtype=np.int64)
+    stops = data.draw(st.lists(rows, max_size=6))
+    labels = data.draw(st.sampled_from([None, _random_labels(n, seed=n)]))
+    return indptr, indices, sources, stops, labels
+
+
+class TestResumedSweeps:
+    """``expand_distances`` resumed at random stop rows equals one-shot
+    ``multi_source_distances`` (numpy and the active backend)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=graphs(), data=st.data())
+    def test_resumed_equals_oneshot(self, graph, data):
+        case = _sweep_cases(graph, data)
+        for backend in (numpy_backend, kernels):
+            assert_resumed_sweep_matches(backend, *case)
+
+    def test_udg_deployment(self):
+        indptr, indices = _arrays(uniform_topology(300, 0.1, rng=4).graph)
+        stops = np.random.default_rng(4).integers(0, 300, size=20).tolist()
+        for backend in (numpy_backend, kernels):
+            assert_resumed_sweep_matches(
+                backend, indptr, indices, np.array([7]), stops)
+            assert_resumed_sweep_matches(
+                backend, indptr, indices, np.array([7, 150]), stops,
+                labels=_random_labels(300, seed=4))
+
+
 class TestNumbaParity:
     """numpy vs numba bit-identity (skips when numba is absent)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=graphs(), data=st.data())
+    def test_resumed_sweeps(self, graph, data):
+        """numba's resumed sweeps end in numpy's one-shot distances."""
+        numba = _numba_or_skip()
+        assert_resumed_sweep_matches(numba, *_sweep_cases(graph, data))
 
     @settings(max_examples=40, deadline=None)
     @given(graph=graphs())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph.graph import Graph
 from repro.graph.traversal import (
+    DistanceSweep,
     csr_bfs_distances,
     csr_bfs_parents,
     csr_component_labels,
@@ -37,6 +38,29 @@ class TestBfsDistances:
         csr = rows(Graph(nodes=[0]))
         with pytest.raises(TopologyError):
             csr_bfs_distances(csr, 5)
+
+
+class TestDistanceSweep:
+    def test_lookups_equal_full_bfs(self):
+        csr = rows(Graph(nodes=range(8), edges=[(i, i + 1) for i in range(5)]))
+        sweep = DistanceSweep(csr, 2)
+        for row in (7, 0, 5, 2, 6, 3, 1, 4):
+            assert sweep.distance(row) == csr_bfs_distances(csr, 2)[row]
+        assert sweep.dist.tolist() == csr_bfs_distances(csr, 2).tolist()
+
+    def test_sweep_stops_at_the_asked_level(self):
+        csr = rows(Graph(nodes=range(6), edges=[(i, i + 1) for i in range(5)]))
+        sweep = DistanceSweep(csr, 0)
+        assert sweep.distance(2) == 2
+        assert sweep.dist.tolist() == [0, 1, 2, -1, -1, -1]
+        assert sweep.distance(1) == 1  # already reached: no expansion
+        assert sweep.dist.tolist() == [0, 1, 2, -1, -1, -1]
+        assert sweep.distance(4) == 4
+        assert sweep.dist.tolist() == [0, 1, 2, 3, 4, -1]
+
+    def test_out_of_range_source_raises(self):
+        with pytest.raises(TopologyError):
+            DistanceSweep(rows(Graph(nodes=[0])), 3)
 
 
 class TestMultiSource:

@@ -1,12 +1,18 @@
-"""Serving oracle: the per-request loop with full-graph leg sweeps.
+"""Serving oracle: the per-request loop with per-hop walks and full sweeps.
 
-:meth:`repro.workload.serve.CachedRouter.route_batch` groups a request
-chunk by head pair and serves legs from per-cluster sub-CSRs and dense
-distance matrices.  This is the loop it must equal, event for event:
-every request routed on its own, every intra-cluster leg unwound from
-one label-constrained BFS over the *whole* graph per (cluster, leg
-source), cached.  The batched-serving floor times this loop as its slow
-side, so it keeps the historical caching.
+:meth:`repro.workload.serve.CachedRouter.route_batch` serves each
+request from a cached (source head, destination head) plan, takes legs
+from per-cluster sub-CSRs and dense distance matrices, and answers flat
+lookups from BFS sweeps expanded only as far as each lookup needs.
+This is the loop it must equal, event for event and cache counter for
+cache counter: every request routed on its own by walking its head
+path hop by hop, every intra-cluster leg unwound from one
+label-constrained BFS over the *whole* graph per (cluster, leg source),
+cached, and every flat lookup read from a full per-destination BFS
+distance array in the same LRU.  Only the overlay head paths and the
+gateways are shared with the library router.  The batched-serving
+floor times this loop as its slow side, so it keeps the historical
+caching.
 """
 
 from dataclasses import replace
@@ -15,16 +21,19 @@ from repro.experiments import workload
 from repro.experiments.common import get_preset
 from repro.experiments.engine import run_experiment
 from repro.graph import kernels
+from repro.graph.traversal import csr_bfs_distances
 from repro.util.errors import TopologyError
 from repro.workload.serve import CachedRouter, _router_stats_sink
 
 
 class ReferenceRouter(CachedRouter):
-    """:class:`CachedRouter` whose legs are full-graph sweeps.
+    """:class:`CachedRouter` with per-hop routes, full-graph legs and
+    full flat BFS arrays.
 
-    ``route`` and ``serve`` keep the library's overlay paths, gateways
-    and flat cache; only :meth:`_leg` differs, so every route must be
-    byte-identical to the library router's.
+    Only the overlay paths and gateways are the library's; ``serve``,
+    ``route_batch`` and ``route_stretch`` inherit unchanged and so run
+    over the overrides below, and every event and flat-cache counter
+    must be byte-identical to the library router's.
     """
 
     def __init__(self, hierarchy, flat_cache=256):
@@ -51,6 +60,43 @@ class ReferenceRouter(CachedRouter):
             path = tuple(ids[row] for row in rows)
             self._leg_paths[key] = path
         return path
+
+    def route(self, source, destination):
+        """The head path walked hop by hop: a gateway and a leg per hop."""
+        head_src = self.head_of[source]
+        head_dst = self.head_of[destination]
+        if head_src == head_dst:
+            return list(self._leg(head_src, source, destination)), (head_src,)
+        if self.overlay is None:
+            return None, None
+        head_path = self.overlay_path(head_src, head_dst)
+        if head_path is None:
+            return None, None
+        route = [source]
+        current = source
+        for hop in range(len(head_path) - 1):
+            here, there = head_path[hop], head_path[hop + 1]
+            exit_node, entry_node = self._gateway(here, there)
+            route.extend(self._leg(here, current, exit_node)[1:])
+            route.append(entry_node)
+            current = entry_node
+        route.extend(self._leg(head_path[-1], current, destination)[1:])
+        return route, head_path
+
+    def flat_hops(self, source, destination):
+        """One full BFS distance array per destination, in the same LRU."""
+        dist = self._flat.get(destination)
+        if dist is None:
+            self.flat_misses += 1
+            dist = csr_bfs_distances(self.csr, self.index_of[destination])
+            self._flat[destination] = dist
+            if len(self._flat) > self._flat_cache:
+                self._flat.popitem(last=False)
+        else:
+            self.flat_hits += 1
+            self._flat.move_to_end(destination)
+        hops = int(dist[self.index_of[source]])
+        return None if hops < 0 else hops
 
 
 def serve_workload(hierarchy, requests, collector, flat_every=1,

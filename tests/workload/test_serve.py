@@ -1,7 +1,10 @@
 """The cached router and serving loop: exact equivalence to the
-uncached routines, flat-hop accounting, and the sampling contract."""
+uncached routines and to the serving oracle, flat-hop accounting, the
+sampling contract, and errors for unknown nodes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collectors import (
     CollectorProxy,
@@ -15,7 +18,7 @@ from repro.graph.graph import Graph
 from repro.graph.paths import is_connected
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import hierarchical_route, route_stretch
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, TopologyError
 from repro.workload import serve
 from repro.workload.generators import Request, poisson_requests
 from repro.workload.serve import (
@@ -25,6 +28,7 @@ from repro.workload.serve import (
     serve_workload,
 )
 from tests.oracles import serving
+from tests.property.strategies import graphs
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +312,134 @@ class TestDenseCap:
         assert large and router._sparse
         assert router._dense and not large & set(router._dense)
         assert all(len(matrix) <= cap for matrix in router._dense.values())
+
+
+@st.composite
+def serving_scenarios(draw):
+    """``(hierarchy, flat_cache, calls)``: a hierarchy over a random
+    graph (disconnected, isolated nodes, integer or string ids) and a
+    mixed sequence of router calls over its nodes."""
+    graph = draw(graphs(max_nodes=20))
+    ids = None
+    if draw(st.booleans()):
+        name = {node: f"n{node}" for node in graph.nodes}
+        ids = {name[node]: node for node in graph.nodes}
+        graph = Graph(nodes=list(ids),
+                      edges=[(name[u], name[v]) for u, v in graph.edges])
+    hierarchy = build_hierarchy(Topology(graph, ids=ids),
+                                rng=draw(st.integers(0, 2**16)),
+                                use_dag=draw(st.booleans()))
+    pair = st.tuples(st.sampled_from(graph.nodes),
+                     st.sampled_from(graph.nodes))
+    call = st.one_of(
+        st.tuples(st.just("route_batch"), st.lists(pair, max_size=12),
+                  st.integers(0, 4), st.integers(0, 6)),
+        st.tuples(st.sampled_from(["route", "flat_hops", "route_stretch"]),
+                  pair),
+    )
+    calls = draw(st.lists(call, min_size=1, max_size=12))
+    return hierarchy, draw(st.sampled_from([0, 1, 2, 256])), calls
+
+
+class TestServingParity:
+    """The plan cache and lazy flat sweeps against the oracle's per-hop
+    walks and full BFS arrays, call for call."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(scenario=serving_scenarios())
+    def test_calls_equal_oracle(self, scenario):
+        hierarchy, flat_cache, calls = scenario
+        router = CachedRouter(hierarchy, flat_cache=flat_cache)
+        oracle = serving.ReferenceRouter(hierarchy, flat_cache=flat_cache)
+        for call in calls:
+            if call[0] == "route_batch":
+                _name, pairs, flat_every, first_index = call
+                requests = [Request(time=float(i), source=s, destination=d)
+                            for i, (s, d) in enumerate(pairs)]
+                got = router.route_batch(requests, flat_every=flat_every,
+                                         first_index=first_index)
+                want = [oracle.serve(request, with_flat=bool(flat_every)
+                                     and (first_index + i) % flat_every == 0)
+                        for i, request in enumerate(requests)]
+            else:
+                name, (source, destination) = call
+                got = getattr(router, name)(source, destination)
+                want = getattr(oracle, name)(source, destination)
+            assert got == want, call
+            assert (router.flat_hits, router.flat_misses) == \
+                (oracle.flat_hits, oracle.flat_misses)
+            assert list(router._flat) == list(oracle._flat)
+
+
+class TestUnknownNodes:
+    """A node absent from the graph raises :class:`TopologyError` naming
+    it, at every entry point and in either endpoint position."""
+
+    ABSENT = 999
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        topo = uniform_topology(60, 0.25, rng=3)
+        return topo, build_hierarchy(topo, rng=3)
+
+    @staticmethod
+    def _pairs(topo):
+        node = sorted(topo.graph.nodes)[0]
+        absent = TestUnknownNodes.ABSENT
+        assert absent not in topo.graph
+        return [(node, absent), (absent, node)]
+
+    def test_route(self, small):
+        topo, hierarchy = small
+        router = CachedRouter(hierarchy)
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                router.route(source, destination)
+
+    def test_serve(self, small):
+        topo, hierarchy = small
+        router = CachedRouter(hierarchy)
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                router.serve(Request(time=0.0, source=source,
+                                     destination=destination))
+
+    def test_route_batch(self, small):
+        topo, hierarchy = small
+        router = CachedRouter(hierarchy)
+        node = sorted(topo.graph.nodes)[1]
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                router.route_batch([
+                    Request(time=0.0, source=node, destination=node),
+                    Request(time=0.1, source=source,
+                            destination=destination)])
+
+    def test_flat_hops(self, small):
+        topo, hierarchy = small
+        router = CachedRouter(hierarchy)
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                router.flat_hops(source, destination)
+        assert (router.flat_hits, router.flat_misses) == (0, 0)
+        assert not router._flat
+
+    def test_hierarchical_route(self, small):
+        topo, hierarchy = small
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                hierarchical_route(hierarchy, source, destination)
+
+    def test_route_stretch(self, small):
+        topo, hierarchy = small
+        router = CachedRouter(hierarchy)
+        for source, destination in self._pairs(topo):
+            with pytest.raises(TopologyError, match="999"):
+                router.route_stretch(source, destination)
+            with pytest.raises(TopologyError, match="999"):
+                route_stretch(hierarchy, source, destination)
+
+    def test_negative_flat_cache_rejected(self, small):
+        _topo, hierarchy = small
+        with pytest.raises(ConfigurationError, match="flat_cache"):
+            CachedRouter(hierarchy, flat_cache=-3)
