@@ -14,7 +14,7 @@ read-only array view used by those paths:
   ``index_of`` is the inverse, so callers can move between the array
   world and the identifier world without per-edge Python loops;
 * the snapshot is frozen: the arrays are marked non-writeable and derived
-  quantities (triangle counts, the sorted edge keys) are memoized on it,
+  quantities (the triangle counts) are memoized on it,
   so repeated analytics over an unchanged graph cost O(1) after the first
   call.
 
@@ -41,7 +41,7 @@ class CSRAdjacency:
     indptr[i+1]]`` are the neighbors of row ``i``, sorted ascending.
     """
 
-    __slots__ = ("indptr", "indices", "ids", "_index_of", "_triangles", "_keys")
+    __slots__ = ("indptr", "indices", "ids", "_index_of", "_triangles")
 
     def __init__(self, indptr, indices, ids):
         indptr = np.ascontiguousarray(indptr, dtype=np.int32)
@@ -58,7 +58,6 @@ class CSRAdjacency:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_index_of", None)
         object.__setattr__(self, "_triangles", None)
-        object.__setattr__(self, "_keys", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CSRAdjacency is frozen")
@@ -156,20 +155,14 @@ class CSRAdjacency:
     def has_edges(self, rows, cols):
         """Vectorized :meth:`has_edge` over equal-length row/column arrays.
 
-        One ``searchsorted`` when :meth:`edge_keys` is already memoized;
-        otherwise a lockstep binary search over the rows' sorted neighbor
-        slices: O(k log δ) time and O(k) memory for ``k`` queries, with
-        no temporary proportional to the edge count.
+        A lockstep binary search over the rows' sorted neighbor slices:
+        O(k log δ) time and O(k) memory for ``k`` queries, with no
+        temporary proportional to the edge count.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if not self.indices.size:
             return np.zeros(rows.shape, dtype=bool)
-        if self._keys is not None:
-            probe = rows * len(self.ids) + cols
-            pos = np.searchsorted(self._keys, probe)
-            found = self._keys[np.minimum(pos, self._keys.size - 1)] == probe
-            return found & (cols >= 0)
         last = self.indices.size - 1
         lo = self.indptr[rows].astype(np.int64)
         end = self.indptr[rows + 1].astype(np.int64)
@@ -182,22 +175,6 @@ class CSRAdjacency:
             np.copyto(hi, mid, where=active & ~right)
             active = lo < hi
         return (lo < end) & (self.indices[np.minimum(lo, last)] == cols)
-
-    def edge_keys(self):
-        """Sorted ``int64`` keys ``row * n + col`` of every CSR entry, memoized.
-
-        Each undirected edge appears twice, once per direction; CSR order
-        is key order, so membership of any directed pair is one
-        ``searchsorted``.  Built on first use rather than at construction,
-        so snapshots that never probe pairs carry no extra O(m) array.
-        """
-        if self._keys is None:
-            n = len(self.ids)
-            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-            keys = rows * n + self.indices
-            keys.flags.writeable = False
-            object.__setattr__(self, "_keys", keys)
-        return self._keys
 
     def edge_arrays(self):
         """Undirected edges as index arrays ``(u, v)`` with ``u < v``.

@@ -5,42 +5,51 @@ The Section 5 experiments are *dynamic*: nodes move every 2-second window
 re-evaluated each time.  Rebuilding everything from scratch per window --
 the full cell-grid pair join, a fresh ``Graph``, a global triangle recount
 -- costs O(n + m) regardless of how little actually changed.  This module
-makes a window one array pass over its CSR snapshot, with the geometric
-work proportional to the *delta*:
+makes a window a few passes over 1-D arrays, with the geometric work
+proportional to the *delta*:
 
-* :class:`DynamicUnitDisk` keeps the geometry cell grid alive across
-  windows as a skin-padded **candidate list** (the Verlet-list idea from
-  molecular dynamics): one join at ``radius + skin`` yields every pair
-  that could possibly become an edge while no node has drifted more than
-  ``skin / 2`` from its join-time anchor position.  A position update then
-  re-evaluates only the candidate pairs incident to nodes that actually
-  moved -- one vectorized distance pass -- and emits the **exact** edge
-  delta.  When the drift bound trips, or nodes join/depart, the grid is
-  re-joined from the live positions and the delta falls out of a sorted
-  key set-difference instead.  Either way the resulting edge set is
-  bit-identical to a scratch ``pairs_within_range(positions, radius)``
-  (both classify with the same ``dx*dx + dy*dy <= radius*radius``
-  arithmetic; the candidate list is a superset by the triangle
+* :class:`DynamicUnitDisk` keeps positions as ``x`` / ``y`` columns and a
+  skin-padded **candidate list** (the Verlet-list idea from molecular
+  dynamics) as two index columns plus an edge mask: one join at ``radius
+  + skin`` yields every pair that could become an edge while no node has
+  drifted more than ``skin / 2`` from its join-time anchor position.  A
+  position update re-classifies only the candidate pairs incident to
+  nodes that moved.  Nodes that drifted past the bound are re-anchored by
+  the geometry module's row-subset join
+  (:func:`~repro.graph.geometry.subset_pair_columns`) against every
+  anchor; when most of the population drifted, the whole list is
+  re-joined.  Every pair is classified by
+  :func:`~repro.graph.geometry.within_range`, the arithmetic of a scratch
+  ``pairs_within_range(positions, radius)``, so the edge set is
+  bit-identical to it (the candidate list is a superset by the triangle
   inequality, enforced with a small safety margin on the drift bound).
+
+* A pair is therefore an edge of a window iff it is within range under
+  that window's positions, and the deltas are read off distances rather
+  than set differences: an added edge is an edge now that was out of
+  range under the previous positions, a removed edge the reverse.  The
+  disk computes each delta in row space; the identifier-space
+  :class:`EdgeDelta` is built once, for the caller.
 
 * :class:`DynamicTopology` rebases one live
   :class:`~repro.graph.graph.Graph` onto each window's snapshot
   (:meth:`~repro.graph.graph.Graph.adopt_csr`): no per-edge dict updates,
   and the dict adjacency, when a consumer needs one, is rebuilt lazily in
   the order a fresh build fills it.  Per-row triangle counts live in an
-  ``int64`` array and move by one batched delta over the changed edges:
-  triangles through removed edges are counted on the old snapshot, those
-  through added edges on the new one, each credited once -- through its
-  smallest-key changed edge -- to its three corners.  The window's exact
-  densities are a read-only :class:`DensityMap` over the degree and
-  triangle arrays, whose float image the election engine ranks with
-  directly.
+  ``int64`` array and move by one batched delta over the changed edges
+  (:func:`triangle_credits`): triangles through removed edges are counted
+  on the old snapshot, those through added edges on the new one, each
+  credited once -- through its smallest-key changed edge -- to its three
+  corners.  The window's exact densities are a read-only
+  :class:`DensityMap` over the degree and triangle arrays, whose float
+  image the election engine ranks with directly.
 
 The scratch pipeline (``topology_at`` -> ``all_densities``) is the
 reference oracle; the property suite drives randomized move/join/leave
 sequences through both and asserts equality.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,12 +58,17 @@ import numpy as np
 
 from repro.graph.csr import CSRAdjacency
 from repro.graph.generators import Topology
-from repro.graph.geometry import pairs_within_range
+from repro.graph.geometry import (
+    coordinate_columns,
+    pair_columns,
+    subset_pair_columns,
+    within_range,
+)
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
 
-# Identifiers are packed two-per-int64 key for the set-difference delta
-# path, so they must fit in 31 bits.
+# Identifiers are packed two-per-int64 key to sort a delta's identifier
+# pairs, so they must fit in 31 bits.
 _MAX_ID = 2 ** 31
 
 # Safety margin on the Verlet drift bound: the triangle-inequality
@@ -67,13 +81,19 @@ _DRIFT_GUARD = 1e-12
 # candidate corners, bounding peak memory like the CSR triangle kernel.
 _CANDIDATE_BUDGET = 2_000_000
 
-# Re-anchoring drifted nodes cell-by-cell beats a full grid re-join only
-# while few nodes drifted; past this fraction of the population the whole
-# grid is re-joined instead.
+# Re-anchoring drifted nodes through the row-subset join beats a full
+# re-join only while few nodes drifted; past this fraction of the
+# population the whole candidate list is re-joined instead.
 _REANCHOR_FRACTION = 8
 
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 _EMPTY_PAIRS.flags.writeable = False
+
+_EMPTY_ROWS = np.empty(0, dtype=np.int64)
+_EMPTY_ROWS.flags.writeable = False
+
+# An empty row-space edge list: ``(lo, hi)`` columns.
+_NO_ROWS = (_EMPTY_ROWS, _EMPTY_ROWS)
 
 
 @dataclass(frozen=True)
@@ -102,25 +122,40 @@ class EdgeDelta:
         return cls(added=_EMPTY_PAIRS, removed=_EMPTY_PAIRS)
 
 
-def _id_keys(ids, index_pairs):
-    """Sorted ``int64`` keys ``lo << 32 | hi`` of index pairs, in
-    identifier space (one scalar sort instead of a two-key lexsort)."""
-    a = ids[index_pairs[:, 0]]
-    b = ids[index_pairs[:, 1]]
-    keys = (np.minimum(a, b) << 32) | np.maximum(a, b)
-    keys.sort()
-    return keys
+def _canonical_id_pairs(ids, lo, hi):
+    """Row pairs -> canonical, lexicographically sorted identifier pairs.
 
-
-def _decode_id_keys(keys):
-    if not len(keys):
+    One sort of the scalar keys ``min << 32 | max`` instead of a two-key
+    lexsort.
+    """
+    if not len(lo):
         return _EMPTY_PAIRS
+    a = ids[lo]
+    b = ids[hi]
+    keys = np.minimum(a, b)
+    keys <<= 32
+    keys |= np.maximum(a, b)
+    keys.sort()
     return np.column_stack((keys >> 32, keys & 0xFFFFFFFF))
 
 
-def _canonical_id_pairs(ids, index_pairs):
-    """Index pairs -> canonical, lexicographically sorted identifier pairs."""
-    return _decode_id_keys(_id_keys(ids, index_pairs))
+def _edge_delta(added, removed, new_ids, old_ids):
+    """The identifier-space :class:`EdgeDelta` of a row-space delta:
+    ``added`` rows of the new snapshot, ``removed`` rows of the old."""
+    return EdgeDelta(added=_canonical_id_pairs(new_ids, *added),
+                     removed=_canonical_id_pairs(old_ids, *removed))
+
+
+def _outside(rows, coords, r2):
+    """The ``(lo, hi)`` row pairs out of range under ``coords``."""
+    lo, hi = rows
+    out = np.flatnonzero(~within_range(*coords, lo, hi, r2))
+    return lo.take(out), hi.take(out)
+
+
+def _join_rows(first, second):
+    return (np.concatenate((first[0], second[0])),
+            np.concatenate((first[1], second[1])))
 
 
 class DynamicUnitDisk:
@@ -130,7 +165,13 @@ class DynamicUnitDisk:
     ``ids`` maps point index -> integer node identifier (default: the
     index itself).  ``skin`` is the candidate-list padding in distance
     units (default ``radius / 2``): larger skins survive more windows
-    between grid re-joins but evaluate more candidate pairs per window.
+    between re-anchors but evaluate more candidate pairs per window.
+
+    Every array is 1-D: the positions and the anchors are ``x`` / ``y``
+    columns, and the candidate list is two index columns ``(i, j)``,
+    ``i < j``, plus a boolean edge mask over them.  Updates replace the
+    position columns rather than writing into them, so a caller holding
+    :attr:`coordinates` keeps the previous window's.
     """
 
     def __init__(self, positions, radius, ids=None, skin=None):
@@ -142,10 +183,14 @@ class DynamicUnitDisk:
                 "or a file without one) -- mobility and dynamics only apply "
                 "to geometric topologies"
             )
+        if not math.isfinite(radius):
+            raise ConfigurationError(f"radius must be finite, got {radius}")
         if radius <= 0:
             raise ConfigurationError(f"radius must be positive, got {radius}")
         if skin is None:
             skin = 0.5 * radius
+        if not math.isfinite(skin):
+            raise ConfigurationError(f"skin must be finite, got {skin}")
         if skin < 0:
             raise ConfigurationError(f"skin must be non-negative, got {skin}")
         n = len(positions)
@@ -163,7 +208,7 @@ class DynamicUnitDisk:
         self._drift2 = max(0.5 * self.skin - _DRIFT_GUARD, 0.0) ** 2
         self._ids_list = ids_list
         self._ids = np.array(ids_list, dtype=np.int64)
-        self._pos = positions
+        self._x, self._y = coordinate_columns(positions)
         self._pos_dict = None
         self._rejoin()
 
@@ -188,25 +233,34 @@ class DynamicUnitDisk:
         """Node identifiers in index order (the graph's insertion order)."""
         return list(self._ids_list)
 
+    @property
+    def coordinates(self):
+        """The ``(x, y)`` columns of the current positions, in index
+        order; read-only by contract (updates install new arrays)."""
+        return self._x, self._y
+
     def edge_count(self):
         """Number of current unit-disk edges."""
         return int(self._mask.sum())
 
+    def _edges(self):
+        """Current edges as ``(lo, hi)`` index columns, ``lo < hi``."""
+        rows = np.flatnonzero(self._mask)
+        return self._ci.take(rows), self._cj.take(rows)
+
     def edge_index_pairs(self):
         """Current edges as ``(m, 2)`` index pairs with ``i < j``."""
-        return self._cand[self._mask]
+        return np.column_stack(self._edges())
 
     def snapshot(self):
         """A fresh CSR snapshot of the current edge set.
 
-        Built straight from the maintained candidate arrays with
+        Built straight from the maintained candidate columns with
         :meth:`CSRAdjacency.from_pairs` -- one key sort, no per-edge
         Python -- and identical to ``Graph.to_csr()`` over the same
         adjacency (same ids order, rows sorted ascending).
         """
-        pairs = self.edge_index_pairs()
-        return CSRAdjacency.from_pairs(pairs[:, 0], pairs[:, 1],
-                                       self._ids_list)
+        return CSRAdjacency.from_pairs(*self._edges(), self._ids_list)
 
     def positions_by_id(self):
         """``dict[id, (x, y)]`` of the current positions.
@@ -217,9 +271,9 @@ class DynamicUnitDisk:
         the returned dict as read-only; ``Topology`` copies it.
         """
         if self._pos_dict is None:
-            self._pos_dict = {node: (float(x), float(y))
-                              for node, (x, y) in zip(self._ids_list,
-                                                      self._pos)}
+            self._pos_dict = dict(zip(self._ids_list,
+                                      zip(self._x.tolist(),
+                                          self._y.tolist())))
         return self._pos_dict
 
     # ------------------------------------------------------------------
@@ -227,114 +281,66 @@ class DynamicUnitDisk:
     # ------------------------------------------------------------------
 
     def _rejoin(self):
-        """Re-join the cell grid at ``radius + skin`` from live positions."""
-        self._anchor = self._pos.copy()
-        self._grid = None
-        if len(self._pos) >= 2:
-            self._cand = pairs_within_range(self._pos,
-                                            self.radius + self.skin)
-        else:
-            self._cand = _EMPTY_PAIRS
-        if len(self._cand):
-            diff = self._pos[self._cand[:, 0]] - self._pos[self._cand[:, 1]]
-            self._mask = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        else:
-            self._mask = np.zeros(0, dtype=bool)
+        """Re-join the candidate list at ``radius + skin`` from live
+        positions, which become every node's anchor."""
+        self._ax = self._x.copy()
+        self._ay = self._y.copy()
+        self._ci, self._cj = pair_columns(self._x, self._y,
+                                          self.radius + self.skin)
+        self._mask = within_range(self._x, self._y, self._ci, self._cj,
+                                  self._r2)
 
-    def _ensure_grid(self):
-        """Cell buckets over the *anchor* positions, built on first use.
+    def _reclassify(self, moved, ci, cj, mask):
+        """Re-classify the candidate rows incident to ``moved``.
 
-        The candidate invariant lives in anchor space: a non-candidate
-        pair has anchor distance > ``radius + skin``, so while every node
-        sits within ``skin/2`` of its own anchor no non-candidate pair
-        can come within ``radius``.  Re-anchoring a node therefore means
-        re-joining it against the other nodes' *anchors* -- the 9 cells
-        around its new anchor cell -- not their live positions.
+        ``mask`` (over ``ci`` / ``cj``) is updated in place; returns the
+        ``(added, removed)`` row pairs whose classification flipped.
         """
-        if self._grid is None:
-            cell_size = self.radius + self.skin
-            cells = np.floor(self._anchor / cell_size).astype(np.int64)
-            grid = {}
-            for index, (cx, cy) in enumerate(cells.tolist()):
-                grid.setdefault((cx, cy), []).append(index)
-            self._grid = grid
-        return self._grid
+        if not ci.size:
+            return _NO_ROWS, _NO_ROWS
+        hit = np.zeros(len(self._x), dtype=bool)
+        hit[moved] = True
+        touched = np.flatnonzero(hit.take(ci) | hit.take(cj))
+        lo = ci.take(touched)
+        hi = cj.take(touched)
+        inside = within_range(self._x, self._y, lo, hi, self._r2)
+        flip = inside != mask.take(touched)
+        mask[touched] = inside
+        flip = np.flatnonzero(flip)
+        lo, hi, inside = lo.take(flip), hi.take(flip), inside.take(flip)
+        return (lo[inside], hi[inside]), (lo[~inside], hi[~inside])
 
-    def _reanchor(self, drifted):
-        """Re-anchor ``drifted`` rows against the live grid, in place.
+    def _reanchor(self, drifted, moved, before):
+        """Re-anchor ``drifted`` rows: one row-subset join of their new
+        anchors against every anchor replaces their candidate pairs.
 
-        Drops every candidate pair incident to a drifted node, moves the
-        nodes to their new anchor cells, and re-joins each against the 9
-        surrounding cells.  Returns ``(kept, old_pairs, new_pairs,
-        new_mask)``: the keep-mask over the previous candidate rows plus
-        the dropped/re-discovered D-incident pairs with the fresh edge
-        classification of the latter.
+        The invariant lives in anchor space: a non-candidate pair has
+        anchor distance > ``radius + skin``, so while every node sits
+        within ``skin/2`` of its own anchor no non-candidate pair can come
+        within ``radius``.  Returns the ``(added, removed)`` row pairs of
+        the window; ``before`` are the previous position columns.
         """
-        grid = self._ensure_grid()
-        cell_size = self.radius + self.skin
-        old_cells = np.floor(self._anchor[drifted] / cell_size).astype(
-            np.int64)
-        self._anchor[drifted] = self._pos[drifted]
-        new_cells = np.floor(self._anchor[drifted] / cell_size).astype(
-            np.int64)
-        for index, old, new in zip(drifted.tolist(), old_cells.tolist(),
-                                   new_cells.tolist()):
-            old = tuple(old)
-            new = tuple(new)
-            if old != new:
-                grid[old].remove(index)
-                if not grid[old]:
-                    del grid[old]
-                grid.setdefault(new, []).append(index)
-        in_drifted = np.zeros(len(self._pos), dtype=bool)
-        in_drifted[drifted] = True
-        kept = ~(in_drifted[self._cand[:, 0]] | in_drifted[self._cand[:, 1]]) \
-            if len(self._cand) else np.zeros(0, dtype=bool)
-        old_pairs = self._cand[~kept] if len(self._cand) else _EMPTY_PAIRS
-        rc2 = cell_size * cell_size
-        anchor = self._anchor
-        chunks = []
-        for index, (cx, cy) in zip(drifted.tolist(), new_cells.tolist()):
-            partners = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    partners.extend(grid.get((cx + dx, cy + dy), ()))
-            partners = np.array(partners, dtype=np.int64)
-            partners = partners[partners != index]
-            if not partners.size:
-                continue
-            diff = anchor[partners] - anchor[index]
-            close = np.einsum("ij,ij->i", diff, diff) <= rc2
-            partners = partners[close]
-            if partners.size:
-                chunks.append(np.column_stack(
-                    (np.minimum(partners, index),
-                     np.maximum(partners, index))))
-        if chunks:
-            pairs = np.concatenate(chunks)
-            # Two re-anchored endpoints discover their pair twice.
-            n = len(self._pos)
-            keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-            new_pairs = np.column_stack((keys // n, keys % n))
-            diff = self._pos[new_pairs[:, 0]] - self._pos[new_pairs[:, 1]]
-            new_mask = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        else:
-            new_pairs = _EMPTY_PAIRS
-            new_mask = np.zeros(0, dtype=bool)
-        return kept, old_pairs, new_pairs, new_mask
-
-    def _edge_keys(self):
-        """Sorted int64 keys of the current edges, in identifier space."""
-        return _id_keys(self._ids, self.edge_index_pairs())
-
-    @staticmethod
-    def _diff_keys(old_keys, new_keys):
-        """Delta between two sorted key sets, decoded to identifier pairs."""
-        return EdgeDelta(
-            added=_decode_id_keys(np.setdiff1d(new_keys, old_keys,
-                                               assume_unique=True)),
-            removed=_decode_id_keys(np.setdiff1d(old_keys, new_keys,
-                                                 assume_unique=True)))
+        hit = np.zeros(len(self._x), dtype=bool)
+        hit[drifted] = True
+        dropped = hit.take(self._ci) | hit.take(self._cj)
+        gone = np.flatnonzero(dropped & self._mask)
+        old = (self._ci.take(gone), self._cj.take(gone))
+        kept = np.flatnonzero(~dropped)
+        ci, cj = self._ci.take(kept), self._cj.take(kept)
+        mask = self._mask.take(kept)
+        added, removed = self._reclassify(moved, ci, cj, mask)
+        self._ax[drifted] = self._x[drifted]
+        self._ay[drifted] = self._y[drifted]
+        ni, nj = subset_pair_columns(self._ax, self._ay, drifted,
+                                     self.radius + self.skin)
+        inside = within_range(self._x, self._y, ni, nj, self._r2)
+        self._ci = np.concatenate((ci, ni))
+        self._cj = np.concatenate((cj, nj))
+        self._mask = np.concatenate((mask, inside))
+        new = (ni[inside], nj[inside])
+        return (_join_rows(added, _outside(new, before, self._r2)),
+                _join_rows(removed, _outside(old, self.coordinates,
+                                             self._r2)))
 
     # ------------------------------------------------------------------
     # updates
@@ -347,91 +353,46 @@ class DynamicUnitDisk:
         :attr:`ids` (the shape every mobility model maintains).  Three
         regimes, cheapest first: while every node sits within ``skin/2``
         of its anchor, only candidate pairs incident to actual movers are
-        re-evaluated; when a few nodes drifted past the bound they are
-        re-anchored cell-by-cell against the live grid; when most of the
-        population drifted, the whole grid is re-joined.
+        re-classified; when a few nodes drifted past the bound they are
+        re-anchored through one row-subset join; when most of the
+        population drifted, the whole candidate list is re-joined.
         """
+        added, removed = self._move_rows(positions)
+        return _edge_delta(added, removed, self._ids, self._ids)
+
+    def _move_rows(self, positions):
+        """:meth:`move` in row space: the ``(added, removed)`` row pairs."""
         positions = np.asarray(positions, dtype=float)
-        if positions.shape != self._pos.shape:
+        if positions.shape != (len(self._x), 2):
             raise ConfigurationError(
                 "move requires positions for the unchanged node set "
-                f"(expected shape {self._pos.shape}, got {positions.shape}); "
-                "use apply_churn for arrivals/departures")
-        moved = np.flatnonzero((positions != self._pos).any(axis=1))
+                f"(expected shape {(len(self._x), 2)}, got "
+                f"{positions.shape}); use apply_churn for "
+                "arrivals/departures")
+        x, y = coordinate_columns(positions)
+        moved = np.flatnonzero((x != self._x) | (y != self._y))
         if not moved.size:
-            return EdgeDelta.empty()
-        self._pos = positions.copy()
+            return _NO_ROWS, _NO_ROWS
+        before = self.coordinates
+        self._x, self._y = x, y
         if self._pos_dict is not None:
             self._pos_dict.update(zip(self._ids[moved].tolist(),
-                                      zip(positions[moved, 0].tolist(),
-                                          positions[moved, 1].tolist())))
-        disp2 = ((self._pos - self._anchor) ** 2).sum(axis=1)
-        drifted = np.flatnonzero(disp2 >= self._drift2)
+                                      zip(x[moved].tolist(),
+                                          y[moved].tolist())))
+        dx = x - self._ax
+        dy = y - self._ay
+        dx *= dx
+        dy *= dy
+        dx += dy
+        drifted = np.flatnonzero(dx >= self._drift2)
         if not drifted.size:
-            added, removed = self._update_mask(self._cand, self._mask, moved)
-            return EdgeDelta(added=_canonical_id_pairs(self._ids, added),
-                             removed=_canonical_id_pairs(self._ids, removed))
-        n = len(self._pos)
-        if drifted.size * _REANCHOR_FRACTION > n or n < 2:
-            old_keys = self._edge_keys()
-            self._rejoin()
-            return self._diff_keys(old_keys, self._edge_keys())
-        kept, old_pairs, new_pairs, new_mask = self._reanchor(drifted)
-        old_edges = old_pairs[self._mask[~kept]] if len(self._mask) \
-            else _EMPTY_PAIRS
-        cand = self._cand[kept]
-        mask = self._mask[kept]
-        added_kept, removed_kept = self._update_mask(cand, mask, moved)
-        self._cand = np.concatenate((cand, new_pairs))
-        self._mask = np.concatenate((mask, new_mask))
-        # Delta among the re-anchored pairs: old vs new edge key sets.
-        old_keys = self._index_keys(old_edges)
-        new_keys = self._index_keys(new_pairs[new_mask])
-        added_re = self._decode_index_keys(
-            np.setdiff1d(new_keys, old_keys, assume_unique=True))
-        removed_re = self._decode_index_keys(
-            np.setdiff1d(old_keys, new_keys, assume_unique=True))
-        return EdgeDelta(
-            added=_canonical_id_pairs(
-                self._ids, np.concatenate((added_kept, added_re))),
-            removed=_canonical_id_pairs(
-                self._ids, np.concatenate((removed_kept, removed_re))))
-
-    def _update_mask(self, cand, mask, moved):
-        """Re-evaluate ``cand`` rows incident to ``moved`` in place.
-
-        Returns ``(added, removed)`` index-pair arrays of rows whose edge
-        classification flipped; ``mask`` is updated in place.
-        """
-        if not len(cand):
-            return _EMPTY_PAIRS, _EMPTY_PAIRS
-        moved_mask = np.zeros(len(self._pos), dtype=bool)
-        moved_mask[moved] = True
-        touched = np.flatnonzero(moved_mask[cand[:, 0]]
-                                 | moved_mask[cand[:, 1]])
-        if not touched.size:
-            return _EMPTY_PAIRS, _EMPTY_PAIRS
-        diff = self._pos[cand[touched, 0]] - self._pos[cand[touched, 1]]
-        inside = np.einsum("ij,ij->i", diff, diff) <= self._r2
-        before = mask[touched]
-        mask[touched] = inside
-        return (cand[touched[inside & ~before]],
-                cand[touched[before & ~inside]])
-
-    def _index_keys(self, index_pairs):
-        """Sorted scalar keys of canonical (``i < j``) index pairs."""
-        if not len(index_pairs):
-            return np.empty(0, dtype=np.int64)
-        n = len(self._pos)
-        keys = index_pairs[:, 0] * n + index_pairs[:, 1]
-        keys.sort()
-        return keys
-
-    def _decode_index_keys(self, keys):
-        if not len(keys):
-            return _EMPTY_PAIRS
-        n = len(self._pos)
-        return np.column_stack((keys // n, keys % n))
+            return self._reclassify(moved, self._ci, self._cj, self._mask)
+        if drifted.size * _REANCHOR_FRACTION <= len(x):
+            return self._reanchor(drifted, moved, before)
+        old = self._edges()
+        self._rejoin()
+        return (_outside(self._edges(), before, self._r2),
+                _outside(old, self.coordinates, self._r2))
 
     def apply_churn(self, departed=(), arrivals=()):
         """Remove ``departed`` identifiers, add ``arrivals``; return the delta.
@@ -441,13 +402,22 @@ class DynamicUnitDisk:
         is exactly the insertion order a maintained :class:`Graph`
         produces -- and, for monotonically increasing identifiers (the
         :class:`~repro.mobility.churn.ChurnProcess` discipline), also the
-        sorted order the scratch path uses.  Churn re-joins the grid, so
-        the delta covers every edge incident to a departure or arrival.
+        sorted order the scratch path uses.  Churn moves no survivor, so
+        the delta is every edge incident to a departure or an arrival.
         """
+        old_ids = self._ids
+        added, removed, _keep = self._churn_rows(departed, arrivals)
+        return _edge_delta(added, removed, self._ids, old_ids)
+
+    def _churn_rows(self, departed, arrivals):
+        """:meth:`apply_churn` in row space: ``(added, removed, keep)``,
+        the added rows of the new snapshot, the removed rows of the old
+        one, and the mask of its surviving rows (``None`` when nothing
+        joined or left)."""
         departed = [int(x) for x in departed]
         arrivals = [(int(node), position) for node, position in arrivals]
         if not departed and not arrivals:
-            return EdgeDelta.empty()
+            return _NO_ROWS, _NO_ROWS, None
         index_of = {node: i for i, node in enumerate(self._ids_list)}
         keep = np.ones(len(self._ids_list), dtype=bool)
         for node in departed:
@@ -460,62 +430,63 @@ class DynamicUnitDisk:
                 raise ConfigurationError(f"arrival {node!r} already present")
             new_ids.append(node)
         self._check_ids(new_ids)
-        arrival_pos = np.array([position for _node, position in arrivals],
-                               dtype=float).reshape(-1, 2)
-        old_keys = self._edge_keys()
+        arrival_x, arrival_y = coordinate_columns(
+            np.array([position for _node, position in arrivals],
+                     dtype=float).reshape(-1, 2))
+        lo, hi = self._edges()
+        gone = ~(keep[lo] & keep[hi])
+        removed = (lo[gone], hi[gone])
         self._ids_list = new_ids
         self._ids = np.array(new_ids, dtype=np.int64)
-        self._pos = np.concatenate((self._pos[keep], arrival_pos))
+        self._x = np.concatenate((self._x[keep], arrival_x))
+        self._y = np.concatenate((self._y[keep], arrival_y))
         self._pos_dict = None
         self._rejoin()
-        return self._diff_keys(old_keys, self._edge_keys())
+        lo, hi = self._edges()
+        # Arrivals take the rows past the survivors, and lo < hi.
+        joined = hi >= int(keep.sum())
+        return (lo[joined], hi[joined]), removed, keep
 
     def __repr__(self):
         return (f"DynamicUnitDisk(n={len(self)}, m={self.edge_count()}, "
                 f"radius={self.radius}, skin={self.skin})")
 
 
-def _row_pairs(ids, pairs):
-    """Identifier pairs -> canonical row pairs ``(lo, hi)``, ``lo < hi``,
-    over the snapshot row order ``ids`` (an ``int64`` array)."""
-    sorter = np.argsort(ids, kind="stable")
-    rows = sorter[np.searchsorted(ids, pairs, sorter=sorter)]
-    return (np.minimum(rows[:, 0], rows[:, 1]),
-            np.maximum(rows[:, 0], rows[:, 1]))
-
-
-def triangle_credits(csr, lo, hi):
+def triangle_credits(csr, lo, hi, coords, other, radius):
     """Per-row corner counts of ``csr``'s triangles through changed edges.
 
-    ``lo`` / ``hi`` are the changed edges as row pairs (``lo < hi``), all
-    present in ``csr``.  Each edge expands its endpoint with the shorter
-    neighbor list; a candidate corner ``w`` closes a triangle iff the
-    other endpoint and ``w`` are adjacent -- one ``searchsorted`` over the
-    snapshot's sorted :meth:`~repro.graph.csr.CSRAdjacency.edge_keys`,
-    which also locates that edge's CSR entry.  A triangle holding several
-    changed edges is found through each of them and credited once,
-    through the one with the smallest key ``lo * n + hi``, to each of its
-    three corners; whether its other two edges changed is read off a
-    per-entry flag at the two entries the probe touched.
+    ``csr`` is a unit-disk snapshot: two of its rows are adjacent iff they
+    are within ``radius`` under ``coords``, its ``(x, y)`` coordinate
+    columns.  ``lo`` / ``hi`` are the changed edges as row pairs (``lo <
+    hi``), all present in ``csr``; ``other`` holds the other snapshot's
+    coordinates aligned with ``csr``'s rows, NaN for a row absent from
+    it, so an edge of ``csr`` changed iff it is out of range under
+    ``other``.
+
+    Each edge expands its endpoint with the shorter neighbor list; a
+    candidate corner ``w`` closes a triangle iff it is not the other
+    endpoint ``b`` and ``(b, w)`` is within range under ``coords`` -- a
+    distance probe, no search.  A triangle holding several changed edges
+    is found through each of them and credited once, through the one
+    with the smallest key ``lo * n + hi``, to each of its three corners.
+    Seen from edge ``(lo, hi)``, a changed ``(lo, w)`` has the smaller
+    key iff ``w < hi`` and a changed ``(hi, w)`` iff ``w < lo``, so only
+    those sides are probed under ``other``.
     """
     n = len(csr)
     credits = np.zeros(n, dtype=np.int64)
     if not lo.size:
         return credits
-    lo = lo.astype(np.int64)
-    hi = hi.astype(np.int64)
-    table = csr.edge_keys()
-    changed = np.zeros(table.size, dtype=bool)
-    changed[np.searchsorted(table, lo * n + hi)] = True
-    changed[np.searchsorted(table, hi * n + lo)] = True
+    r2 = radius * radius
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
     indptr = csr.indptr.astype(np.int64)
     degrees = csr.degrees()
-    swap = degrees[hi] < degrees[lo]
+    swap = degrees.take(hi) < degrees.take(lo)
     expand = np.where(swap, hi, lo)
     probe_row = np.where(swap, lo, hi)
-    counts = degrees[expand]
+    counts = degrees.take(expand)
     ends = np.cumsum(counts)
-    last = table.size - 1
     start = 0
     while start < lo.size:
         base = int(ends[start] - counts[start])
@@ -526,24 +497,27 @@ def triangle_credits(csr, lo, hi):
         if total:
             edge = np.repeat(np.arange(start, stop), size)
             # CSR entry of (expand, w) for every candidate corner w.
-            at = (np.repeat(indptr[expand[start:stop]], size)
-                  + np.arange(total, dtype=np.int64)
-                  - np.repeat(ends[start:stop] - size - base, size))
-            w = csr.indices[at].astype(np.int64)
-            probe = probe_row[edge] * n + w
-            pos = np.minimum(np.searchsorted(table, probe), last)
-            closed = np.flatnonzero(table[pos] == probe)
-            edge = edge[closed]
-            w = w[closed]
-            key = lo[edge] * n + hi[edge]
-            a = expand[edge]
-            b = probe_row[edge]
-            earlier = ((changed[at[closed]]
-                        & (np.minimum(a, w) * n + np.maximum(a, w) < key))
-                       | (changed[pos[closed]]
-                          & (np.minimum(b, w) * n + np.maximum(b, w) < key)))
-            first = ~earlier
-            corners = np.concatenate((a[first], b[first], w[first]))
+            at = np.repeat(indptr.take(expand[start:stop])
+                           - (ends[start:stop] - size - base), size)
+            at += np.arange(total, dtype=np.int64)
+            w = csr.indices.take(at).astype(np.int64)
+            b = probe_row.take(edge)
+            closed = np.flatnonzero(
+                (w != b) & within_range(*coords, b, w, r2))
+            edge = edge.take(closed)
+            w = w.take(closed)
+            low = lo.take(edge)
+            high = hi.take(edge)
+            earlier = np.zeros(len(w), dtype=bool)
+            side = np.flatnonzero(w < high)
+            earlier[side] = ~within_range(*other, low.take(side),
+                                          w.take(side), r2)
+            side = np.flatnonzero(w < low)
+            earlier[side] |= ~within_range(*other, high.take(side),
+                                           w.take(side), r2)
+            first = np.flatnonzero(~earlier)
+            corners = np.concatenate((low.take(first), high.take(first),
+                                      w.take(first)))
             credits += np.bincount(corners, minlength=n)
         start = stop
     return credits
@@ -642,7 +616,7 @@ class DynamicTopology:
     def __init__(self, positions, radius, ids=None, skin=None,
                  track_densities=True):
         self._disk = DynamicUnitDisk(positions, radius, ids=ids, skin=skin)
-        self.radius = float(radius)
+        self.radius = self._disk.radius
         self.graph = Graph.from_pair_array(self._disk.edge_index_pairs(),
                                            self._disk.ids)
         self.triangles = None
@@ -667,23 +641,25 @@ class DynamicTopology:
 
     def move(self, positions):
         """One mobility window: adopt new positions, return the update."""
-        delta = self._disk.move(positions)
-        changed = self._rebase(delta, self._disk._ids) if delta \
+        before = self._disk.coordinates
+        added, removed = self._disk._move_rows(positions)
+        ids = self._disk._ids
+        delta = _edge_delta(added, removed, ids, ids)
+        changed = self._rebase(delta, added, removed, before) if delta \
             else frozenset()
         return self._update(delta, changed)
 
     def apply_churn(self, departed=(), arrivals=()):
         """One churn epoch: departures vanish with their edges, arrivals
         boot fresh; returns the update."""
-        departed = [int(x) for x in departed]
-        arrivals = [(int(node), position) for node, position in arrivals]
+        before = self._disk.coordinates
         old_ids = self._disk._ids
-        delta = self._disk.apply_churn(departed, arrivals)
-        if departed or arrivals:
-            changed = self._rebase(delta, old_ids,
-                                   keep=~np.isin(old_ids, departed))
-        else:
+        added, removed, keep = self._disk._churn_rows(departed, arrivals)
+        delta = _edge_delta(added, removed, self._disk._ids, old_ids)
+        if keep is None:
             changed = frozenset()
+        else:
+            changed = self._rebase(delta, added, removed, before, keep)
         return self._update(delta, changed)
 
     def _update(self, delta, changed):
@@ -693,17 +669,20 @@ class DynamicTopology:
             density_changed=None if self.triangles is None else changed,
             densities=self.densities)
 
-    def _rebase(self, delta, old_ids, keep=None):
+    def _rebase(self, delta, added, removed, before, keep=None):
         """Install the disk's snapshot and move the triangle counts.
 
-        ``old_ids`` are the previous snapshot's row identifiers and
-        ``keep`` masks its surviving rows (churn): survivors keep their
-        order and arrivals append, so the survivors' rows come first in
-        the new snapshot.  Returns the identifiers whose degree or
-        triangle count changed, arrivals included.
+        ``added`` / ``removed`` are the delta's row pairs in the new and
+        the old snapshot, ``before`` the old snapshot's coordinate
+        columns, and ``keep`` masks its surviving rows (churn):
+        survivors keep their order and arrivals append, so the
+        survivors' rows come first in the new snapshot.  Returns the
+        identifiers whose degree or triangle count changed, arrivals
+        included.
         """
         old = self.graph.to_csr()
         new = self._disk.snapshot()
+        after = self._disk.coordinates
         survivors = len(old) if keep is None else int(keep.sum())
         self.graph.adopt_csr(new, added=len(delta.added),
                              removed=len(delta.removed),
@@ -711,16 +690,27 @@ class DynamicTopology:
                              left=len(old) - survivors)
         if self.triangles is None:
             return None
+        if keep is None:
+            # Each snapshot's rows, placed as the other snapshot has them.
+            old_seen_later, new_seen_earlier = after, before
+        else:
+            # Churn moves no survivor: each snapshot's own coordinates,
+            # with NaN rows for the nodes the other snapshot lacks.
+            old_seen_later = tuple(np.where(keep, column, np.nan)
+                                   for column in before)
+            new_seen_earlier = tuple(np.concatenate(
+                (column[:survivors], np.full(len(new) - survivors, np.nan)))
+                for column in after)
         old_tri = self.triangles
         old_deg = old.degrees()
-        tri = old_tri - triangle_credits(old,
-                                         *_row_pairs(old_ids, delta.removed))
+        tri = old_tri - triangle_credits(old, *removed, before,
+                                         old_seen_later, self.radius)
         if keep is not None:
             tri, old_tri, old_deg = tri[keep], old_tri[keep], old_deg[keep]
         tri = np.concatenate(
             (tri, np.zeros(len(new) - survivors, dtype=np.int64)))
-        tri += triangle_credits(new, *_row_pairs(self._disk._ids,
-                                                 delta.added))
+        tri += triangle_credits(new, *added, after, new_seen_earlier,
+                                self.radius)
         tri.flags.writeable = False
         degrees = new.degrees()
         changed = np.ones(len(new), dtype=bool)

@@ -5,65 +5,130 @@ between 0.05 and 0.1; two nodes are linked iff their Euclidean distance is
 at most ``R``.  Building that unit-disk graph naively is ``O(n^2)``; points
 are binned into a cell grid of side ``R`` so only the 9 surrounding cells
 are scanned per node -- and the scan itself is vectorized: points are
-sorted by cell key, each neighbor-cell offset becomes one bulk
-``searchsorted`` join, and candidate distances are evaluated with a single
-broadcasted NumPy expression instead of Python-level loops over cell
-members.
+sorted by cell key, neighboring cells become contiguous runs of that
+order found by bulk ``searchsorted`` joins over 1-D coordinate columns,
+instead of Python-level loops over cell members.
 
-Two drivers share that kernel:
+Every pair in the package is classified by one helper,
+:func:`within_range` -- ``dx*dx + dy*dy <= r*r`` over gathered ``x`` /
+``y`` columns.  The joins below call it, and so do the dynamic
+subsystem's candidate updates and its triangle-delta probe
+(:mod:`repro.graph.dynamic`), so an edge set maintained by deltas and one
+rebuilt from scratch agree bit for bit by construction.
 
-* :func:`pairs_within_range` materializes the whole pair array at once --
-  the right call below ~10^5 nodes;
+Three drivers share the cell join:
+
+* :func:`pairs_within_range` (and its column form :func:`pair_columns`)
+  materializes the whole pair array at once -- the right call below ~10^5
+  nodes;
 * :func:`chunk_pairs` streams the same rows, in the same lexicographic
   order, as bounded-size chunks -- so a 10^6-node unit-disk graph builds
-  without ever holding the full candidate expansion in memory.
+  without ever holding the full candidate expansion in memory;
+* :func:`subset_pair_columns` is the row-subset form of the streaming
+  driver's 9-cell block join: it finds every pair touching a few rows,
+  which is how the dynamic subsystem re-anchors drifted nodes.
 """
+
+import math
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
 
-# Offsets covering each unordered cell pair exactly once: the cell itself
-# plus half of its 8-neighborhood (the other half is reached from the
-# opposite cell).
-_CELL_OFFSETS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
-
-# The full 9-cell neighborhood, scanned by the streaming driver: a block
-# of left endpoints must see candidates in *every* direction because its
-# pairing rule is ``j > i`` in original index order, not cell order.
-_BLOCK_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-
 # Streaming construction: default per-chunk row budget, and the node
 # count at which the graph builders switch to the chunked path.
 DEFAULT_CHUNK_PAIRS = 4_000_000
 STREAM_NODE_THRESHOLD = 200_000
+
+_EMPTY_ROWS = np.empty(0, dtype=np.int64)
+_EMPTY_ROWS.flags.writeable = False
+
+
+def within_range(x, y, i, j, r2):
+    """Boolean mask: rows ``i[k]`` and ``j[k]`` lie within ``sqrt(r2)``.
+
+    ``x`` / ``y`` are the coordinate columns; ``i`` / ``j`` equal-length
+    row index arrays.  The package's one pair classification: every join
+    and every incremental update evaluates ``dx*dx + dy*dy <= r2`` with
+    exactly these operations, so they can never disagree on a boundary
+    pair.  A NaN coordinate classifies every pair it touches as out of
+    range.
+    """
+    dx = x.take(i)
+    dx -= x.take(j)
+    dy = y.take(i)
+    dy -= y.take(j)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= r2
 
 
 def _validated_positions(positions):
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ConfigurationError("positions must be an (n, 2) array")
+    if not np.isfinite(positions).all():
+        raise ConfigurationError("positions must be finite numbers")
     return positions
 
 
-def _cell_keys(positions, radius):
-    """Int64 cell key per point, plus the key stride (cells of side
-    ``radius``).
+def _validated_radius(radius):
+    if radius is None:
+        raise ConfigurationError(
+            "range queries need a transmission radius; got radius=None "
+            "(only geometric topologies define one)"
+        )
+    if not math.isfinite(radius):
+        raise ConfigurationError(f"radius must be finite, got {radius}")
+    if radius <= 0:
+        raise ConfigurationError(f"radius must be positive, got {radius}")
+    return float(radius)
+
+
+def coordinate_columns(positions):
+    """Contiguous ``x`` / ``y`` columns of an ``(n, 2)`` array of finite
+    positions, the layout every join and :func:`within_range` reads."""
+    positions = _validated_positions(positions)
+    return positions[:, 0].copy(), positions[:, 1].copy()
+
+
+def _cell_keys(x, y, radius):
+    """Int64 cell key ``cx * stride + cy`` per point, plus the stride
+    (cells of side ``radius``).
 
     The stride leaves room for the ``dy = -1..1`` of the neighbor offsets
-    so distinct cells never share a key.
+    so distinct cells never share a key -- and so the three cells
+    ``(cx, cy - 1 .. cy + 1)`` of one column have consecutive keys: in
+    the cell-sorted order they form one contiguous run.
     """
-    cell = np.floor(positions / radius).astype(np.int64)
-    cell -= cell.min(axis=0)
-    stride = np.int64(cell[:, 1].max()) + 3
-    if int(cell[:, 0].max() + 1) * int(stride) >= 2**62:
+    cx = np.floor(x / radius).astype(np.int64)
+    cy = np.floor(y / radius).astype(np.int64)
+    cx -= cx.min()
+    cy -= cy.min()
+    stride = np.int64(cy.max()) + 3
+    if int(cx.max() + 1) * int(stride) >= 2**62:
         # Fail loudly instead of wrapping int64 keys (coordinate span
         # around 2^31 times the radius -- far beyond any real workload).
         raise ConfigurationError(
             "coordinate span too large relative to radius for cell binning"
         )
-    return cell[:, 0] * stride + cell[:, 1], stride
+    cx *= stride
+    cx += cy
+    return cx, stride
+
+
+def _sorted_rows(keys, n):
+    """Decode scalar pair keys ``i * n + j`` into ``(i, j)`` rows, sorted.
+
+    Sorts ``keys`` in place: one scalar sort gives the row order of a
+    two-key lexsort, at a fraction of its cost.
+    """
+    keys.sort()
+    rows = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
+    return rows
 
 
 def pairs_within_range(positions, radius):
@@ -75,63 +140,126 @@ def pairs_within_range(positions, radius):
     binning: correctness is independent of the binning, which tests
     verify against brute force.
     """
-    positions = _validated_positions(positions)
-    if radius is None:
-        raise ConfigurationError(
-            "range queries need a transmission radius; got radius=None "
-            "(only geometric topologies define one)")
-    if radius <= 0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
-    n = len(positions)
+    x, y = coordinate_columns(positions)
+    radius = _validated_radius(radius)
+    n = len(x)
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
+    return _sorted_rows(_join_keys(x, y, radius), n)
 
-    key, stride = _cell_keys(positions, radius)
+
+def pair_columns(x, y, radius):
+    """:func:`pairs_within_range` over coordinate columns, as two columns.
+
+    ``x`` / ``y`` are finite 1-D coordinate arrays and ``radius`` a
+    positive float (callers validate); returns the ``(i, j)`` index
+    columns, ``i < j``, in lexicographic order.
+    """
+    n = len(x)
+    if n < 2:
+        return _EMPTY_ROWS, _EMPTY_ROWS
+    keys = _join_keys(x, y, radius)
+    keys.sort()
+    return np.divmod(keys, n)
+
+
+def _expand_runs(owners, lo, hi):
+    """``(owner, slot)`` for every slot of the runs ``[lo, hi)``, run by
+    run: each run's owner repeated alongside its consecutive slots."""
+    counts = hi - lo
+    slot = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    slot += np.arange(len(slot))
+    return np.repeat(owners, counts), slot
+
+
+def _join_keys(x, y, radius):
+    """Unsorted keys ``i * n + j`` (``i < j``) of every pair in range.
+
+    Each point of the cell-sorted order meets two contiguous runs of it:
+    the rest of its own cell plus the next cell up (keys ``k`` and ``k +
+    1``), and the three cells of the next column (keys ``k + stride - 1
+    .. k + stride + 1``).  Together they join each unordered pair of
+    neighboring cells exactly once.
+    """
+    n = len(x)
+    key, stride = _cell_keys(x, y, radius)
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    sorted_pos = positions[order]
+    sx = x[order]
+    sy = y[order]
     r2 = radius * radius
     indices = np.arange(n)
-
+    own_hi = np.searchsorted(sorted_key, sorted_key + 1, side="right")
+    next_lo = np.searchsorted(sorted_key, sorted_key + (stride - 1), side="left")
+    next_hi = np.searchsorted(sorted_key, sorted_key + (stride + 1), side="right")
     chunks = []
-    for dx, dy in _CELL_OFFSETS:
-        target = sorted_key + (dx * stride + dy)
-        if dx == 0 and dy == 0:
-            # Within-cell pairs: for each point, only the later points of
-            # its own (contiguous) cell block.
-            lo = indices + 1
-        else:
-            lo = np.searchsorted(sorted_key, target, side="left")
-        hi = np.searchsorted(sorted_key, target, side="right")
-        counts = np.maximum(hi - lo, 0)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        left = np.repeat(indices, counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        right = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        diff = sorted_pos[left] - sorted_pos[right]
-        close = np.einsum("ij,ij->i", diff, diff) <= r2
-        a = order[left[close]]
-        b = order[right[close]]
-        chunks.append(np.column_stack((np.minimum(a, b), np.maximum(a, b))))
-
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return _sorted_rows(np.concatenate(chunks), n)
+    for lo, hi in ((indices + 1, own_hi), (next_lo, next_hi)):
+        left, right = _expand_runs(indices, lo, hi)
+        close = within_range(sx, sy, left, right, r2)
+        a = order.take(left[close])
+        b = order.take(right[close])
+        pair_keys = np.minimum(a, b)
+        pair_keys *= n
+        pair_keys += np.maximum(a, b)
+        chunks.append(pair_keys)
+    return np.concatenate(chunks)
 
 
-def _sorted_rows(pairs, n):
-    """Distinct ``(i, j)`` index rows in lexicographic order.
+def _block_candidates(rows, row_keys, stride, sorted_key, order):
+    """Yield ``(left, right)`` candidate row arrays of the block join.
 
-    One sort of the scalar keys ``i * n + j`` -- the row order of a
-    two-key lexsort, at a fraction of its cost.
+    Every row of ``rows`` (cell keys ``row_keys``) meets every point of
+    the 9 cells around its own: per neighboring column, one contiguous
+    run of the globally cell-sorted order, found by two ``searchsorted``.
+    Candidates include each row itself; the callers' pairing rules drop
+    it.
     """
-    keys = pairs[:, 0] * n + pairs[:, 1]
+    for dx in (-1, 0, 1):
+        column = row_keys + dx * stride
+        lo = np.searchsorted(sorted_key, column - 1, side="left")
+        hi = np.searchsorted(sorted_key, column + 1, side="right")
+        left, slot = _expand_runs(rows, lo, hi)
+        yield left, order.take(slot)
+
+
+def subset_pair_columns(x, y, rows, radius):
+    """Every pair within ``radius`` that has an endpoint among ``rows``.
+
+    The row-subset form of the block join behind :func:`chunk_pairs`:
+    the distinct row indices ``rows`` are joined against all points, so
+    the cost tracks the subset plus one sort of the ``n`` cell keys.  A
+    pair with both endpoints in ``rows`` is kept once.  ``x`` / ``y`` are
+    finite coordinate columns and ``radius`` a positive float (callers
+    validate); returns ``(i, j)`` index columns, ``i < j``, in
+    lexicographic order.
+    """
+    n = len(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    if n < 2 or not rows.size:
+        return _EMPTY_ROWS, _EMPTY_ROWS
+    key, stride = _cell_keys(x, y, radius)
+    order = np.argsort(key, kind="stable")
+    member = np.zeros(n, dtype=bool)
+    member[rows] = True
+    r2 = radius * radius
+    parts = []
+    candidates = _block_candidates(rows, key[rows], stride, key[order], order)
+    for left, right in candidates:
+        # A pair inside the subset is met from both ends: keep it from
+        # its smaller row only.  The row itself is dropped either way.
+        keep = (right > left) | ~member[right]
+        left = left[keep]
+        right = right[keep]
+        close = within_range(x, y, left, right, r2)
+        left = left[close]
+        right = right[close]
+        pair_keys = np.minimum(left, right)
+        pair_keys *= n
+        pair_keys += np.maximum(left, right)
+        parts.append(pair_keys)
+    keys = np.concatenate(parts)
     keys.sort()
-    rows = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
-    return rows
+    return np.divmod(keys, n)
 
 
 def chunk_pairs(positions, radius, max_pairs=None):
@@ -149,34 +277,27 @@ def chunk_pairs(positions, radius, max_pairs=None):
     sequence of rows is the deterministic contract that chunk-by-chunk
     consumers (the quasi-UDG gray-zone RNG draws) rely on.
     """
-    positions = _validated_positions(positions)
-    if radius is None:
-        raise ConfigurationError(
-            "range queries need a transmission radius; got radius=None "
-            "(only geometric topologies define one)")
-    if radius <= 0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
+    x, y = coordinate_columns(positions)
+    radius = _validated_radius(radius)
     budget = DEFAULT_CHUNK_PAIRS if max_pairs is None else int(max_pairs)
     if budget < 1:
         raise ConfigurationError(f"max_pairs must be >= 1, got {max_pairs}")
-    return _iter_pair_chunks(positions, float(radius), budget)
+    return _iter_pair_chunks(x, y, radius, budget)
 
 
-def _iter_pair_chunks(positions, radius, budget):
+def _iter_pair_chunks(x, y, radius, budget):
     """Generator behind :func:`chunk_pairs` (validation happens eagerly).
 
     Left endpoints are processed in blocks of ascending original index;
-    within a block every candidate ``j > i`` is found through one
-    ``searchsorted`` join per 9-neighborhood offset against the globally
-    cell-sorted order, then distance-filtered and sorted.  Blocks
-    ascend in left index, so concatenating the per-block rows reproduces
-    the global lexicographic order of the one-shot driver.
+    within a block every candidate ``j > i`` comes out of the block join
+    (:func:`_block_candidates`), then is distance-filtered and sorted.
+    Blocks ascend in left index, so concatenating the per-block rows
+    reproduces the global lexicographic order of the one-shot driver.
     """
-    n = len(positions)
+    n = len(x)
     if n < 2:
         return
-    key, stride = _cell_keys(positions, radius)
-    offsets = [dx * stride + dy for dx, dy in _BLOCK_OFFSETS]
+    key, stride = _cell_keys(x, y, radius)
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     r2 = radius * radius
@@ -187,29 +308,19 @@ def _iter_pair_chunks(positions, radius, budget):
     block = max(1, min(n, budget // per_point))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        left_ids = np.arange(start, stop, dtype=np.int64)
-        block_key = key[start:stop]
         parts = []
-        for offset in offsets:
-            target = block_key + offset
-            lo = np.searchsorted(sorted_key, target, side="left")
-            hi = np.searchsorted(sorted_key, target, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if not total:
-                continue
-            left = np.repeat(left_ids, counts)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            slot = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-            right = order[slot]
+        rows = np.arange(start, stop, dtype=np.int64)
+        candidates = _block_candidates(rows, key[start:stop], stride, sorted_key, order)
+        for left, right in candidates:
             forward = right > left
             left, right = left[forward], right[forward]
             if not left.size:
                 continue
-            diff = positions[left] - positions[right]
-            close = np.einsum("ij,ij->i", diff, diff) <= r2
+            close = within_range(x, y, left, right, r2)
             if close.any():
-                parts.append(np.column_stack((left[close], right[close])))
+                pair_keys = left[close] * n
+                pair_keys += right[close]
+                parts.append(pair_keys)
         if not parts:
             continue
         pairs = _sorted_rows(np.concatenate(parts), n)

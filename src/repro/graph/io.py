@@ -21,15 +21,17 @@ round-trip contract the test suite asserts.  Positions are written with
 exactly too.
 
 A file either loads or raises :class:`ConfigurationError` naming it
-(and, for edge lists, the offending line): bad numbers, self-loops,
-edges to unknown nodes, unterminated GML strings and non-block GML
-entries are all reported as malformed input, never as tracebacks.
+(and, for edge lists, the offending line): bad numbers, NaN or infinite
+positions and radii, self-loops, edges to unknown nodes, unterminated
+GML strings and non-block GML entries are all reported as malformed
+input, never as tracebacks.
 
 Registered as the ``file`` topology scheme:
 ``--topology file:trace.gml`` (or ``file:path=trace.edges,format=edges``)
 feeds a recorded topology to every experiment family.
 """
 
+import math
 import os
 
 import numpy as np
@@ -154,6 +156,14 @@ def _number(path, value, what, kind=float):
         raise _malformed(path, f"{what} {value!r} is not a number") from None
 
 
+def _finite(path, value, what):
+    """``value`` if it is a finite number, else a malformed-file error
+    (a NaN position would silently drop every edge of its node)."""
+    if not math.isfinite(value):
+        raise _malformed(path, f"{what} {value!r} is not finite")
+    return value
+
+
 def _assemble(path, nodes, ties, positions, index_pairs, radius=None):
     """Shared loader tail: index pairs -> CSR-first Topology."""
     if len(set(nodes)) != len(nodes):
@@ -220,7 +230,7 @@ def load_edge_list(path):
             if line.startswith("#"):
                 fields = line[1:].split()
                 if fields[:1] == ["radius"]:
-                    radius = float(fields[1])
+                    radius = _finite(path, float(fields[1]), f"{where} radius")
                 elif fields[:1] == ["nodes"]:
                     expected_nodes = int(fields[1])
                     section = "nodes"
@@ -238,7 +248,10 @@ def load_edge_list(path):
                 nodes.append(node)
                 ties.append(int(fields[1]))
                 if len(fields) == 4:
-                    positions[node] = (float(fields[2]), float(fields[3]))
+                    positions[node] = tuple(
+                        _finite(path, float(value), f"{where} coordinate")
+                        for value in fields[2:]
+                    )
             else:
                 u, v = int(fields[0]), int(fields[1])
                 if u == v:
@@ -392,7 +405,7 @@ def load_gml(path):
         raise _malformed(path, "no GML graph block")
     radius = _gml_value(path, graph_entries, "radius")
     if radius is not None:
-        radius = _number(path, radius, "radius")
+        radius = _finite(path, _number(path, radius, "radius"), "radius")
     nodes, ties, positions = [], [], {}
     index_of = {}
     edges = []
@@ -415,7 +428,10 @@ def load_gml(path):
                 x = _gml_value(path, graphics, "x")
                 y = _gml_value(path, graphics, "y")
                 if x is not None and y is not None:
-                    positions[node] = (_number(path, x, "x"), _number(path, y, "y"))
+                    positions[node] = (
+                        _finite(path, _number(path, x, "x"), f"node {gml_id!r} x"),
+                        _finite(path, _number(path, y, "y"), f"node {gml_id!r} y"),
+                    )
         elif key == "edge":
             value = _gml_block(path, key, value)
             source = _gml_value(path, value, "source")

@@ -125,6 +125,7 @@ class CachedRouter:
         self._sparse = OrderedDict()  # (head row, local source) -> parents
         self._leg_paths = {}      # (head, source, target) -> node tuple
         self._member_slices = None  # head row -> member row array
+        self._local_rows = None   # row -> its position among its members
         self._overlay_trees = {}  # head -> overlay BFS parent ranks
         self._overlay_paths = {}  # (src head, dst head) -> head tuple|None
         self._gateways = {}       # (here, there) -> (exit node, entry node)
@@ -158,7 +159,13 @@ class CachedRouter:
     # -- intra-cluster legs -------------------------------------------
 
     def _member_rows(self, head_row):
-        """Member rows of every cluster, grouped once via one argsort."""
+        """Member rows of every cluster, grouped once via one argsort.
+
+        The stable argsort keeps each group ascending, so a row's local
+        row -- its position in its group, what ``searchsorted`` over the
+        group would return -- is recorded in :attr:`_local_rows` in the
+        same pass.
+        """
         slices = self._member_slices
         if slices is None:
             labels = self.labels
@@ -172,6 +179,10 @@ class CachedRouter:
                 int(grouped[lo]): order[lo:hi]
                 for lo, hi in zip(bounds, bounds[1:])
             }
+            local = np.empty(len(order), dtype=np.int64)
+            local[order] = np.arange(len(order)) - np.repeat(
+                starts, np.diff(bounds))
+            self._local_rows = local
             self._member_slices = slices
         return slices[head_row]
 
@@ -198,7 +209,7 @@ class CachedRouter:
             )
             neigh = csr.indices[take].astype(np.int64)
             keep = self.labels[neigh] == head_row
-            local = np.searchsorted(members, neigh[keep]).astype(np.int32)
+            local = self._local_rows[neigh[keep]].astype(np.int32)
             row_of = np.repeat(np.arange(len(members)), counts)
             kept_per_row = np.bincount(
                 row_of[keep], minlength=len(members)
@@ -268,8 +279,8 @@ class CachedRouter:
             head_row = self.index_of[head]
             indptr, indices, members = self._sub(head)
             dense = self._cluster_distances(head)
-            local_src = int(np.searchsorted(members, self.index_of[source]))
-            local_tgt = int(np.searchsorted(members, self.index_of[target]))
+            local_src = int(self._local_rows[self.index_of[source]])
+            local_tgt = int(self._local_rows[self.index_of[target]])
             if dense is None:
                 parents = self._sparse_parents(head_row, indptr, indices,
                                                local_src)

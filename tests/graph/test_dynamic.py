@@ -129,6 +129,24 @@ class TestDynamicUnitDisk:
         with pytest.raises(ConfigurationError):
             DynamicUnitDisk([(0, 0)], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_are_rejected(self, bad):
+        points = [(0.1, 0.1), (0.2, 0.2)]
+        with pytest.raises(ConfigurationError, match="finite"):
+            DynamicUnitDisk([(0.1, bad), (0.2, 0.2)], 0.3)
+        with pytest.raises(ConfigurationError, match="finite"):
+            DynamicUnitDisk(points, bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            DynamicUnitDisk(points, 0.3, skin=bad)
+        disk = DynamicUnitDisk(points, 0.3)
+        with pytest.raises(ConfigurationError, match="finite"):
+            disk.move(np.array([(0.1, 0.1), (bad, 0.2)]))
+        with pytest.raises(ConfigurationError, match="finite"):
+            disk.apply_churn(arrivals=[(5, (bad, 0.5))])
+        # A refused update leaves the disk as it was.
+        assert disk.ids == [0, 1] and disk.edge_count() == 1
+        assert disk.move(np.array(points)).size == 0
+
     def test_tiny_populations(self):
         assert DynamicUnitDisk(np.empty((0, 2)), 0.1).edge_count() == 0
         one = DynamicUnitDisk([(0.5, 0.5)], 0.1)
@@ -149,7 +167,8 @@ def test_canonical_id_pairs_equal_the_lexsort():
         hi = np.maximum(ids[pairs[:, 0]], ids[pairs[:, 1]])
         order = np.lexsort((hi, lo))
         expected = np.column_stack((lo[order], hi[order]))
-        assert np.array_equal(_canonical_id_pairs(ids, pairs), expected)
+        assert np.array_equal(
+            _canonical_id_pairs(ids, pairs[:, 0], pairs[:, 1]), expected)
 
 
 class TestGraphEdgeDelta:
@@ -246,6 +265,12 @@ class TestDynamicTopology:
                       for i in range(12)])
         self.assert_matches_scratch(dynamic)
         assert len(dynamic.triangles) == len(dynamic.graph)
+
+    def test_move_to_a_nan_position_is_rejected(self):
+        dynamic = DynamicTopology([(0.1, 0.1), (0.2, 0.2), (0.9, 0.9)], 0.3)
+        with pytest.raises(ConfigurationError, match="finite"):
+            dynamic.move(np.array([(0.1, 0.1), (np.nan, 0.2), (0.9, 0.9)]))
+        self.assert_matches_scratch(dynamic)
 
     def test_churn_maintains_everything(self):
         rng = np.random.default_rng(11)

@@ -6,8 +6,10 @@ import pytest
 from repro.graph.geometry import (
     _sorted_rows,
     chunk_pairs,
+    pair_columns,
     pairs_within_range,
     pairwise_within_range,
+    subset_pair_columns,
     unit_disk_graph,
 )
 from repro.util.errors import ConfigurationError
@@ -134,7 +136,8 @@ class TestPairsWithinRangeArray:
                             dtype=np.int64).reshape(-1, 2)
         shuffled = expected[rng.permutation(len(expected))]
         lexsorted = shuffled[np.lexsort((shuffled[:, 1], shuffled[:, 0]))]
-        assert np.array_equal(_sorted_rows(shuffled, len(points)), lexsorted)
+        keys = shuffled[:, 0] * len(points) + shuffled[:, 1]
+        assert np.array_equal(_sorted_rows(keys, len(points)), lexsorted)
         assert np.array_equal(pairs_within_range(points, radius), lexsorted)
         streamed = np.concatenate(
             list(chunk_pairs(points, radius, max_pairs=97))
@@ -169,3 +172,100 @@ class TestUnitDiskGraph:
         points = rng.uniform(0, 1, size=(80, 2))
         graph, _ = unit_disk_graph(points, 0.2)
         graph.check_symmetry()
+
+
+def exact_pairs(points, radius):
+    """Brute force in the joins' own arithmetic (``dx*dx + dy*dy <=
+    r*r`` on Python floats), exact on boundary pairs too."""
+    points = np.asarray(points, dtype=float).tolist()
+    r2 = radius * radius
+    return {(i, j)
+            for i, (xi, yi) in enumerate(points)
+            for j, (xj, yj) in enumerate(points[i + 1:], start=i + 1)
+            if (xi - xj) * (xi - xj) + (yi - yj) * (yi - yj) <= r2}
+
+
+class TestSubsetPairColumns:
+    """The row-subset join against brute force: each pair with an
+    endpoint in the subset, once, in lexicographic order."""
+
+    def check(self, points, radius, rows):
+        points = np.asarray(points, dtype=float)
+        lo, hi = subset_pair_columns(points[:, 0].copy(),
+                                     points[:, 1].copy(),
+                                     np.asarray(rows, dtype=np.int64),
+                                     radius)
+        got = list(zip(lo.tolist(), hi.tolist()))
+        members = set(np.asarray(rows).tolist())
+        expected = sorted(pair for pair in exact_pairs(points, radius)
+                          if members & set(pair))
+        assert got == expected  # each pair once, lexicographic
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_subsets(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 1, size=(120, 2))
+        radius = float(rng.choice([0.05, 0.15, 0.4]))
+        for size in (1, 5, 30, 119):
+            rows = np.sort(rng.choice(120, size=size, replace=False))
+            self.check(points, radius, rows)
+
+    def test_empty_subset_and_all_rows(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0, 1, size=(60, 2))
+        assert self.check(points, 0.2, []) == []
+        everything = self.check(points, 0.2, np.arange(60))
+        assert everything == [tuple(p) for p in
+                              pairs_within_range(points, 0.2).tolist()]
+
+    def test_pairs_inside_the_subset_are_kept_once(self):
+        rng = np.random.default_rng(6)
+        points = rng.uniform(0, 1, size=(50, 2))
+        points[:8] = 0.5 + rng.uniform(-0.01, 0.01, size=(8, 2))
+        got = self.check(points, 0.1, [7, 0, 3, 5, 1])  # any order
+        assert (0, 1) in got and (5, 7) in got
+
+    def test_points_on_cell_boundaries(self):
+        # A lattice of spacing == radius: every point sits on a cell
+        # boundary and orthogonal neighbors at exactly ``radius``.
+        radius = 0.125
+        points = [(col * radius, row * radius)
+                  for row in range(6) for col in range(6)]
+        got = self.check(points, radius, [0, 7, 14, 15, 35])
+        assert (0, 1) in got and (0, 6) in got and (0, 7) not in got
+
+    def test_pair_columns_equal_the_pair_array(self):
+        rng = np.random.default_rng(7)
+        points = rng.uniform(0, 1, size=(90, 2))
+        lo, hi = pair_columns(points[:, 0].copy(), points[:, 1].copy(), 0.2)
+        assert np.array_equal(np.column_stack((lo, hi)),
+                              pairs_within_range(points, 0.2))
+
+
+class TestNonFiniteInputs:
+    """NaN and infinite coordinates or radii are configuration errors,
+    not silently edgeless nodes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pairs_within_range_rejects_coordinates(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            pairs_within_range([(0.1, 0.1), (bad, 0.5)], 0.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pairs_within_range_rejects_radius(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            pairs_within_range([(0.1, 0.1), (0.2, 0.5)], bad)
+
+    def test_chunk_pairs_rejects_eagerly(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            chunk_pairs([(0.1, np.nan), (0.2, 0.5)], 0.2)
+        with pytest.raises(ConfigurationError, match="finite"):
+            chunk_pairs([(0.1, 0.1), (0.2, 0.5)], np.nan)
+
+    def test_unit_disk_graph_rejects(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            unit_disk_graph([(0.1, 0.1), (np.inf, 0.5)], 0.2)
+        with pytest.raises(ConfigurationError, match="finite"):
+            unit_disk_graph([(0.1, 0.1), (0.2, 0.5)], np.inf,
+                            max_pairs=10)

@@ -185,6 +185,40 @@ class TestMalformedValues:
         assert str(path) in str(error.value)
 
 
+class TestNonFiniteValues:
+    """NaN or infinite positions and radii are malformed input: such a
+    file used to load, and a unit-disk topology over it had no edges."""
+
+    @pytest.mark.parametrize("text,line", [
+        ("# repro edge list v1\n# radius nan\n# nodes 2\n"
+         "0 0 0.1 0.5\n1 1 0.2 0.5\n# edges 1\n0 1\n", 2),
+        ("# repro edge list v1\n# radius 0.3\n# nodes 2\n"
+         "0 0 nan 0.5\n1 1 0.2 0.5\n# edges 1\n0 1\n", 4),
+        ("# repro edge list v1\n# radius 0.3\n# nodes 2\n"
+         "0 0 0.1 0.5\n1 1 0.2 -inf\n# edges 0\n", 5),
+    ], ids=["radius-nan", "x-nan", "y-inf"])
+    def test_edge_list(self, tmp_path, text, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="not finite") as error:
+            load_graph(path)
+        assert str(path) in str(error.value)
+        assert f"line {line} " in str(error.value)
+
+    @pytest.mark.parametrize("body", [
+        "radius nan node [ id 0 ]",
+        "radius inf node [ id 0 ]",
+        "node [ id 0 graphics [ x nan y 1 ] ]",
+        "node [ id 0 graphics [ x 1 y -inf ] ]",
+    ], ids=["radius-nan", "radius-inf", "x-nan", "y-inf"])
+    def test_gml(self, tmp_path, body):
+        path = tmp_path / "bad.gml"
+        path.write_text(f"graph [\n  {body}\n]\n")
+        with pytest.raises(ConfigurationError, match="not finite") as error:
+            load_graph(path)
+        assert str(path) in str(error.value)
+
+
 def _corrupt(text, data):
     """``text`` truncated, or with a span replaced by drawn characters."""
     cut = data.draw(st.integers(0, len(text)), label="cut")

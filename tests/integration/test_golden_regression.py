@@ -106,9 +106,14 @@ class TestGoldenExperiments:
     ("table4", "3d0d52937ab725677fddac18a63b54fd0c3b9ca2119404e2ca250e90bacd8a3e"),
     ("table5", "549fd4187064ed8f4c096e9e8943c7248b9b3872ba87501ebb30776cd8c3d1e8"),
     ("mobility", "0228e9dff843f13371ddfd5ba0ed864709a811ed6cf7d70b569aedcfa6308058"),
+    ("churn", "7468f63c11e146a8259e9ffc6bda335d014d3ace1e806a73f0129459b6704b8b"),
+    ("comparison", "59ec73349bffed8c4894ac4fb75cc81ac4dd41d15b03e185274679b29108b62a"),
 ])
 def test_paper_table_stdout_is_frozen(family, digest, capsys):
-    """sha256 of ``repro <family> --preset quick --seed 2024`` stdout."""
+    """sha256 of ``repro <family> --preset quick --seed 2024`` stdout.
+
+    ``mobility``, ``churn`` and ``comparison`` are the families that run
+    on the delta-maintained ``DynamicTopology``."""
     assert main([family, "--preset", "quick", "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

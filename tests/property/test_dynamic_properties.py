@@ -8,6 +8,9 @@ configuration, and the same DAG-repair decisions (the repair inputs the
 mobility loop feeds the renamer).  Hypothesis drives small adversarial
 sequences -- including the all-nodes-moved and empty-delta edge cases --
 and seeded medium-size walks cover the drift-triggered grid re-joins.
+The distance-probed triangle delta is checked against the search-based
+oracle of ``tests/oracles/dynamic.py`` after every window of a random
+move/re-anchor/re-join/churn sequence.
 """
 
 import pickle
@@ -30,6 +33,8 @@ from repro.graph.dynamic import (
 from repro.graph.geometry import pairs_within_range
 from repro.mobility.trace import topology_at
 from repro.naming.renaming import conflicting_edges, is_locally_unique
+from tests.oracles.dynamic import row_pairs
+from tests.oracles.dynamic import triangle_credits as oracle_credits
 from tests.oracles.election import compute_clustering
 
 CONFIGS = [("basic", False), ("basic", True),
@@ -110,8 +115,8 @@ def delta_case(n, old_edges, removed, added):
 def assert_batched_delta_exact(n, old_edges, removed, added):
     old, new, removed_rows, added_rows = delta_case(n, old_edges, removed,
                                                     added)
-    moved = (old.triangle_counts() - triangle_credits(old, *removed_rows)
-             + triangle_credits(new, *added_rows))
+    moved = (old.triangle_counts() - oracle_credits(old, *removed_rows)
+             + oracle_credits(new, *added_rows))
     assert moved.tolist() == new.triangle_counts().tolist()
 
 
@@ -162,6 +167,143 @@ def test_batched_triangle_delta_on_dense_graphs():
         removed = {e for e, f in zip(universe, flip) if f and e in old}
         added = {e for e, f in zip(universe, flip) if f and e not in old}
         assert_batched_delta_exact(n, old, removed, added)
+
+
+WINDOW_KINDS = ["move-all", "move-one", "jitter", "drift-few", "rejoin",
+                "churn", "move-none"]
+
+
+@st.composite
+def dynamic_windows(draw):
+    """A deployment (free, or on a lattice of half-radius steps whose
+    points sit on cell boundaries and at exactly ``radius`` from each
+    other) and a sequence of windows of every kind."""
+    n = draw(st.integers(2, 40))
+    radius = draw(st.sampled_from([0.1, 0.2, 0.35]))
+    lattice = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    windows = draw(st.lists(st.sampled_from(WINDOW_KINDS), min_size=1,
+                            max_size=6))
+    return n, radius, lattice, seed, windows
+
+
+def next_window(rng, kind, positions, radius, lattice):
+    """New positions for one move window of ``kind``."""
+    positions = positions.copy()
+    n = len(positions)
+    if kind == "move-all":
+        positions = rng.uniform(0, 1, size=positions.shape)
+    elif kind == "move-one":
+        positions[int(rng.integers(n))] = rng.uniform(0, 1, size=2)
+    elif kind == "jitter":
+        positions += rng.uniform(-0.05, 0.05, size=positions.shape) * radius
+    elif kind == "drift-few":
+        # A node and its nearest neighbors travel together past the
+        # drift bound (a quarter radius), so pairs with both endpoints
+        # re-anchored occur; few enough to stay in the re-anchor regime.
+        count = max(1, n // 8)
+        center = positions[int(rng.integers(n))]
+        group = np.argsort(((positions - center) ** 2).sum(axis=1))[:count]
+        positions[group] += (rng.uniform(-0.6, 0.6, size=2) * radius
+                             + rng.uniform(-0.02, 0.02, size=(count, 2)))
+    elif kind == "rejoin":
+        half = rng.choice(n, size=max(1, n // 2), replace=False)
+        positions[half] += rng.uniform(-0.5, 0.5, size=(len(half), 2)) * radius
+    if lattice:
+        positions = np.round(positions / (radius / 2)) * (radius / 2)
+    return np.clip(positions, 0, 1)
+
+
+def columns_of(positions_by_id, ids):
+    """``(x, y)`` columns of ``ids``, NaN for identifiers not placed."""
+    rows = [positions_by_id.get(node, (np.nan, np.nan)) for node in ids]
+    points = np.array(rows, dtype=float).reshape(-1, 2)
+    return points[:, 0].copy(), points[:, 1].copy()
+
+
+def assert_credits_match_oracle(dynamic, old, old_at, update):
+    """Both snapshots' distance-probed credits == the oracle's.
+
+    ``old`` / ``old_at`` are the snapshot and positions before the
+    window.  The other snapshot's coordinates are aligned here from
+    identifiers, independently of the library's row bookkeeping.
+    """
+    new = dynamic.graph.to_csr()
+    new_at = dynamic.topology.positions
+    removed = row_pairs(old.ids, update.delta.removed)
+    added = row_pairs(new.ids, update.delta.added)
+    for csr, rows, here, there in ((old, removed, old_at, new_at),
+                                   (new, added, new_at, old_at)):
+        fast = triangle_credits(csr, *rows, columns_of(here, csr.ids),
+                                columns_of(there, csr.ids), dynamic.radius)
+        assert fast.tolist() == oracle_credits(csr, *rows).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dynamic_windows())
+@example(case=(30, 0.2, True, 7, ["drift-few", "rejoin", "churn",
+                                   "jitter", "move-all", "move-one"]))
+def test_distance_probed_credits_match_oracle_every_window(case):
+    """Moves of every regime and churn: after each window the credits on
+    both snapshots equal the search-based oracle's, and the whole state
+    equals a scratch rebuild."""
+    n, radius, lattice, seed, windows = case
+    rng = np.random.default_rng(seed)
+    positions = next_window(rng, "move-all", np.zeros((n, 2)), radius,
+                            lattice)
+    dynamic = DynamicTopology(positions, radius)
+    next_id = n
+    for kind in windows:
+        old = dynamic.graph.to_csr()
+        old_at = dynamic.topology.positions
+        if kind == "churn":
+            nodes = dynamic.graph.nodes
+            leavers = min(int(rng.integers(0, 4)), len(nodes) - 1)
+            departed = rng.choice(nodes, size=leavers,
+                                  replace=False).tolist()
+            arrivals = []
+            for point in next_window(rng, "move-all",
+                                     np.zeros((int(rng.integers(0, 4)), 2)),
+                                     radius, lattice):
+                arrivals.append((next_id, tuple(point)))
+                next_id += 1
+            update = dynamic.apply_churn(departed, arrivals)
+            positions = np.array([dynamic.topology.positions[node]
+                                  for node in dynamic.graph.nodes])
+        else:
+            positions = next_window(rng, kind, positions, radius, lattice)
+            update = dynamic.move(positions)
+        assert_credits_match_oracle(dynamic, old, old_at, update)
+        assert_state_matches_scratch(dynamic, positions.reshape(-1, 2))
+
+
+def test_parity_windows_reach_every_regime(monkeypatch):
+    """The window kinds above drive the disk through the re-anchor join
+    (with both endpoints of some pair re-anchored) and the full
+    re-join, not only the in-place re-classification."""
+    calls = {"reanchor": 0, "shared": 0, "rejoin": 0}
+    reanchor, rejoin = DynamicUnitDisk._reanchor, DynamicUnitDisk._rejoin
+
+    def spy_reanchor(self, drifted, moved, before):
+        calls["reanchor"] += 1
+        member = np.zeros(len(self), dtype=bool)
+        member[drifted] = True
+        both = member[self._ci] & member[self._cj]
+        calls["shared"] += int(both.any())
+        return reanchor(self, drifted, moved, before)
+
+    def spy_rejoin(self):
+        calls["rejoin"] += 1
+        return rejoin(self)
+
+    monkeypatch.setattr(DynamicUnitDisk, "_reanchor", spy_reanchor)
+    monkeypatch.setattr(DynamicUnitDisk, "_rejoin", spy_rejoin)
+    test_distance_probed_credits_match_oracle_every_window.hypothesis \
+        .inner_test(case=(40, 0.2, False, 3,
+                          ["drift-few", "jitter", "drift-few", "rejoin",
+                           "churn", "drift-few"]))
+    assert calls["reanchor"] >= 2 and calls["shared"] >= 1
+    assert calls["rejoin"] >= 3  # construction, "rejoin", churn
 
 
 @settings(max_examples=40, deadline=None)
