@@ -11,13 +11,16 @@ rewrites as ``1 + triangles(p) / |Np|``.
 
 :func:`all_densities` computes the triangle counts on the graph's frozen
 CSR snapshot (:meth:`~repro.graph.graph.Graph.to_csr`) with vectorized
-sorted-adjacency intersections, so the 1000-10000-node evaluation
-workloads run at array speed; the snapshot (and its memoized triangle
-counts) is reused across calls until the graph mutates.  Densities are
-ratios of integers, so the ``exact=True`` path rebuilds the same
-:class:`~fractions.Fraction` values from the integer triangle counts that
-the per-edge reference computes -- :func:`all_densities_reference`, the
-dict-backend implementation, is kept as the equivalence oracle for tests.
+forward-list intersections, so the 1000-10000-node evaluation workloads
+run at array speed; the snapshot (and its memoized triangle counts) is
+reused across calls until the graph mutates.  Densities are ratios of
+integers, so the ``exact=True`` path returns them as a
+:class:`~repro.graph.dynamic.DensityMap` over the snapshot's degree and
+triangle arrays: a read-only mapping that builds each
+:class:`~fractions.Fraction` on lookup, and whose ``float_image`` the
+election ranks with directly.  :func:`all_densities_reference`, the
+per-edge dict-backend implementation, is kept as the equivalence oracle
+for tests.
 
 Isolated nodes have ``|Np| = 0``; Definition 1 is then undefined and this
 module defines their density as ``0.0`` (DESIGN.md, deviation 2).
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from repro.graph.dynamic import DensityMap
 from repro.util.errors import TopologyError
 
 ISOLATED_DENSITY = 0.0
@@ -118,13 +122,15 @@ def edges_among(graph, nodes):
 def all_densities(graph, exact=False):
     """Density of every node, via CSR triangle counting.
 
-    Returns ``dict[node, value]`` (insertion order) where values are
-    ``float`` (default) or :class:`~fractions.Fraction` (``exact=True``).
-    Equivalent to calling :func:`density` per node but vectorized: the
-    frozen CSR snapshot counts every triangle with bulk sorted-adjacency
-    intersections, and ``deg + triangles`` over ``deg`` is formed per node
-    from those integers -- bit-identical to the reference on both the
-    exact and the float path (both divide the same machine integers).
+    The float path (default) returns ``dict[node, float]`` in insertion
+    order.  ``exact=True`` returns a
+    :class:`~repro.graph.dynamic.DensityMap` over the snapshot's
+    ``degrees()`` and memoized triangle counts: a read-only mapping in
+    the same order whose lookups are ``Fraction(deg + tri, deg)``, and
+    whose ``float_image`` holds the float path's values as an array.
+    Both equal calling :func:`density` per node, bit for bit (both
+    divide the same machine integers); a reader that looks every value
+    up repeatedly should copy the map into a dict once.
     """
     if not hasattr(graph, "to_csr"):
         return all_densities_reference(graph, exact=exact)
@@ -132,9 +138,7 @@ def all_densities(graph, exact=False):
     degrees = csr.degrees()
     triangles = csr.triangle_counts()
     if exact:
-        return {node: Fraction(deg + tri, deg) if deg else Fraction(0)
-                for node, deg, tri
-                in zip(csr.ids, degrees.tolist(), triangles.tolist())}
+        return DensityMap(csr.ids, degrees, triangles)
     values = density_float_image(degrees, triangles)
     return dict(zip(csr.ids, values.tolist()))
 

@@ -62,9 +62,11 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
         either a previous :class:`~repro.clustering.result.Clustering` or a
         plain set of head nodes.
     densities:
-        Precomputed exact densities of ``graph`` (``dict[node, Fraction]``,
-        as :func:`~repro.clustering.density.all_densities` returns them);
-        computed when omitted.
+        Precomputed exact densities of ``graph``: a mapping to
+        Fractions, such as the :class:`~repro.graph.dynamic.DensityMap`
+        that ``all_densities(graph, exact=True)`` returns (its float
+        image is ranked without a per-node conversion); computed when
+        omitted.
 
     Returns
     -------

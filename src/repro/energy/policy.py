@@ -13,7 +13,7 @@ Density evaluation runs on the graph's frozen CSR snapshot
 unchanged graph reuse the snapshot and its memoized triangle counts, so
 only the first window of a lifetime simulation pays for triangle
 counting.  Callers that already hold the window's densities can pass
-them through ``densities=`` to skip even the dictionary rebuild.
+them through ``densities=`` to skip even the density map.
 """
 
 from repro.clustering.density import all_densities

@@ -37,7 +37,8 @@ def learning_milestones(topology, rng=None, max_steps=200, use_dag=False):
     stack = standard_stack(topology=topology, use_dag=use_dag)
     simulator = StepSimulator(topology, stack, rng=rng)
     graph = topology.graph
-    truth_density = all_densities(graph, exact=True)
+    # Read on every step until it holds: build each Fraction once.
+    truth_density = dict(all_densities(graph, exact=True))
     milestones = {}
 
     def check(name, condition):

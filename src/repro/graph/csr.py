@@ -21,16 +21,29 @@ read-only array view used by those paths:
 Snapshots are built either from the dict backend
 (:meth:`CSRAdjacency.from_dict`, used by ``Graph.to_csr``) or directly
 from a canonical undirected pair array
-(:meth:`CSRAdjacency.from_pairs`, used by ``Graph.from_pair_array`` so
-bulk-built graphs get their snapshot almost for free).
+(:meth:`CSRAdjacency.from_pairs`, used by the bulk constructors
+``Graph.from_pair_array`` / ``from_pair_chunks``, whose graphs carry
+nothing but the snapshot until a caller asks for dict semantics).
+
+The triangle counts (Definition 1's numerator) are one array pass with
+no Python loop over nodes or edges: edges point up a degree ranking,
+each probes the forward list of one endpoint with the candidates of the
+other, and the probed lists of a whole block of rows sit in one
+``block x n`` boolean mark matrix.  Two module budgets bound its memory
+at any graph size -- :data:`_MARK_BUDGET` bytes of marks (the block is
+also capped at ``n`` rows, so a 1000-node graph takes one block of 1 MB)
+and :data:`_TRIANGLE_CHUNK` candidates expanded at once.
 """
 
 import numpy as np
 
 from repro.util.errors import TopologyError
 
-# Expanded-candidate budget for the chunked triangle intersection; bounds
-# peak memory at a few tens of MB regardless of graph size.
+# The two memory budgets of the triangle count: the bytes of its
+# ``block x n`` boolean mark matrix (8 MiB: one block for graphs up to
+# ~2900 nodes, ~1200 blocks at 10^5), and the candidates it expands at
+# once (a few tens of MB of temporaries at any graph size).
+_MARK_BUDGET = 8 * 2**20
 _TRIANGLE_CHUNK = 2_000_000
 
 
@@ -201,11 +214,17 @@ class CSRAdjacency:
         oriented toward the higher degree-rank endpoint, so each triangle
         is found exactly once, as the forward-forward intersection of its
         lowest-ranked edge; the triangle then credits all three corners.
-        Candidates are bulk-expanded from the smaller forward list with
-        one ``repeat``; membership in the other endpoint's forward list
-        is tested in O(1) against a boolean mark vector shared by all
-        edges probing the same endpoint (edges are sorted so those are
-        consecutive).  The expansion is chunked to a fixed memory budget.
+
+        Each edge expands candidates from its endpoint with the smaller
+        forward list and probes the other endpoint's list.  Edges are
+        sorted by probed endpoint, and the probed endpoints are taken a
+        block of consecutive rows at a time: one ``block x n`` boolean
+        mark matrix holds the forward lists of the whole block, so a
+        candidate ``w`` of an edge probing ``other`` is one gather at
+        ``(other - base) * n + w``.  The block is capped at ``n`` rows
+        and at :data:`_MARK_BUDGET` bytes, and inside a block the
+        candidate expansion runs in chunks of :data:`_TRIANGLE_CHUNK`, so
+        peak memory is bounded by the two budgets at any graph size.
         """
         if self._triangles is not None:
             return self._triangles
@@ -221,81 +240,81 @@ class CSRAdjacency:
             n, dtype=np.int32)
         forward = rank_of[col] > rank_of[row]
         eu = row[forward].astype(np.int64)
-        ev = col[forward].astype(np.int64)
-        if not eu.size:
-            tri = np.zeros(n, dtype=np.int64)
-            tri.flags.writeable = False
-            object.__setattr__(self, "_triangles", tri)
-            return tri
-        # Forward adjacency: rows of `fcol` grouped by source (eu is
-        # already ascending), neighbors unsorted -- the bitmap probe below
-        # does not need them sorted.
-        fdeg = np.bincount(eu, minlength=n)
-        findptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(fdeg, out=findptr[1:])
-        fcol = ev.astype(np.int32)
-        # Candidates come from the endpoint with the smaller forward list;
-        # the other endpoint's forward list is the probed set.  Grouping
-        # edges by the probed endpoint lets one boolean mark vector serve
-        # every test against it.
-        take_v = fdeg[ev] < fdeg[eu]
-        small = np.where(take_v, ev, eu)
-        other = np.where(take_v, eu, ev)
-        order = np.argsort(other, kind="stable")
-        small = small[order]
-        other = other[order]
-        eu = eu[order]
-        ev = ev[order]
-        counts = fdeg[small]
-        cum = np.zeros(small.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        mark = np.zeros(n, dtype=bool)
-        corner_hits = []
-        edge_hits = np.zeros(small.size, dtype=np.int64)
-        start = 0
-        while start < small.size:
-            end = int(np.searchsorted(cum, cum[start] + _TRIANGLE_CHUNK,
-                                      side="right")) - 1
-            end = min(max(end, start + 1), small.size)
-            chunk_counts = counts[start:end]
-            total = int(cum[end] - cum[start])
-            if total:
-                local = cum[start:end] - cum[start]
-                offsets = (np.arange(total, dtype=np.int64)
-                           - np.repeat(local, chunk_counts))
-                w = fcol[np.repeat(findptr[small[start:end]], chunk_counts)
-                         + offsets]
-                chunk_other = other[start:end]
-                group_edges = np.flatnonzero(
-                    np.r_[True, chunk_other[1:] != chunk_other[:-1]])
-                group_bounds = np.r_[local[group_edges], total].tolist()
-                probed = chunk_other[group_edges].tolist()
-                hit_mask = np.empty(total, dtype=bool)
-                for o, lo, hi in zip(probed, group_bounds, group_bounds[1:]):
-                    nbrs = fcol[findptr[o]:findptr[o + 1]]
-                    mark[nbrs] = True
-                    cand = w[lo:hi]
-                    hit_mask[lo:hi] = mark[cand]
-                    mark[nbrs] = False
-                hit_at = np.flatnonzero(hit_mask)
-                corner_hits.append(w[hit_at])
-                # Per-edge triangle tallies credit the two edge endpoints.
-                edge_hits[start:end] = np.diff(
-                    np.searchsorted(hit_at, np.append(local, total)))
-            start = end
-        tri = np.zeros(n, dtype=np.int64)
-        flat = np.concatenate(corner_hits) if corner_hits else eu[:0]
-        if flat.size:
-            tri += np.bincount(flat, minlength=n)
-        closed = np.flatnonzero(edge_hits)
-        if closed.size:
-            tri += np.bincount(eu[closed], weights=edge_hits[closed],
-                               minlength=n).astype(np.int64)
-            tri += np.bincount(ev[closed], weights=edge_hits[closed],
-                               minlength=n).astype(np.int64)
+        ev = col[forward]
+        tri = (_forward_triangles(n, eu, ev) if eu.size
+               else np.zeros(n, dtype=np.int64))
         tri.flags.writeable = False
         object.__setattr__(self, "_triangles", tri)
         return tri
 
     def __repr__(self):
         return f"CSRAdjacency(n={len(self.ids)}, m={self.edge_count()})"
+
+
+def _forward_triangles(n, eu, ev):
+    """Per-row triangle counts from the forward edges ``eu -> ev``.
+
+    ``eu`` is ascending, so row ``u``'s forward list is a contiguous run
+    of ``ev``; see :meth:`CSRAdjacency.triangle_counts` for the scheme.
+    Candidate positions and mark-matrix offsets fit ``int32``: the first
+    stay below the forward edge count, the second below ``block * n <=
+    max(n, _MARK_BUDGET)``.
+    """
+    fdeg = np.bincount(eu, minlength=n)
+    findptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(fdeg, out=findptr[1:])
+    # Candidates come from the endpoint with the smaller forward list;
+    # the other endpoint's forward list is the probed set.  The order
+    # within one probed endpoint's edges is immaterial.
+    take_v = fdeg[ev] < fdeg[eu]
+    small = np.where(take_v, ev, eu)
+    other = np.where(take_v, eu, ev)
+    order = np.argsort(other)
+    small = small[order]
+    other = other[order]
+    counts = fdeg[small]
+    cum = np.zeros(small.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    block = max(1, min(n, _MARK_BUDGET // n))
+    mark = np.zeros(block * n, dtype=bool)
+    bases = range(0, n, block)
+    bounds = np.append(np.searchsorted(other, bases), small.size).tolist()
+    tri = np.zeros(n, dtype=np.int64)
+    for base, first, last in zip(bases, bounds, bounds[1:]):
+        if first == last:
+            continue
+        top = min(base + block, n)
+        # Row ``o - base`` of the mark matrix is the forward list of o.
+        marked = np.repeat(np.arange(0, (top - base) * n, n), fdeg[base:top])
+        marked += ev[findptr[base]:findptr[top]]
+        mark[marked] = True
+        start = first
+        while start < last:
+            end = int(np.searchsorted(cum, cum[start] + _TRIANGLE_CHUNK,
+                                      side="right")) - 1
+            end = min(max(end, start + 1), last)
+            total = int(cum[end] - cum[start])
+            if total:
+                chunk = counts[start:end]
+                local = cum[start:end] - cum[start]
+                # Candidate positions in ``ev``, then (in place) the
+                # candidates themselves.
+                w = np.repeat((findptr[small[start:end]] - local)
+                              .astype(np.int32), chunk)
+                w += np.arange(total, dtype=np.int32)
+                ev.take(w, out=w)
+                probe = np.repeat(((other[start:end] - base) * n)
+                                  .astype(np.int32), chunk)
+                probe += w
+                hit_at = np.flatnonzero(mark.take(probe))
+                del probe
+                # Each hit credits its corner, and each edge's tally of
+                # hits (a segment sum) credits both its endpoints.
+                np.add.at(tri, w.take(hit_at), 1)
+                edge_hits = np.diff(
+                    np.searchsorted(hit_at, np.append(local, total)))
+                np.add.at(tri, small[start:end], edge_hits)
+                np.add.at(tri, other[start:end], edge_hits)
+            start = end
+        mark[marked] = False
+    return tri

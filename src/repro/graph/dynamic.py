@@ -524,18 +524,22 @@ def triangle_credits(csr, lo, hi, coords, other, radius):
 
 
 class DensityMap(Mapping):
-    """Exact Definition-1 densities of one window, as a read-only mapping.
+    """Exact Definition-1 densities of one snapshot, as a read-only mapping.
 
-    A view over the window's row-ordered ``ids`` and its ``int64``
-    ``degrees`` and ``triangles`` arrays.  A lookup builds
-    ``Fraction(deg + tri, deg)`` -- ``Fraction(0)`` for an isolated node
-    -- from the same machine integers as ``all_densities(graph,
-    exact=True)``, so the two compare equal from either side of ``==``;
-    iteration follows ``ids``.  :attr:`float_image` is
-    ``density_float_image(degrees, triangles)``: each entry is the
-    correctly rounded quotient of the same two integers, hence bit for
-    bit ``float(self[node])``, and the election engine ranks with it
-    directly.
+    The library's one exact-density mapping: each window of a
+    :class:`DynamicTopology` carries one, and ``all_densities(graph,
+    exact=True)`` returns one over the graph's CSR snapshot.  A view over
+    the snapshot's row-ordered ``ids`` and its ``int64`` ``degrees`` and
+    ``triangles`` arrays: a lookup builds ``Fraction(deg + tri, deg)``
+    -- ``Fraction(0)`` for an isolated node -- so two maps over the same
+    integers compare equal, to each other and to a dict of those
+    Fractions, from either side of ``==``; iteration follows ``ids``.
+    No Fraction is kept, so a reader that looks every density up on
+    every step should copy the map into a dict once.
+    :attr:`float_image` is ``density_float_image(degrees, triangles)``:
+    each entry is the correctly rounded quotient of the same two
+    integers, hence bit for bit ``float(self[node])``, and the election
+    engine ranks with it directly.
     """
 
     def __init__(self, ids, degrees, triangles):

@@ -351,11 +351,13 @@ def unit_disk_graph(positions, radius, node_ids=None, max_pairs=None):
     is a dict from node id to its ``(x, y)`` position.
 
     Below ``STREAM_NODE_THRESHOLD`` nodes the whole ``pairs_within_range``
-    array feeds ``Graph.from_pair_array`` at once; above it -- or whenever
-    ``max_pairs`` is passed -- the :func:`chunk_pairs` stream feeds
+    array feeds ``Graph.from_pair_array`` at once (already canonical, so
+    it skips the dedup sort); above it -- or whenever ``max_pairs`` is
+    passed -- the :func:`chunk_pairs` stream feeds
     ``Graph.from_pair_chunks`` so peak memory stays bounded by the chunk
-    budget.  Both paths produce the same edge set; the streamed graph
-    materializes its dict adjacency lazily from the CSR snapshot.
+    budget.  Both paths produce the same CSR-only graph: it carries the
+    snapshot that densities, elections and traversals read, and
+    materializes its dict adjacency lazily on first dict-shaped access.
     """
     positions = _validated_positions(positions)
     n = len(positions)

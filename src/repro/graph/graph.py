@@ -5,27 +5,28 @@ The paper's model (Section 3): a set ``V`` of nodes with unique identifiers;
 is bidirectional; ``N^i_p`` is the i-neighborhood.  This module implements
 that model directly, with the symmetry invariant enforced on every mutation.
 
-Three construction regimes coexist:
+Two construction regimes coexist:
 
-* incremental (``add_node`` / ``add_edge``), for the protocol simulations
-  that churn single edges;
-* bulk (``add_edges_from`` / ``from_pair_array``), for the evaluation
-  workloads that ingest the whole ``pairs_within_range`` array at once --
-  adjacency sets are filled per *node* with vectorized grouping, never
-  per edge, and self-loop rejection plus the symmetry invariant hold
-  exactly as on the incremental path;
-* streamed (``from_pair_chunks``), for million-node builds: only compact
-  ``int32`` pair arrays are accumulated and the dict adjacency is
-  materialized *lazily* from the CSR snapshot on first dict-shaped
-  access, so read-only consumers never pay for per-node Python sets.
+* incremental (``add_node`` / ``add_edge`` / ``add_edges_from``), for
+  the protocol simulations that churn single edges and for small
+  hand-built shapes -- ``add_edges_from`` fills each adjacency set in
+  one per-node ``update``, never per edge;
+* bulk, CSR-first (``from_pair_array`` / ``from_pair_chunks``), for the
+  evaluation workloads that ingest a whole pair array or pair stream:
+  the graph carries only the frozen CSR snapshot, and the dict
+  adjacency is materialized *lazily* from it on first dict-shaped
+  access, so read-only consumers (densities, elections, traversals)
+  never pay for per-node Python sets.  Self-loop rejection and the
+  symmetry invariant hold exactly as on the incremental path.
 
 A graph can also be *rebased* onto a new snapshot (``adopt_csr``): the
 dynamic subsystem installs each mobility window's snapshot as the
 structure of the same live object and drops the dict, which is rebuilt
 lazily as above.  The lazily built sets hold the same neighbors, filled
-in the same ascending order, as a ``from_pair_array`` build of that edge
-set, and ``neighbors`` iterates identically on either backend -- so a
-rebased graph is indistinguishable from a fresh build.
+in the same ascending order, as an ``add_edge`` loop over the pairs in
+lexicographic order, and ``neighbors`` iterates identically on either
+backend -- so a CSR-first graph is indistinguishable from an
+incrementally built one.
 
 ``to_csr`` exposes a frozen :class:`~repro.graph.csr.CSRAdjacency`
 snapshot for array-speed analytics; it is built on first use, cached, and
@@ -48,7 +49,8 @@ from repro.util.errors import TopologyError
 class Graph:
     """An undirected graph over hashable node identifiers.
 
-    Adjacency is stored as ``dict[node, set[node]]``.  Self-loops are
+    Adjacency is stored as ``dict[node, set[node]]`` (built lazily from
+    the CSR snapshot for bulk-built and rebased graphs).  Self-loops are
     rejected (the paper requires ``p not in Np``) and edges are always
     symmetric (``q in Np  iff  p in Nq``), on the incremental and the bulk
     construction paths alike.
@@ -79,12 +81,14 @@ class Graph:
     def _materialize_adj(self):
         """Build the dict adjacency from the CSR snapshot (lazy graphs).
 
-        Graphs built by :meth:`from_pair_chunks`, graphs attached from a
-        shared-memory snapshot and graphs rebased by :meth:`adopt_csr`
-        carry only the CSR arrays until a caller needs dict semantics.
-        Neighbor sets are filled in ascending row order -- the insertion
-        sequence of :meth:`_bulk_merge` over the same pairs, so the sets
-        equal a :meth:`from_pair_array` build's, iteration order included.
+        Bulk-built graphs (:meth:`from_pair_array`,
+        :meth:`from_pair_chunks`), graphs attached from a shared-memory
+        snapshot and graphs rebased by :meth:`adopt_csr` carry only the
+        CSR arrays until a caller needs dict semantics.  Neighbor sets
+        are filled in ascending row order -- the insertion sequence of an
+        ``add_edge`` loop (or :meth:`add_edges_from`) over the same pairs
+        in lexicographic order, so the sets equal that build's,
+        iteration order included.
         """
         csr = self._csr
         if csr is None:
@@ -149,34 +153,27 @@ class Graph:
             lo, hi = lo[order], hi[order]
             for node in np.unique(edges).tolist():
                 self.add_node(node)
-            self._bulk_merge(lo, hi, None)
+            self._bulk_merge(lo, hi)
         else:
             for u, v in edges:
                 self.add_edge(u, v)
 
     @classmethod
     def from_pair_array(cls, pairs, node_ids):
-        """Build a graph from an index-pair array in one bulk pass.
+        """Build a CSR-first graph from an index-pair array.
 
         ``pairs`` is an ``(m, 2)`` integer array of *positions* (the
         ``pairs_within_range`` output); ``node_ids`` is either the node
         count ``n`` (identifiers are then ``0..n-1``) or a sequence
         mapping position -> identifier, whose length fixes ``n`` so
         isolated nodes are preserved.  Pairs are canonicalized and
-        deduplicated; self-loops and out-of-range positions raise
-        :class:`TopologyError`.  The CSR snapshot is built as a by-product
-        and cached, so a following :meth:`to_csr` is free.
+        deduplicated (the dedup sort is skipped when they already are,
+        as ``pairs_within_range`` guarantees); self-loops and
+        out-of-range positions raise :class:`TopologyError`.  The graph
+        carries just the CSR snapshot, so a following :meth:`to_csr` is
+        free and the dict adjacency is built only if a caller needs it.
         """
-        if isinstance(node_ids, (int, np.integer)):
-            n = int(node_ids)
-            ids = range(n)
-            identity = True
-        else:
-            ids = list(node_ids)
-            n = len(ids)
-            if len(set(ids)) != n:
-                raise TopologyError("node identifiers must be unique")
-            identity = False
+        ids, n = _node_ids(node_ids)
         pairs = np.asarray(pairs)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2).astype(np.int64)
@@ -184,7 +181,6 @@ class Graph:
             raise TopologyError("pairs must be an (m, 2) array")
         if not np.issubdtype(pairs.dtype, np.integer):
             raise TopologyError("pairs must contain integer positions")
-        graph = cls(nodes=ids)
         if len(pairs):
             if int(pairs.min()) < 0 or int(pairs.max()) >= n:
                 raise TopologyError(
@@ -197,14 +193,15 @@ class Graph:
                 raise TopologyError(
                     f"self-loop on node {pos!r} is not allowed")
             # Sort + dedup through a scalar key: one int64 sort instead of
-            # a slow structured-dtype row unique.
-            keys = np.unique(lo * n + hi)
-            lo, hi = keys // n, keys % n
-            graph._bulk_merge(lo, hi, None if identity else ids)
+            # a slow structured-dtype row unique -- and none at all when
+            # the keys are already strictly increasing.
+            keys = lo * n + hi
+            if not (keys[1:] > keys[:-1]).all():
+                keys = np.unique(keys)
+                lo, hi = np.divmod(keys, n)
         else:
             lo = hi = np.empty(0, dtype=np.int64)
-        graph._csr = CSRAdjacency.from_pairs(lo, hi, ids)
-        return graph
+        return cls._from_csr(CSRAdjacency.from_pairs(lo, hi, ids))
 
     @classmethod
     def from_pair_chunks(cls, chunks, node_ids):
@@ -218,18 +215,11 @@ class Graph:
 
         Only the compact ``int32`` pair arrays are accumulated (never a
         chunk's candidate expansion, and never a per-edge Python loop),
-        and the result carries just the CSR snapshot: the dict adjacency
-        is materialized lazily on first dict-shaped access, so a
-        10^6-node build stays within a few hundred MB.
+        and the result carries just the CSR snapshot, as a
+        :meth:`from_pair_array` build does, so a 10^6-node build stays
+        within a few hundred MB.
         """
-        if isinstance(node_ids, (int, np.integer)):
-            n = int(node_ids)
-            ids = range(n)
-        else:
-            ids = list(node_ids)
-            n = len(ids)
-            if len(set(ids)) != n:
-                raise TopologyError("node identifiers must be unique")
+        ids, n = _node_ids(node_ids)
         if n >= 2**31:
             raise TopologyError("chunked construction is limited to int32 rows")
         lo_parts = []
@@ -267,16 +257,20 @@ class Graph:
             hi = np.concatenate(hi_parts)
         else:
             lo = hi = np.empty(0, dtype=np.int32)
+        return cls._from_csr(CSRAdjacency.from_pairs(lo, hi, ids))
+
+    @classmethod
+    def _from_csr(cls, csr):
+        """A graph carrying only ``csr``; the dict adjacency is lazy."""
         graph = cls()
         graph._adj_map = None
-        graph._csr = CSRAdjacency.from_pairs(lo, hi, ids)
+        graph._csr = csr
         return graph
 
-    def _bulk_merge(self, lo, hi, to_id):
-        """Merge canonical pairs into the adjacency sets, one node at a time.
+    def _bulk_merge(self, lo, hi):
+        """Merge canonical identifier pairs into the adjacency sets, one
+        node at a time.
 
-        ``lo`` / ``hi`` hold node identifiers directly when ``to_id`` is
-        ``None``, else positions translated through the ``to_id`` sequence.
         Callers pass the pairs in (lo, hi) lexicographic order; each set
         then receives its neighbors smaller-endpoint-first in pair order
         -- the same insertion sequence a pair-by-pair ``add_edge`` loop
@@ -295,10 +289,7 @@ class Graph:
         dst_list = dst.tolist()
         adj = self._adj
         for owner, s, e in zip(owners, starts.tolist(), ends.tolist()):
-            if to_id is None:
-                adj[owner].update(dst_list[s:e])
-            else:
-                adj[to_id[owner]].update(to_id[x] for x in dst_list[s:e])
+            adj[owner].update(dst_list[s:e])
         self._csr = None
 
     def remove_edge(self, u, v):
@@ -415,8 +406,8 @@ class Graph:
 
         Built from the current adjacency on first call and cached; any
         mutation (node or edge, incremental or bulk) invalidates the cache
-        so the next call rebuilds.  Graphs built by :meth:`from_pair_array`
-        carry their snapshot from construction.
+        so the next call rebuilds.  Bulk-built graphs carry their
+        snapshot from construction.
         """
         if self._csr is None:
             self._csr = CSRAdjacency.from_dict(self._adj)
@@ -559,3 +550,15 @@ def _shm_handle(graph):
     if session is None:
         return None
     return session.handle_for(graph)
+
+
+def _node_ids(node_ids):
+    """``(ids, n)`` of a bulk build's ``node_ids`` argument: a node count
+    (identifiers ``0..n-1``) or a sequence of unique identifiers."""
+    if isinstance(node_ids, (int, np.integer)):
+        n = int(node_ids)
+        return range(n), n
+    ids = list(node_ids)
+    if len(set(ids)) != len(ids):
+        raise TopologyError("node identifiers must be unique")
+    return ids, len(ids)

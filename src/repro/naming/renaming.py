@@ -125,7 +125,10 @@ class _RenamingBase:
             raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
 
         if initial_ids is None:
-            ids = {node: namespace.sample(rng) for node in graph}
+            # One vector draw: it consumes the generator exactly as one
+            # ``namespace.sample(rng)`` per node would, name for name.
+            ids = dict(zip(graph, rng.integers(namespace.size,
+                                               size=len(graph)).tolist()))
         else:
             ids = dict(initial_ids)
             if set(ids) != set(graph.nodes):

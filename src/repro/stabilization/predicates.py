@@ -39,7 +39,10 @@ class GroundTruth:
         self.snapshot = _snapshot(graph)
         self.neighbors = {node: graph.neighbors(node) for node in graph}
         self.two_hop = {node: graph.k_neighborhood(node, 2) for node in graph}
-        self.densities = all_densities(graph, exact=True)
+        # The oracle ranks with the DensityMap's float image; the
+        # per-step density predicate reads a dict built from it once.
+        self._density_map = all_densities(graph, exact=True)
+        self.densities = dict(self._density_map)
         self._oracles = {}
 
     def describes(self, graph):
@@ -57,7 +60,7 @@ class GroundTruth:
         clustering = compute_clustering(graph, tie_ids=tie_ids,
                                         dag_ids=dag_ids, order=order,
                                         fusion=fusion, previous=previous,
-                                        densities=self.densities)
+                                        densities=self._density_map)
         result = ({node: clustering.parent(node) for node in graph},
                   {node: clustering.head(node) for node in graph})
         self._oracles[config] = (inputs, result)

@@ -96,6 +96,29 @@ class TestTriangleCounts:
         fresh = CSRAdjacency.from_dict(graph._adj)
         assert (fresh.triangle_counts() == baseline).all()
 
+    def test_temporaries_stay_within_the_two_budgets(self, monkeypatch):
+        # K_300 expands ~4.5M candidates and closes ~4.5M triangles.  A
+        # peak above O(edges) index columns plus one chunk of candidate
+        # temporaries plus the n x n mark matrix means a temporary
+        # outgrew a budget: an uncapped block (8 MiB of marks), an
+        # unchunked expansion, or hits gathered over the whole graph.
+        import tracemalloc
+
+        import repro.graph.csr as csrmod
+
+        n, chunk = 300, 20_000
+        monkeypatch.setattr(csrmod, "_TRIANGLE_CHUNK", chunk)
+        lo, hi = np.triu_indices(n, 1)
+        csr = CSRAdjacency.from_pairs(lo, hi, range(n))
+        tracemalloc.start()
+        try:
+            counts = csr.triangle_counts()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (counts == (n - 1) * (n - 2) // 2).all()
+        assert peak <= 48 * len(csr.indices) + 64 * chunk + n * n
+
     def test_two_triangles_sharing_an_edge(self):
         # 0-1 shared by triangles {0,1,2} and {0,1,3}.
         csr = Graph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]).to_csr()

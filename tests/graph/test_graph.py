@@ -243,6 +243,23 @@ class TestBulkConstruction:
         with pytest.raises(TopologyError):
             Graph.from_pair_array(np.array([[0, 1]]), ["a", "a"])
 
+    def test_from_pair_array_is_csr_first(self):
+        graph = Graph.from_pair_array(np.array([[0, 1], [1, 2]]), 4)
+        assert graph._adj_map is None
+        assert graph.degree(1) == 2 and graph.neighbors(1) == {0, 2}
+        assert graph._adj_map is None  # CSR-shaped reads stay lazy
+        assert graph.edges == [(0, 1), (1, 2)]  # dict-shaped read builds it
+        assert graph._adj_map == {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
+
+    def test_from_pair_array_canonicalizes_arbitrary_rows(self):
+        canonical = Graph.from_pair_array(
+            np.array([[0, 1], [0, 3], [1, 2], [2, 3]]), 4).to_csr()
+        messy = Graph.from_pair_array(
+            np.array([[3, 2], [1, 0], [0, 1], [2, 1], [0, 3], [2, 3]]),
+            4).to_csr()
+        assert messy.indptr.tolist() == canonical.indptr.tolist()
+        assert messy.indices.tolist() == canonical.indices.tolist()
+
     def test_from_pair_array_matches_add_edge_loop(self):
         pairs = np.array([[0, 1], [0, 3], [1, 2], [2, 3]])
         loop = Graph(nodes=range(4))

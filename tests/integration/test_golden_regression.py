@@ -139,3 +139,18 @@ def test_simulator_family_stdout_is_frozen(args, digest, capsys):
     assert main([*args, "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("energy", "b918815facc531e19819951116c1a6b9b68b8dfbab3e278be53a57b163129d61"),
+    ("intensity", "3c9dee5b5fe70544b384aad0abc378afea7414477357d0f8a904159abef9a116"),
+])
+def test_density_family_stdout_is_frozen(family, digest, capsys):
+    """sha256 of ``repro <family> --preset smoke --seed 2024`` stdout.
+
+    Both families read ``all_densities`` on graphs built by
+    ``Graph.from_pair_array``: ``energy`` ranks exact densities under
+    the energy-aware order, ``intensity`` averages float densities."""
+    assert main([family, "--preset", "smoke", "--seed", "2024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,9 @@
 """Tests for algorithm N1 and the polite renaming variant."""
 
+import numpy as np
 import pytest
 
+from repro.graph.graph import Graph
 from repro.naming.namespace import NameSpace
 from repro.naming.renaming import (
     PoliteRenaming,
@@ -132,3 +134,36 @@ class TestPoliteRenaming:
                                       tie_ids=topo.ids)
         unchanged = sum(second.ids[n] == corrupted[n] for n in topo.graph)
         assert unchanged >= len(topo.graph) - 4
+
+
+class TestFirstRoundDraw:
+    """The first round draws every name in one vector call; it must
+    equal one ``NameSpace.sample`` per node, and leave the generator
+    where those draws would."""
+
+    SIZES = [1, 2, 3, 97, 2**31 - 1, 2**32, 2**32 + 5, 10**12]
+
+    @pytest.mark.parametrize("renaming", [PoliteRenaming, RandomizedRenaming])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_matches_per_node_sampling(self, renaming, size):
+        space = NameSpace(size)
+        # No edges: every draw is final, so the run stops after it.
+        graph = Graph(nodes=range(40))
+        for seed in range(8):
+            drawn = np.random.default_rng(seed)
+            result = renaming(namespace=space).run(graph, rng=drawn)
+            sampled = np.random.default_rng(seed)
+            expected = {node: space.sample(sampled) for node in graph}
+            assert result.ids == expected
+            assert result.rounds == 1
+            assert drawn.bit_generator.state == sampled.bit_generator.state
+
+    @pytest.mark.parametrize("size", [97, 2**32 + 5])
+    def test_first_round_of_a_conflicted_run(self, size):
+        topology = uniform_topology(60, 0.3, rng=3)
+        space = NameSpace(size)
+        result = PoliteRenaming(namespace=space, keep_history=True).run(
+            topology.graph, rng=np.random.default_rng(11))
+        sampled = np.random.default_rng(11)
+        assert result.history[0] == {node: space.sample(sampled)
+                                     for node in topology.graph}
