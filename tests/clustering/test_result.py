@@ -1,5 +1,7 @@
 """Tests for the Clustering result object and its metrics."""
 
+import re
+
 import pytest
 
 from repro.clustering.result import Clustering
@@ -144,3 +146,22 @@ class TestInvariants:
         graph = line_topology(4).graph
         clustering = Clustering(graph, {0: 0, 1: 0, 2: 3, 3: 3}, fusion=True)
         clustering.check_fusion_separation()
+
+
+class TestStaleClustering:
+    """A clustering whose graph was mutated after construction."""
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda graph: graph.remove_edge(1, 2),
+         "cluster of 0 is not connected; joining forest invalid"),
+        (lambda graph: graph.remove_node(2),
+         "nodes not in graph: [2]"),
+    ], ids=["edge-removed", "node-removed"])
+    def test_eccentricity_and_invariants_raise(self, mutate, message):
+        graph = line_topology(3).graph
+        clustering = Clustering(graph, {0: 0, 1: 0, 2: 1})
+        mutate(graph)
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            clustering.head_eccentricity(0)
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            clustering.check_invariants()

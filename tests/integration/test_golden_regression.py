@@ -154,3 +154,19 @@ def test_density_family_stdout_is_frozen(family, digest, capsys):
     assert main([family, "--preset", "smoke", "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", [
+    (["workload", "--preset", "quick"],
+     "645c80addd8da9d1ca4652f8df183d33ac2f47c837d1a6fe1267b7f75f846d8c"),
+    (["scalability", "--preset", "smoke"],
+     "3442b5a9127ec4db88c2c843c88a4d1fe997d025b61157fb52a027d15a2f9b77"),
+], ids=["workload", "scalability"])
+def test_routing_family_stdout_is_frozen(args, digest, capsys):
+    """sha256 of ``repro <args> --seed 2024`` stdout, for the two
+    families that route over the cluster hierarchy: ``workload`` serves
+    request streams (its mobility shape re-elects on every window),
+    ``scalability`` counts flat against hierarchical routing state."""
+    assert main([*args, "--seed", "2024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
