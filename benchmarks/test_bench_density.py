@@ -3,15 +3,16 @@
 Times the CSR-vectorized ``all_densities`` (cold snapshot, cold triangle
 counts -- the mobility-workload shape where every round rebuilds the
 graph) at three scales, the warm-snapshot re-read (the lifetime-workload
-shape where windows repeat on an unchanged graph), and the pre-PR
-per-edge reference at 5000 nodes so BENCH_ci.json records the
-CSR-vs-dict-loop density ratio directly.
+shape where windows repeat on an unchanged graph), and the per-edge
+scan of ``tests/oracles/triangles.py`` at 5000 nodes so BENCH_ci.json
+records the CSR-vs-dict-loop density ratio directly.
 """
 
 import pytest
 
-from repro.clustering.density import all_densities, all_densities_reference
+from repro.clustering.density import all_densities
 from repro.graph.generators import uniform_topology
+from tests.oracles import triangles as oracle
 
 SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
 
@@ -52,6 +53,6 @@ def test_bench_all_densities_dict_loop_5000_reference(benchmark, topologies):
     """The pre-PR per-edge triangle scan (speedup baseline)."""
     graph = topologies[5000].graph
     reference = benchmark.pedantic(
-        lambda: all_densities_reference(graph, exact=True),
+        lambda: oracle.all_densities(graph, exact=True),
         rounds=1, iterations=1)
     assert reference == all_densities(graph, exact=True)

@@ -2,8 +2,9 @@
 
 Times the array-frontier BFS, the batched label-constrained head
 eccentricity sweep (every cluster in one pass) and the vectorized
-connected components, plus the pre-kernel dict-loop references at 5000
-nodes, so ``BENCH_ci.json`` records the batched-vs-loop ratios directly:
+connected components, plus the pre-kernel dict loops of
+``tests/oracles/traversal.py`` at 5000 nodes, so ``BENCH_ci.json``
+records the batched-vs-loop ratios directly:
 the acceptance bar is batched head eccentricity at least 5x faster than
 the per-cluster induced-subgraph BFS it replaced.
 """
@@ -12,12 +13,8 @@ import pytest
 
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.graph.generators import uniform_topology
-from repro.graph.paths import (
-    bfs_distances,
-    bfs_distances_reference,
-    connected_components,
-    connected_components_reference,
-)
+from repro.graph.paths import bfs_distances, connected_components
+from tests.oracles import traversal as oracle
 
 SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
 
@@ -70,7 +67,7 @@ def test_bench_bfs_dict_loop_5000_reference(benchmark, topologies):
     graph = topologies[5000].graph
     source = graph.nodes[0]
     reference = benchmark.pedantic(
-        lambda: bfs_distances_reference(graph, source),
+        lambda: oracle.bfs_distances(graph, source),
         rounds=1, iterations=1)
     assert reference == bfs_distances(graph, source)
 
@@ -83,7 +80,7 @@ def test_bench_head_eccentricity_subgraph_5000_reference(benchmark,
 
     def run():
         heads = clustering.heads
-        return sum(clustering.head_eccentricity_reference(head)
+        return sum(oracle.head_eccentricity(clustering, head)
                    for head in heads) / len(heads)
 
     reference = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -95,7 +92,7 @@ def test_bench_components_dict_loop_5000_reference(benchmark, topologies):
     """The pre-kernel per-component BFS sweep (speedup baseline)."""
     graph = topologies[5000].graph
     reference = benchmark.pedantic(
-        lambda: connected_components_reference(graph),
+        lambda: oracle.connected_components(graph),
         rounds=1, iterations=1)
     assert (sorted(map(sorted, reference))
             == sorted(map(sorted, connected_components(graph))))

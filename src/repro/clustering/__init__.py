@@ -8,7 +8,6 @@ from repro.clustering.baselines import (
 from repro.clustering.density import (
     ISOLATED_DENSITY,
     all_densities,
-    all_densities_reference,
     density,
     density_bounds,
     edges_among,
@@ -33,7 +32,6 @@ __all__ = [
     "IncumbentOrder",
     "NodeView",
     "all_densities",
-    "all_densities_reference",
     "best_neighbor",
     "choose_parent",
     "compute_clustering",

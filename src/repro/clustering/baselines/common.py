@@ -6,29 +6,24 @@ priority; an uncovered node becomes a cluster-head and covers its
 neighbors; covered non-heads then affiliate with their best adjacent head.
 The result is a dominating set of heads and 1-hop clusters.
 
-Two implementations produce identical results:
-
-* :func:`greedy_dominating_clustering` runs on the graph's CSR snapshot:
-  the scan order is one ``lexsort`` over the priority columns, coverage
-  is a boolean mask updated row slice by row slice, and the affiliation
-  step is one vectorized maximum over adjacent-head ranks.  Priorities
-  that cannot be laid out as numeric columns, or that are not unique,
-  fall back to the reference path (non-unique priorities make the
-  reference's parent choice depend on set-iteration order, which no
-  array layout can reproduce).
-* :func:`greedy_dominating_clustering_reference` is the original
-  per-node set implementation, kept as the oracle the vectorized path
-  and the incremental engines (``clustering/baselines/incremental.py``)
-  are tested against.
+:func:`greedy_dominating_clustering` runs on the graph's CSR snapshot:
+the scan order is one ``lexsort`` over the priority columns, coverage is
+a boolean mask updated row slice by row slice, and the affiliation step
+is one vectorized maximum over adjacent-head ranks.  Priorities must be
+unique numeric scalars or equal-width tuples of them: equal keys would
+make the parent choice depend on set-iteration order, which no array
+layout can reproduce, so :func:`checked_tie_ids` rejects duplicate
+identifiers at every baseline entry point.
 
 The helpers :func:`greedy_heads` and :func:`affiliate` are shared with
-the incremental engine, whose scratch fallback and re-seeds run the same
-two kernels.
+the incremental engine (``clustering/baselines/incremental.py``), whose
+scratch fallback and re-seeds run the same two kernels.
 """
 
 import numpy as np
 
 from repro.clustering.result import Clustering
+from repro.util.errors import ConfigurationError
 
 
 def greedy_dominating_clustering(graph, priority, densities=None):
@@ -37,14 +32,14 @@ def greedy_dominating_clustering(graph, priority, densities=None):
     ``priority`` maps node -> comparable key (greater wins).  Returns a
     :class:`~repro.clustering.result.Clustering` whose parents point
     members directly at their head (joining trees of height <= 1).
+    Raises :class:`ConfigurationError` for keys :func:`priority_columns`
+    cannot lay out.
     """
     csr = graph.to_csr()
     columns = priority_columns(csr.ids, priority)
     if columns is None:
-        return greedy_dominating_clustering_reference(
-            graph,
-            priority,
-            densities=densities,
+        raise ConfigurationError(
+            "priorities must be unique numbers or equal-width tuples of them"
         )
     order = scan_order(columns)
     heads = greedy_heads(csr, order)
@@ -54,33 +49,22 @@ def greedy_dominating_clustering(graph, priority, densities=None):
     return Clustering(graph, parents, densities=densities)
 
 
-def greedy_dominating_clustering_reference(graph, priority, densities=None):
-    """The original per-node implementation: the oracle for the fast paths."""
-    heads = set()
-    covered = set()
-    for node in sorted(graph.nodes, key=priority.get, reverse=True):
-        if node not in covered:
-            heads.add(node)
-            covered.add(node)
-            covered |= graph.neighbors(node)
-
-    parents = {}
-    for node in graph:
-        if node in heads:
-            parents[node] = node
-            continue
-        adjacent_heads = [q for q in graph.neighbors(node) if q in heads]
-        # Every non-head is dominated by construction.
-        parents[node] = max(adjacent_heads, key=priority.get)
-    return Clustering(graph, parents, densities=densities)
+def checked_tie_ids(graph, tie_ids):
+    """``tie_ids`` (default: the nodes themselves), checked to cover
+    exactly the graph's nodes with globally unique identifiers."""
+    if tie_ids is None:
+        tie_ids = {node: node for node in graph}
+    if set(tie_ids) != set(graph.nodes):
+        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
+    if len(set(tie_ids.values())) != len(tie_ids):
+        raise ConfigurationError("tie_ids must be globally unique")
+    return tie_ids
 
 
 def priority_columns(ids, priority):
-    """Per-row numeric key columns for ``lexsort``, or ``None``.
-
-    ``None`` sends the caller to the reference path: keys that are not
-    scalars or uniform-width tuples of scalars, non-numeric columns, or
-    non-unique keys (see module docstring).
+    """Per-row numeric key columns for ``lexsort``, or ``None`` for keys
+    that are not scalars or uniform-width tuples of scalars, non-numeric
+    columns, or non-unique keys (see module docstring).
     """
     values = [priority[node] for node in ids]
     if not values:

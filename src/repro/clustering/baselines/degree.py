@@ -7,15 +7,14 @@ the "degree" metric the paper's Section 3 reports the density heuristic to
 be more stable than, and the comparator used in the stability benches.
 """
 
-from repro.clustering.baselines.common import greedy_dominating_clustering
-from repro.util.errors import ConfigurationError
+from repro.clustering.baselines.common import (
+    checked_tie_ids,
+    greedy_dominating_clustering,
+)
 
 
 def degree_clustering(graph, tie_ids=None):
     """1-hop clusters headed by local degree maxima."""
-    if tie_ids is None:
-        tie_ids = {node: node for node in graph}
-    if set(tie_ids) != set(graph.nodes):
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
+    tie_ids = checked_tie_ids(graph, tie_ids)
     priority = {node: (graph.degree(node), -tie_ids[node]) for node in graph}
     return greedy_dominating_clustering(graph, priority)

@@ -7,8 +7,10 @@ head.  Referenced by the paper's state of the art ([2], [12]) and one of
 the comparators of [16].
 """
 
-from repro.clustering.baselines.common import greedy_dominating_clustering
-from repro.util.errors import ConfigurationError
+from repro.clustering.baselines.common import (
+    checked_tie_ids,
+    greedy_dominating_clustering,
+)
 
 
 def lowest_id_clustering(graph, tie_ids=None):
@@ -17,10 +19,7 @@ def lowest_id_clustering(graph, tie_ids=None):
     ``tie_ids`` maps node -> unique integer identifier; defaults to the
     nodes themselves.
     """
-    if tie_ids is None:
-        tie_ids = {node: node for node in graph}
-    if set(tie_ids) != set(graph.nodes):
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
+    tie_ids = checked_tie_ids(graph, tie_ids)
     # Lower identifier wins, so priority is the negated identifier.
     priority = {node: -tie_ids[node] for node in graph}
     return greedy_dominating_clustering(graph, priority)

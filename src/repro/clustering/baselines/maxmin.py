@@ -29,14 +29,14 @@ arrays filled by per-round ``maximum``/``minimum`` reductions over
 closed neighborhoods (:func:`flood_logs`), head selection is one array
 pass over the logs (:func:`select_head_ids`), and the per-cluster
 joining trees come from one label-constrained multi-source BFS
-(:func:`cluster_parent_rows`).  The original per-node dict
-implementation survives as :func:`maxmin_clustering_reference`, the
-oracle the vectorized path and the incremental engine
-(``clustering/baselines/incremental.py``) are tested against.
+(:func:`cluster_parent_rows`).  The incremental engine
+(``clustering/baselines/incremental.py``) repairs the same logs and
+reruns the same selection on the rows a delta dirties.
 """
 
 import numpy as np
 
+from repro.clustering.baselines.common import checked_tie_ids
 from repro.clustering.result import Clustering
 from repro.graph.traversal import csr_multi_source_distances
 from repro.util.errors import ConfigurationError
@@ -47,7 +47,9 @@ NO_ID = np.iinfo(np.int64).max
 
 def maxmin_clustering(graph, d=2, tie_ids=None):
     """Max-Min d-cluster heads and membership over ``graph``."""
-    tie_ids = _checked_tie_ids(graph, d, tie_ids)
+    if d < 1:
+        raise ConfigurationError(f"d must be >= 1, got {d}")
+    tie_ids = checked_tie_ids(graph, tie_ids)
     csr = graph.to_csr()
     n = len(csr)
     if n == 0:
@@ -60,18 +62,6 @@ def maxmin_clustering(graph, d=2, tie_ids=None):
     ids = csr.ids
     parents = {ids[i]: ids[p] for i, p in enumerate(parent_rows.tolist())}
     return Clustering(graph, parents)
-
-
-def _checked_tie_ids(graph, d, tie_ids):
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
-    if tie_ids is None:
-        tie_ids = {node: node for node in graph}
-    if set(tie_ids) != set(graph.nodes):
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
-    if len(set(tie_ids.values())) != len(tie_ids):
-        raise ConfigurationError("tie_ids must be globally unique")
-    return tie_ids
 
 
 def flood_logs(csr, tie, d):
@@ -180,95 +170,3 @@ def cluster_parent_rows(csr, tie, labels, parent_rows=None, active=None):
     hits = np.flatnonzero((nbr_tie == row_best[repeated]) & join[repeated])
     parent_rows[join] = indices[hits].astype(np.int64)
     return parent_rows
-
-
-def maxmin_clustering_reference(graph, d=2, tie_ids=None):
-    """The original per-node implementation: the oracle for the fast paths."""
-    tie_ids = _checked_tie_ids(graph, d, tie_ids)
-
-    max_log = _flood(
-        graph,
-        rounds=d,
-        combine=max,
-        start={node: tie_ids[node] for node in graph},
-    )
-    final_max = {node: max_log[node][-1] for node in graph}
-    min_log = _flood(graph, rounds=d, combine=min, start=final_max)
-
-    head_id_of = {}
-    for node in graph:
-        head_id_of[node] = _select_head_id(
-            tie_ids[node],
-            max_log[node],
-            min_log[node],
-        )
-
-    id_to_node = {tie_ids[node]: node for node in graph}
-    chosen_head = {node: id_to_node[head_id_of[node]] for node in graph}
-    # A node selected as head by anyone must head its own cluster, or the
-    # membership map would be ambiguous (standard max-min normalization).
-    for head in set(chosen_head.values()):
-        chosen_head[head] = head
-    parents = _parents_from_membership(graph, chosen_head, tie_ids)
-    return Clustering(graph, parents)
-
-
-def _flood(graph, rounds, combine, start):
-    """Run ``rounds`` of synchronous flooding, logging each round's winner."""
-    current = dict(start)
-    logs = {node: [] for node in graph}
-    for _ in range(rounds):
-        updated = {}
-        for node in graph:
-            values = [current[node]]
-            values.extend(current[q] for q in graph.neighbors(node))
-            updated[node] = combine(values)
-        current = updated
-        for node in graph:
-            logs[node].append(current[node])
-    return logs
-
-
-def _select_head_id(own_id, max_winners, min_winners):
-    if own_id in min_winners:
-        return own_id  # Rule 1
-    pairs = set(max_winners) & set(min_winners)
-    if pairs:
-        return min(pairs)  # Rule 2
-    return max_winners[-1]  # Rule 3
-
-
-def _parents_from_membership(graph, chosen_head, tie_ids):
-    """Per-node head choices -> joining forest, one node at a time."""
-    csr = graph.to_csr()
-    index_of = csr.index_of
-    n = len(csr)
-    # -1 keeps any row not covered by chosen_head deterministically
-    # unreachable (chosen_head is total over the graph today, but the
-    # sweep must not depend on uninitialized memory if that ever slips).
-    labels = np.full(n, -1, dtype=np.int64)
-    for node, head in chosen_head.items():
-        labels[index_of[node]] = index_of[head]
-    sources = np.fromiter(
-        {index_of[head] for head in chosen_head.values()},
-        dtype=np.int64,
-    )
-    dist = csr_multi_source_distances(csr, sources, labels=labels)
-
-    parents = {}
-    ids = csr.ids
-    indptr, indices = csr.indptr, csr.indices
-    for row in range(n):
-        node = ids[row]
-        if labels[row] == row:
-            parents[node] = node  # a head roots its own tree
-        elif dist[row] < 0:
-            parents[node] = node  # unreachable: fall back to singleton
-        else:
-            nbrs = indices[indptr[row] : indptr[row + 1]]
-            closer = nbrs[(labels[nbrs] == labels[row]) & (dist[nbrs] == dist[row] - 1)]
-            parents[node] = min(
-                (ids[q] for q in closer.tolist()),
-                key=tie_ids.get,
-            )
-    return parents

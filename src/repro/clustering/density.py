@@ -18,9 +18,7 @@ integers, so the ``exact=True`` path returns them as a
 :class:`~repro.graph.dynamic.DensityMap` over the snapshot's degree and
 triangle arrays: a read-only mapping that builds each
 :class:`~fractions.Fraction` on lookup, and whose ``float_image`` the
-election ranks with directly.  :func:`all_densities_reference`, the
-per-edge dict-backend implementation, is kept as the equivalence oracle
-for tests.
+election ranks with directly.
 
 Isolated nodes have ``|Np| = 0``; Definition 1 is then undefined and this
 module defines their density as ``0.0`` (DESIGN.md, deviation 2).
@@ -132,8 +130,6 @@ def all_densities(graph, exact=False):
     divide the same machine integers); a reader that looks every value
     up repeatedly should copy the map into a dict once.
     """
-    if not hasattr(graph, "to_csr"):
-        return all_densities_reference(graph, exact=exact)
     csr = graph.to_csr()
     degrees = csr.degrees()
     triangles = csr.triangle_counts()
@@ -141,35 +137,6 @@ def all_densities(graph, exact=False):
         return DensityMap(csr.ids, degrees, triangles)
     values = density_float_image(degrees, triangles)
     return dict(zip(csr.ids, values.tolist()))
-
-
-def all_densities_reference(graph, exact=False):
-    """Per-edge dict-backend reference for :func:`all_densities`.
-
-    One pass over edges with a common-neighbor scan: each edge between two
-    neighbors of ``w`` is a triangle through ``w``.  ``O(m * delta)``
-    total time, no NumPy -- kept as the oracle the property tests compare
-    the CSR path against.
-    """
-    triangles = {node: 0 for node in graph}
-    for u, v in graph.edges:
-        nu = graph.neighbors(u)
-        nv = graph.neighbors(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        for w in nu:
-            if w in nv:
-                # w sees edge (u, v) inside its neighborhood.
-                triangles[w] += 1
-    result = {}
-    for node in graph:
-        deg = graph.degree(node)
-        if deg == 0:
-            result[node] = Fraction(0) if exact else ISOLATED_DENSITY
-            continue
-        value = Fraction(deg + triangles[node], deg)
-        result[node] = value if exact else float(value)
-    return result
 
 
 def density_bounds(degree):

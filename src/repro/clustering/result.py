@@ -18,14 +18,13 @@ batched label-constrained BFS sweep over the whole graph (no induced
 subgraphs), and every node's head and joining-tree depth from the one
 pointer-doubling resolve of the parent forest that construction runs
 (no per-node link-chasing).  Distances and
-depths are tie-break-free, so every reported number is identical to the
-per-node implementations, which survive as ``*_reference`` oracles.
+depths are tie-break-free, so every reported number is identical to
+chasing parent links node by node and to a BFS per induced subgraph.
 """
 
 import numpy as np
 
 from repro.graph.dynamic import DensityMap
-from repro.graph.paths import bfs_distances_reference
 from repro.graph.traversal import csr_multi_source_distances, resolve_forest
 from repro.util.errors import TopologyError
 
@@ -213,15 +212,6 @@ class Clustering:
         index, depths = self._forest()
         return int(depths[index[node]])
 
-    def depth_reference(self, node):
-        """The original link-chasing depth (oracle for the kernel path)."""
-        count = 0
-        current = node
-        while self.parents[current] != current:
-            current = self.parents[current]
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     # Table 4 / Table 5 metrics
     # ------------------------------------------------------------------
@@ -231,11 +221,6 @@ class Clustering:
         self.members(head)  # validates that ``head`` is a cluster-head
         index, _depths = self._forest()
         return int(self._tree_heights()[index[head]])
-
-    def tree_length_reference(self, head):
-        """The original per-member link-chasing height (oracle)."""
-        members = self.members(head)
-        return max(self.depth_reference(node) for node in members)
 
     def average_tree_length(self):
         """Mean joining-tree height over clusters ("average tree length")."""
@@ -249,27 +234,22 @@ class Clustering:
 
         Served from the cached batched sweep: label-constrained expansion
         yields exactly the induced-subgraph distances, because every
-        traversed edge has both endpoints inside the cluster.
+        traversed edge has both endpoints inside the cluster.  Raises
+        :class:`TopologyError` when the graph changed under the
+        clustering so that members are missing or cut off from the head.
         """
         members = self.members(head)
         csr, _labels, ecc, reach = self._cluster_sweep()
-        row = csr.index_of.get(head)
+        index_of = csr.index_of
+        row = index_of.get(head)
         if row is None or int(reach[row]) != len(members):
-            # Members missing from the graph or disconnected from their
-            # head: re-run the subgraph oracle, which raises the precise
-            # historical error for either failure.
-            return self.head_eccentricity_reference(head)
-        return int(ecc[row])
-
-    def head_eccentricity_reference(self, head):
-        """The original induced-subgraph BFS (oracle for the sweep)."""
-        members = self.members(head)
-        subgraph = self.graph.induced_subgraph(members)
-        distances = bfs_distances_reference(subgraph, head)
-        if set(distances) != set(members):
+            missing = [node for node in members if node not in index_of]
+            if missing:
+                raise TopologyError(
+                    f"nodes not in graph: {sorted(missing, key=repr)}")
             raise TopologyError(
                 f"cluster of {head!r} is not connected; joining forest invalid")
-        return max(distances.values())
+        return int(ecc[row])
 
     def average_head_eccentricity(self):
         """Mean head eccentricity over clusters."""

@@ -12,6 +12,10 @@ budget of steps to re-stabilize.  Reported per churn intensity:
 The shape claim: recovery cost is local -- moderate churn heals within a
 near-constant number of steps, because the density metric and the DAG
 keep the affected region small (the robustness argument of Section 2).
+
+Each run maintains one delta-updated topology across its epochs
+(:meth:`~repro.mobility.churn.ChurnProcess.epoch_update`); the scratch
+twin that rebuilds every epoch lives in ``tests/oracles/mobility.py``.
 """
 
 from repro.experiments.engine import ExperimentSpec, run_experiment
@@ -21,32 +25,25 @@ from repro.protocols.stack import standard_stack
 from repro.runtime.simulator import StepSimulator
 from repro.stabilization.monitor import steps_to_legitimacy
 from repro.stabilization.predicates import make_stack_predicate
-from repro.util.errors import ConfigurationError
 from repro.util.rng import as_rng, spawn_rngs
 
 
 def run_churn_epochs(initial_count, radius, leave_probability, arrival_rate,
-                     epochs, rng=None, step_budget=60, dynamics="delta"):
+                     epochs, rng=None, step_budget=60):
     """One churn run; returns ``(ready_epochs, total_epochs, mean_steps)``.
 
-    ``dynamics="delta"`` (default) maintains one
-    :class:`~repro.graph.dynamic.DynamicTopology` across epochs -- the
-    graph, triangle, and density state downstream of each epoch's edge
-    delta is updated in place (the geometry grid itself re-joins over
-    the surviving population) -- while ``"rebuild"`` reconstructs every
-    epoch's topology from scratch.
-    The two runs are bit-identical: the maintained graph preserves the
-    sorted node order and CSR layout the simulator's determinism depends
-    on, and the churn process itself consumes the RNG identically.
+    One :class:`~repro.graph.dynamic.DynamicTopology` is maintained
+    across epochs: the graph, triangle, and density state downstream of
+    each epoch's edge delta is updated in place (the geometry grid itself
+    re-joins over the surviving population).  The maintained graph keeps
+    the sorted node order and CSR layout of a scratch rebuild
+    (:meth:`~repro.mobility.churn.ChurnProcess.topology`), which the
+    simulator's determinism depends on.
     """
-    if dynamics not in ("delta", "rebuild"):
-        raise ConfigurationError(
-            f"unknown dynamics {dynamics!r}; expected 'delta' or 'rebuild'")
     rng = as_rng(rng)
-    delta = dynamics == "delta"
     process = ChurnProcess(initial_count, radius, leave_probability,
                            arrival_rate, rng=rng)
-    topology = process.dynamics().topology if delta else process.topology()
+    topology = process.dynamics().topology
     stack = standard_stack(namespace=4 * initial_count)
     simulator = StepSimulator(topology, stack, rng=rng)
     predicate = make_stack_predicate()
@@ -55,11 +52,7 @@ def run_churn_epochs(initial_count, radius, leave_probability, arrival_rate,
     ready = 0
     steps_total = 0.0
     for _ in range(epochs):
-        if delta:
-            simulator.set_topology(process.epoch_update().topology)
-        else:
-            process.epoch()
-            simulator.set_topology(process.topology())
+        simulator.set_topology(process.epoch_update().topology)
         report = steps_to_legitimacy(simulator, predicate, step_budget)
         if report.converged:
             ready += 1

@@ -12,14 +12,13 @@ task with its own pre-spawned generator, and the reducer concatenates the
 per-window observations in task order, so the table is identical for
 every ``jobs`` value.  The per-window clusterings come from the shared
 :mod:`~repro.experiments.metric_windows` walk: the delta stream through
-the incremental engines by default, scratch rebuilds on request
-(``dynamics="rebuild"``) -- identical tables either way.
+the incremental engines.
 """
 
 from repro.experiments.common import get_preset
 from repro.experiments.engine import ExperimentSpec, run_experiment
-from repro.experiments.metric_windows import (METRIC_SCRATCH, check_dynamics,
-                                              metric_windows, model_snapshots)
+from repro.experiments.metric_windows import (METRIC_SCRATCH, metric_windows,
+                                              model_snapshots)
 from repro.experiments.mobility import SPEED_REGIMES, speed_range_in_sides
 from repro.metrics.stability import head_retention
 from repro.metrics.tables import Table
@@ -32,15 +31,14 @@ METRICS = METRIC_SCRATCH
 
 def _run_trace(task):
     """One mobility trace; returns per-metric observation lists."""
-    (nodes, speed_range, radius, windows, mobility_window, dynamics,
-     run_rng) = task
+    nodes, speed_range, radius, windows, mobility_window, run_rng = task
     model = RandomDirectionModel(nodes, speed_range, rng=run_rng)
     retention = {name: [] for name in METRICS}
     membership_kept = {name: [] for name in METRICS}
     cluster_counts = {name: [] for name in METRICS}
     previous = {name: None for name in METRICS}
     snapshots = model_snapshots(model, windows, mobility_window)
-    for clusterings in metric_windows(snapshots, radius, dynamics=dynamics):
+    for clusterings in metric_windows(snapshots, radius):
         for name, clustering in clusterings.items():
             cluster_counts[name].append(clustering.cluster_count)
             if previous[name] is not None:
@@ -56,9 +54,8 @@ def _run_trace(task):
 def _build(preset, rng, options):
     speed_range = speed_range_in_sides(SPEED_REGIMES[options["regime"]])
     windows = int(round(preset.mobility_duration / preset.mobility_window))
-    dynamics = check_dynamics(options.get("dynamics", "delta"))
     return [(preset.mobility_nodes, speed_range, options["radius"], windows,
-             preset.mobility_window, dynamics, run_rng)
+             preset.mobility_window, run_rng)
             for run_rng in spawn_rngs(rng, options["runs"])]
 
 
@@ -96,7 +93,7 @@ COMPARISON_SPEC = ExperimentSpec(name="comparison", build=_build,
 
 
 def run_comparison(preset="quick", regime="pedestrian", radius=0.1, rng=None,
-                   runs=1, jobs=1, dynamics="delta", topology=None):
+                   runs=1, jobs=1, topology=None):
     """Head retention per clustering metric over shared mobility traces.
 
     ``topology`` (a list of generator specs) switches the family to the
@@ -112,8 +109,7 @@ def run_comparison(preset="quick", regime="pedestrian", radius=0.1, rng=None,
         return run_robustness(topology, preset=preset, radius=radius,
                               rng=rng, runs=runs, jobs=jobs)
     return run_experiment(COMPARISON_SPEC, get_preset(preset), rng=rng,
-                          jobs=jobs, regime=regime, radius=radius, runs=runs,
-                          dynamics=dynamics)
+                          jobs=jobs, regime=regime, radius=radius, runs=runs)
 
 
 def _membership_retention(before, after):

@@ -4,13 +4,10 @@ The comparison and overhead experiments walk the same four metrics
 (density, degree, lowest-ID, max-min) over the same topology sequence
 and differ only in what they record per window.  This module owns the
 shared walk: :func:`metric_windows` yields one ``{metric name:
-Clustering}`` dict per position snapshot, driven either by the exact
-delta stream through the incremental engines (``dynamics="delta"``, the
-default everywhere) or by per-window scratch rebuilds
-(``dynamics="rebuild"``, the reference oracle).  The two paths produce
-bit-identical clusterings window for window -- the engines are exact --
-so every experiment table is invariant under the switch; the property
-and experiment suites assert exactly that.
+Clustering}`` dict per position snapshot from the exact delta stream
+through the incremental engines.  The engines are exact, so every
+window's clusterings equal a scratch rebuild of that snapshot
+(:func:`~repro.mobility.trace.topology_at` plus :data:`METRIC_SCRATCH`).
 """
 
 from repro.clustering.baselines.degree import degree_clustering
@@ -18,19 +15,7 @@ from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.clustering.engine import engine_for
 from repro.experiments.common import clustered
-from repro.mobility.trace import topology_at, window_stream
-from repro.util.errors import ConfigurationError
-
-DYNAMICS_MODES = ("delta", "rebuild")
-
-
-def check_dynamics(dynamics):
-    """Validate a dynamics mode name and return it."""
-    if dynamics not in DYNAMICS_MODES:
-        raise ConfigurationError(
-            f"unknown dynamics {dynamics!r}; expected one of {DYNAMICS_MODES}"
-        )
-    return dynamics
+from repro.mobility.trace import window_stream
 
 
 def _density_scratch(topology):
@@ -38,7 +23,8 @@ def _density_scratch(topology):
     return clustering
 
 
-#: Scratch builder per metric (the rebuild path and the oracle).
+#: Scratch builder per metric: static and resampled topologies, and the
+#: clustering every engine window must equal.
 METRIC_SCRATCH = {
     "density": _density_scratch,
     "degree": lambda topo: degree_clustering(topo.graph, tie_ids=topo.ids),
@@ -57,33 +43,25 @@ METRIC_ENGINES = {
 
 def model_snapshots(model, windows, window_seconds):
     """Yield ``windows + 1`` position snapshots, advancing ``model``
-    after each one (the historical experiment-loop ordering, so the
-    model's RNG stream is identical to the rebuild-in-place loops)."""
+    after each one (the historical experiment-loop ordering, which fixes
+    the model's RNG stream)."""
     for _ in range(windows + 1):
         yield model.positions.copy()
         model.advance(window_seconds)
 
 
-def metric_windows(snapshots, radius, dynamics="delta", metrics=None):
+def metric_windows(snapshots, radius, metrics=None):
     """Yield ``{metric name: Clustering}`` per position snapshot.
 
     ``metrics`` restricts the evaluation to a subset of metric names
-    (default: all four).  ``dynamics="delta"`` maintains one topology
-    and one engine per metric across the whole sequence; ``"rebuild"``
-    reconstructs everything from scratch per window.  Identical output
-    either way.
+    (default: all four).  One topology and one engine per metric are
+    maintained across the whole sequence.
     """
-    check_dynamics(dynamics)
     names = list(METRIC_SCRATCH) if metrics is None else list(metrics)
-    if dynamics == "rebuild":
-        for positions in snapshots:
-            topology = topology_at(positions, radius)
-            yield {name: METRIC_SCRATCH[name](topology) for name in names}
-    else:
-        engines = {name: METRIC_ENGINES[name]() for name in names}
-        track = "density" in engines
-        for update in window_stream(snapshots, radius, track_densities=track):
-            yield {
-                name: engine.apply_delta(update)
-                for name, engine in engines.items()
-            }
+    engines = {name: METRIC_ENGINES[name]() for name in names}
+    track = "density" in engines
+    for update in window_stream(snapshots, radius, track_densities=track):
+        yield {
+            name: engine.apply_delta(update)
+            for name, engine in engines.items()
+        }

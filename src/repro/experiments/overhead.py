@@ -14,13 +14,16 @@ the nodes' tables updated":
 
 Both run through the parallel experiment engine: churn fans out one task
 per mobility trace, beacon cost one task per protocol configuration.
+A mobility trace walks :func:`~repro.experiments.metric_windows.
+metric_windows` (the incremental engines over the edge-delta stream); a
+resampled trace clusters each independent redraw from scratch.
 """
 
 from repro.experiments.common import get_preset, resolve_topology_spec
 from repro.graph.models.registry import build_topology_spec
 from repro.experiments.engine import ExperimentSpec, run_experiment
-from repro.experiments.metric_windows import (METRIC_SCRATCH, check_dynamics,
-                                              metric_windows, model_snapshots)
+from repro.experiments.metric_windows import (METRIC_SCRATCH, metric_windows,
+                                              model_snapshots)
 from repro.experiments.mobility import SPEED_REGIMES, speed_range_in_sides
 from repro.graph.generators import uniform_topology
 from repro.metrics.overhead import reaffiliations
@@ -46,7 +49,7 @@ def _run_churn_trace(task):
     metric retains when the topology is completely redrawn (max-min's
     id anchoring survives it; density's structural heads do not).
     """
-    (nodes, speed_range, radius, windows, mobility_window, dynamics, spec,
+    (nodes, speed_range, radius, windows, mobility_window, spec,
      run_rng) = task
     totals = {name: 0.0 for name in _METRICS}
     previous = {name: None for name in _METRICS}
@@ -55,8 +58,7 @@ def _run_churn_trace(task):
     else:
         model = RandomDirectionModel(nodes, speed_range, rng=run_rng)
         snapshots = model_snapshots(model, windows, mobility_window)
-        window_clusterings = metric_windows(snapshots, radius,
-                                            dynamics=dynamics)
+        window_clusterings = metric_windows(snapshots, radius)
     for clusterings in window_clusterings:
         for name, clustering in clusterings.items():
             if previous[name] is not None:
@@ -76,13 +78,12 @@ def _resample_windows(spec, windows, run_rng):
 def _build_churn(preset, rng, options):
     speed_range = speed_range_in_sides(SPEED_REGIMES[options["regime"]])
     windows = int(round(preset.mobility_duration / preset.mobility_window))
-    dynamics = check_dynamics(options.get("dynamics", "delta"))
     spec = options.get("topology")
     if spec is not None:
         spec = resolve_topology_spec(spec, count=preset.mobility_nodes,
                                      radius=options["radius"])
     return [(preset.mobility_nodes, speed_range, options["radius"], windows,
-             preset.mobility_window, dynamics, spec, run_rng)
+             preset.mobility_window, spec, run_rng)
             for run_rng in spawn_rngs(rng, options["runs"])]
 
 
@@ -91,7 +92,7 @@ def _reduce_churn(preset, tasks, results, options):
               for name in _METRICS}
     windows = int(round(preset.mobility_duration / preset.mobility_window))
     window_count = options["runs"] * windows
-    spec = tasks[0][6] if tasks else None
+    spec = tasks[0][5] if tasks else None
     regime = (f"total resampling of {spec}" if spec is not None
               else f"{options['regime']} mobility")
     table = Table(
@@ -112,8 +113,7 @@ REAFFILIATION_SPEC = ExperimentSpec(name="reaffiliation_churn",
 
 
 def run_reaffiliation_churn(preset="quick", regime="pedestrian", radius=0.1,
-                            rng=None, runs=2, jobs=1, dynamics="delta",
-                            topology=None):
+                            rng=None, runs=2, jobs=1, topology=None):
     """Mean re-affiliations per window per 100 nodes, per metric.
 
     ``topology`` (a generator spec) replaces the mobility trace with
@@ -122,7 +122,7 @@ def run_reaffiliation_churn(preset="quick", regime="pedestrian", radius=0.1,
     """
     return run_experiment(REAFFILIATION_SPEC, get_preset(preset), rng=rng,
                           jobs=jobs, regime=regime, radius=radius, runs=runs,
-                          dynamics=dynamics, topology=topology)
+                          topology=topology)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,10 @@ reports what a production deployment would ask of it: p50/p99 latency
   objects with Zipf(0.8) key popularity;
 * ``mobility`` -- the same Zipf traffic served over per-window
   delta-maintained topologies (:func:`~repro.mobility.trace.
-  window_stream`), with the level-0 clustering maintained by the
-  incremental density engine and the hierarchy and router rebuilt per
-  2-second window (``dynamics="rebuild"`` forces the scratch path;
-  identical output either way).
+  window_stream`), with the level-0 clustering maintained by an
+  incremental engine and the hierarchy and router rebuilt per 2-second
+  window; every window equals a scratch :func:`build_hierarchy` on the
+  same snapshot.
 
 Execution rides the standard :class:`~repro.experiments.engine.
 ExperimentSpec` engine: each static workload is split into a *fixed*
@@ -45,16 +45,12 @@ from repro.clustering.engine import engine_for
 from repro.experiments.common import get_preset, resolve_topology_spec
 from repro.graph.models.registry import build_topology_spec
 from repro.experiments.engine import ExperimentSpec, run_experiment
-from repro.experiments.metric_windows import (
-    METRIC_ENGINES,
-    METRIC_SCRATCH,
-    check_dynamics,
-)
+from repro.experiments.metric_windows import METRIC_ENGINES
 from repro.graph.generators import uniform_topology
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.metrics.tables import Table
 from repro.mobility.random_direction import RandomDirectionModel
-from repro.mobility.trace import topology_at, window_stream
+from repro.mobility.trace import window_stream
 from repro.naming.assign import assign_dag_ids
 from repro.util.errors import ConfigurationError
 from repro.util.rng import as_rng, spawn_rngs
@@ -148,7 +144,6 @@ def _build(preset, rng, options):
             "nodes": preset.mobility_nodes,
             "radius": options["radius"],
             "windows": options["mobility_windows"],
-            "dynamics": check_dynamics(options.get("dynamics", "delta")),
             "metric": check_metric(options.get("metric", "density")),
             "topology": topology,
         }
@@ -245,27 +240,11 @@ def _mobility_streams(params, count, chunk_rng):
     One task (not chunked): the per-window topology is maintained
     incrementally across the whole trace, which is inherently
     sequential.  Each window rebuilds the hierarchy and router on the
-    current snapshot and serves its share of the request budget; the
-    per-window proxies merge into one, exercising the same merge path
-    the chunked shapes use.
-
-    With ``dynamics="delta"`` (the default) the level-0 clustering is
-    maintained by the incremental density engine from the exact edge
-    delta stream; the level-0 DAG names are drawn here -- under the
-    same edge-count condition, in the same order -- so the RNG stream
-    matches a full :func:`build_hierarchy` call draw for draw, and the
-    served windows are bit-identical to ``dynamics="rebuild"``.
-
-    ``params["metric"]`` selects which clustering maintains the
-    physical level: ``density`` (the paper metric, the path above) or
-    one of the baseline engines (``degree`` / ``lowest_id`` /
-    ``maxmin``), maintained incrementally via ``apply_delta`` on the
-    same exact delta stream -- so traffic can be served over every
-    clustering family the repo implements, under identical mobility.
+    current snapshot (:func:`_window_hierarchies`) and serves its share
+    of the request budget; the per-window proxies merge into one,
+    exercising the same merge path the chunked shapes use.
     """
     windows = params["windows"]
-    dynamics = params.get("dynamics", "delta")
-    metric = params.get("metric", "density")
     low, high = MOBILITY_SPEED_RANGE_MPS
     speed_range = (low / SQUARE_SIDE_METERS, high / SQUARE_SIDE_METERS)
     model = RandomDirectionModel(params["nodes"], speed_range, rng=chunk_rng)
@@ -276,45 +255,49 @@ def _mobility_streams(params, count, chunk_rng):
             yield model.positions.copy()
             model.advance(MOBILITY_WINDOW_SECONDS)
 
-    def hierarchies():
-        if dynamics == "rebuild":
-            for positions in snapshots():
-                topology = topology_at(positions, params["radius"])
-                if metric == "density":
-                    yield build_hierarchy(topology, rng=chunk_rng)
-                else:
-                    scratch = METRIC_SCRATCH[WORKLOAD_METRICS[metric]]
-                    yield build_hierarchy(
-                        topology, rng=chunk_rng,
-                        physical_clustering=scratch(topology))
-            return
-        if metric != "density":
-            engine = METRIC_ENGINES[WORKLOAD_METRICS[metric]]()
-            for update in window_stream(snapshots(), params["radius"],
-                                        track_densities=False):
-                yield build_hierarchy(
-                    update.topology, rng=chunk_rng,
-                    physical_clustering=engine.apply_delta(update))
-            return
-        engine = engine_for("density")
-        for update in window_stream(snapshots(), params["radius"]):
-            topology = update.topology
-            dag_ids = None
-            if topology.graph.edge_count() > 0:
-                dag_ids, _rounds = assign_dag_ids(topology, chunk_rng)
-            clustering = engine.update(
-                topology.graph, update.densities, tie_ids=topology.ids,
-                dag_ids=dag_ids, density_changed=update.density_changed,
-                graph_changed=bool(update.delta), dag_changed=True)
-            yield build_hierarchy(topology, rng=chunk_rng,
-                                  physical_clustering=clustering)
-
-    for window_count, hierarchy in zip(counts, hierarchies()):
+    hierarchies = _window_hierarchies(snapshots(), params, chunk_rng)
+    for window_count, hierarchy in zip(counts, hierarchies):
         nodes = sorted(hierarchy.physical.topology.graph.nodes)
         requests = poisson_requests(
             nodes, window_count, rng=chunk_rng,
             popularity=ZipfPopularity(nodes, ZIPF_ALPHA))
         yield hierarchy, requests, _flat_every(window_count)
+
+
+def _window_hierarchies(snapshots, params, rng):
+    """One :class:`~repro.hierarchy.hierarchy.Hierarchy` per snapshot.
+
+    ``params["metric"]`` selects which clustering maintains the physical
+    level: ``density`` (the paper metric) or one of the baseline engines
+    (``degree`` / ``lowest_id`` / ``maxmin``), each maintained by
+    ``apply_delta`` on the same exact delta stream -- so traffic can be
+    served over every clustering family the repo implements, under
+    identical mobility.  For ``density`` the level-0 DAG names are drawn
+    here, under the same edge-count condition and in the same order as
+    a full :func:`build_hierarchy` call, so the RNG stream and every
+    window equal a scratch build on each snapshot draw for draw.
+    """
+    metric = params.get("metric", "density")
+    if metric != "density":
+        engine = METRIC_ENGINES[WORKLOAD_METRICS[metric]]()
+        for update in window_stream(snapshots, params["radius"],
+                                    track_densities=False):
+            yield build_hierarchy(
+                update.topology, rng=rng,
+                physical_clustering=engine.apply_delta(update))
+        return
+    engine = engine_for("density")
+    for update in window_stream(snapshots, params["radius"]):
+        topology = update.topology
+        dag_ids = None
+        if topology.graph.edge_count() > 0:
+            dag_ids, _rounds = assign_dag_ids(topology, rng)
+        clustering = engine.update(
+            topology.graph, update.densities, tie_ids=topology.ids,
+            dag_ids=dag_ids, density_changed=update.density_changed,
+            graph_changed=bool(update.delta), dag_changed=True)
+        yield build_hierarchy(topology, rng=rng,
+                              physical_clustering=clustering)
 
 
 @dataclass
@@ -379,14 +362,12 @@ WORKLOAD_SPEC = ExperimentSpec(name="workload", build=_build, run=_run_one,
 
 def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
                  requests=None, chunks=CHUNKS,
-                 mobility_windows=MOBILITY_WINDOWS, dynamics="delta",
-                 metric="density", topology=None):
+                 mobility_windows=MOBILITY_WINDOWS, metric="density",
+                 topology=None):
     """Serve every workload shape; returns a :class:`WorkloadReport`.
 
     ``requests`` overrides the per-shape request budget (default by
-    preset: quick = 20k/shape = 10^5 total).  ``dynamics`` selects how
-    the mobility shape maintains its per-window clustering (engine
-    deltas vs scratch rebuilds; identical output).  ``metric`` selects
+    preset: quick = 20k/shape = 10^5 total).  ``metric`` selects
     the clustering the mobility shape maintains (``density`` or one of
     the baseline engines -- ``degree``, ``lowest_id``, ``maxmin``).
     ``topology`` (a generator spec) replaces the static deployment; the
@@ -405,5 +386,5 @@ def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
     return run_experiment(
         WORKLOAD_SPEC, preset, rng=rng, jobs=jobs, kinds=kinds,
         radius=radius, requests=_requests_per_kind(preset, requests),
-        chunks=chunks, mobility_windows=mobility_windows, dynamics=dynamics,
+        chunks=chunks, mobility_windows=mobility_windows,
         metric=check_metric(metric), topology=topology)

@@ -9,13 +9,9 @@ Since the traversal-kernel refactor these functions ride the graph's
 cached CSR snapshot (:mod:`repro.graph.traversal`): frontiers are numpy
 index arrays, so a BFS is a handful of vectorized gathers per level
 instead of a Python loop per edge.  Distances and component partitions
-are tie-break-free, so results are identical to the dict backend; the
-original deque implementations survive as ``bfs_distances_reference`` /
-``connected_components_reference``, the equivalence oracles used by the
-property tests.
+are tie-break-free, so results are identical to a deque BFS over the
+dict adjacency.
 """
-
-from collections import deque
 
 import numpy as np
 
@@ -38,21 +34,6 @@ def bfs_distances(graph, source):
     ids = csr.ids
     return {ids[row]: int(dist[row])
             for row in np.flatnonzero(dist >= 0).tolist()}
-
-
-def bfs_distances_reference(graph, source):
-    """The original dict-backend BFS (equivalence oracle for the kernel)."""
-    if source not in graph:
-        raise TopologyError(f"source {source!r} not in graph")
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                queue.append(neighbor)
-    return distances
 
 
 def hop_distance(graph, u, v):
@@ -132,18 +113,6 @@ def connected_components(graph):
     members = order.tolist()
     return [{ids[i] for i in members[lo:hi]}
             for lo, hi in zip(bounds, bounds[1:])]
-
-
-def connected_components_reference(graph):
-    """The original per-component BFS sweep (equivalence oracle)."""
-    remaining = set(graph.nodes)
-    components = []
-    while remaining:
-        start = next(iter(remaining))
-        component = set(bfs_distances_reference(graph, start))
-        components.append(component)
-        remaining -= component
-    return components
 
 
 def is_connected(graph):

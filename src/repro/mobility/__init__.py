@@ -9,7 +9,6 @@ from repro.mobility.trace import (
     TraceFrame,
     record_trace,
     topology_at,
-    topology_stream,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "TraceFrame",
     "record_trace",
     "topology_at",
-    "topology_stream",
 ]

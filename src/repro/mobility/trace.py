@@ -1,10 +1,9 @@
 """Mobility traces: positions over time and per-window topologies.
 
-Two replay paths exist.  :func:`topology_at` rebuilds a snapshot from
-scratch per window (the reference oracle); :func:`topology_stream`
-maintains one :class:`~repro.graph.dynamic.DynamicTopology` across the
-whole sequence, so each window costs only its edge delta.  Both produce
-identical topologies window for window.
+:func:`topology_at` builds one snapshot from scratch; :func:`window_stream`
+maintains one :class:`~repro.graph.dynamic.DynamicTopology` across a
+whole sequence, so each window costs only its edge delta, and its
+topologies equal :func:`topology_at` on each snapshot.
 """
 
 from dataclasses import dataclass
@@ -27,28 +26,16 @@ def topology_at(positions, radius, ids=None):
     return Topology(graph, positions=positions_by_id, radius=radius)
 
 
-def topology_stream(position_snapshots, radius, ids=None):
-    """Yield one Topology per ``(n, 2)`` position snapshot, delta-based.
-
-    Equivalent to calling :func:`topology_at` per snapshot, but the
-    unit-disk structure is maintained incrementally: every yielded
-    Topology wraps the *same* live graph, rebased onto each snapshot's
-    exact edge set.  Consume each topology before advancing the
-    generator (as the experiment loops do) -- metrics read later see the
-    latest window, exactly like a real deployment's current view.
-    """
-    for update in window_stream(position_snapshots, radius, ids=ids):
-        yield update.topology
-
-
 def window_stream(position_snapshots, radius, ids=None,
                   track_densities=True):
     """Yield one :class:`~repro.graph.dynamic.WindowUpdate` per snapshot.
 
-    The engine-facing variant of :func:`topology_stream`: the first
-    update carries the freshly built topology with ``delta=None`` (an
-    engine re-seeds on it), every later update the exact edge delta from
-    the previous window.  ``track_densities=False`` skips the triangle
+    The first update carries the freshly built topology with
+    ``delta=None`` (an engine re-seeds on it), every later update the
+    exact edge delta from the previous window.  Every yielded topology
+    wraps the *same* live graph, rebased onto each snapshot's exact edge
+    set, so consume each update before advancing the generator (as the
+    experiment loops do).  ``track_densities=False`` skips the triangle
     counts and the exact densities for consumers that never read them
     (the baseline engines); updates then carry ``densities=None`` /
     ``density_changed=None``.
@@ -90,26 +77,11 @@ class Trace:
     def __iter__(self):
         return iter(self.frames)
 
-    def topologies(self, radius, dynamics="rebuild"):
-        """Yield ``(time, Topology)`` per frame.
-
-        ``dynamics="delta"`` replays through :func:`topology_stream`
-        (same topologies, maintained incrementally; the yielded objects
-        share one live graph) -- the right choice for window-by-window
-        consumers.  The default rebuilds independent snapshots.
-        """
-        if dynamics == "rebuild":
-            for frame in self.frames:
-                yield frame.time, topology_at(frame.positions, radius)
-        elif dynamics == "delta":
-            snapshots = (frame.positions for frame in self.frames)
-            for frame, topology in zip(self.frames,
-                                       topology_stream(snapshots, radius)):
-                yield frame.time, topology
-        else:
-            raise ConfigurationError(
-                f"unknown dynamics {dynamics!r}; expected 'delta' or "
-                "'rebuild'")
+    def topologies(self, radius):
+        """Yield ``(time, Topology)`` per frame, each an independent
+        scratch snapshot (:func:`topology_at`)."""
+        for frame in self.frames:
+            yield frame.time, topology_at(frame.positions, radius)
 
 
 def record_trace(model, duration, window):

@@ -4,15 +4,11 @@ import pytest
 
 from repro.clustering.baselines.common import (
     greedy_dominating_clustering,
-    greedy_dominating_clustering_reference,
     priority_columns,
 )
 from repro.clustering.baselines.degree import degree_clustering
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import (
-    maxmin_clustering,
-    maxmin_clustering_reference,
-)
+from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.graph.generators import (
     complete_topology,
     line_topology,
@@ -21,6 +17,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
+from tests.oracles import baselines as oracle
 
 
 class TestGreedyDominating:
@@ -143,7 +140,7 @@ class TestMaxMin:
 
 
 class TestVectorizedAgainstReference:
-    """The CSR fast paths reproduce the per-node originals bit for bit."""
+    """The CSR fast paths reproduce the per-node oracles bit for bit."""
 
     def test_greedy_matches_reference_on_random_graphs(self):
         for seed in range(6):
@@ -154,7 +151,7 @@ class TestVectorizedAgainstReference:
                 {node: (graph.degree(node), -node) for node in graph},
             ):
                 fast = greedy_dominating_clustering(graph, priority)
-                slow = greedy_dominating_clustering_reference(graph, priority)
+                slow = oracle.greedy_dominating_clustering(graph, priority)
                 assert fast.heads == slow.heads
                 assert fast.parents == slow.parents
 
@@ -164,7 +161,7 @@ class TestVectorizedAgainstReference:
             graph = topo.graph
             priority = {node: -node for node in graph}
             fast = greedy_dominating_clustering(graph, priority)
-            slow = greedy_dominating_clustering_reference(graph, priority)
+            slow = oracle.greedy_dominating_clustering(graph, priority)
             assert fast.parents == slow.parents
 
     def test_maxmin_matches_reference_on_random_graphs(self):
@@ -172,8 +169,8 @@ class TestVectorizedAgainstReference:
             topo = uniform_topology(60, 0.15, rng=seed)
             for d in (1, 2, 3):
                 fast = maxmin_clustering(topo.graph, d=d, tie_ids=topo.ids)
-                slow = maxmin_clustering_reference(topo.graph, d=d,
-                                                   tie_ids=topo.ids)
+                slow = oracle.maxmin_clustering(topo.graph, d=d,
+                                                tie_ids=topo.ids)
                 assert fast.heads == slow.heads
                 assert fast.parents == slow.parents
 
@@ -182,20 +179,28 @@ class TestVectorizedAgainstReference:
         # (see tests/property/test_engine_properties.py).
         topo = uniform_topology(30, 0.12, rng=57)
         fast = maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids)
-        slow = maxmin_clustering_reference(topo.graph, d=2, tie_ids=topo.ids)
+        slow = oracle.maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids)
         assert fast.parents == slow.parents
 
-    def test_non_unique_priorities_use_reference_path(self):
-        # Equal keys make the reference's parent choice depend on set
-        # iteration order; the vectorized path must decline (and the
-        # public entry point then matches the reference by construction).
+    def test_non_unique_priorities_rejected(self):
+        # Equal keys would make the parent choice depend on set
+        # iteration order, which no array layout can reproduce.
         graph = Graph(edges=[(0, 2), (1, 2)])
         priority = {0: 1, 1: 1, 2: 0}
         ids = graph.to_csr().ids
         assert priority_columns(ids, priority) is None
-        fast = greedy_dominating_clustering(graph, priority)
-        slow = greedy_dominating_clustering_reference(graph, priority)
-        assert fast.parents == slow.parents
+        with pytest.raises(ConfigurationError, match="priorities must be unique"):
+            greedy_dominating_clustering(graph, priority)
+
+    @pytest.mark.parametrize("clusterer", [degree_clustering,
+                                           lowest_id_clustering])
+    def test_non_unique_tie_ids_rejected(self, clusterer):
+        """The same input max-min, both baseline engines and
+        ``Topology`` reject."""
+        graph = line_topology(4).graph
+        with pytest.raises(ConfigurationError,
+                           match="tie_ids must be globally unique"):
+            clusterer(graph, tie_ids={0: 1, 1: 1, 2: 5, 3: 5})
 
     def test_priority_columns_rejects_exotic_keys(self):
         ids = (0, 1, 2)

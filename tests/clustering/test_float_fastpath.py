@@ -9,33 +9,13 @@ import repro.clustering.incremental as incremental
 from repro.clustering.density import (
     ISOLATED_DENSITY,
     all_densities,
-    all_densities_reference,
     density_float_image,
     float_tie_mask,
 )
 from repro.clustering.incremental import IncrementalElection
 from repro.graph.graph import Graph
+from tests.oracles import triangles as triangles_oracle
 from tests.oracles.election import compute_clustering
-
-
-class _DictBacked:
-    """A minimal dict-backend graph view (no ``to_csr``)."""
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    def __iter__(self):
-        return iter(self._graph)
-
-    @property
-    def edges(self):
-        return self._graph.edges
-
-    def neighbors(self, node):
-        return self._graph.neighbors(node)
-
-    def degree(self, node):
-        return self._graph.degree(node)
 
 
 def complete_graph(n):
@@ -59,9 +39,8 @@ class TestIsolatedConsistency:
     def test_csr_and_dict_backends_agree_on_the_sweep(self, exact):
         for graph in sweep_graphs():
             via_csr = all_densities(graph, exact=exact)
-            via_dict = all_densities(_DictBacked(graph), exact=exact)
-            reference = all_densities_reference(graph, exact=exact)
-            assert via_csr == via_dict == reference
+            assert via_csr == triangles_oracle.all_densities(graph,
+                                                             exact=exact)
             for node in graph:
                 if graph.degree(node) == 0:
                     expected = Fraction(0) if exact else ISOLATED_DENSITY

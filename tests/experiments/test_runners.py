@@ -129,16 +129,10 @@ class TestChurnDynamics:
         from repro.experiments.churn import run_churn_epochs
         for leave, arrive in ((0.0, 0.0), (0.1, 4.0)):
             delta = run_churn_epochs(30, 0.25, leave, arrive, epochs=5,
-                                     rng=14, dynamics="delta")
-            rebuild = run_churn_epochs(30, 0.25, leave, arrive, epochs=5,
-                                       rng=14, dynamics="rebuild")
+                                     rng=14)
+            rebuild = mobility_oracle.run_churn_epochs(
+                30, 0.25, leave, arrive, epochs=5, rng=14)
             assert delta == rebuild
-
-    def test_unknown_dynamics_rejected(self):
-        from repro.experiments.churn import run_churn_epochs
-        with pytest.raises(ConfigurationError):
-            run_churn_epochs(10, 0.25, 0.1, 1.0, epochs=1, rng=1,
-                             dynamics="teleport")
 
 
 class TestComparison:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.mobility.random_direction import RandomDirectionModel
-from repro.mobility.trace import Trace, TraceFrame, record_trace, topology_at
+from repro.mobility.trace import (
+    Trace,
+    TraceFrame,
+    record_trace,
+    topology_at,
+    window_stream,
+)
 from repro.util.errors import ConfigurationError
 
 
@@ -52,19 +58,18 @@ class TestRecordTrace:
         model = RandomDirectionModel(25, speed_range=(0.005, 0.02), rng=5)
         trace = record_trace(model, duration=10.0, window=2.0)
         rebuilt = list(trace.topologies(radius=0.25))
-        replayed = trace.topologies(radius=0.25, dynamics="delta")
-        for (t_a, a), (t_b, b) in zip(rebuilt, replayed):
-            assert t_a == t_b
+        replayed = window_stream((frame.positions for frame in trace),
+                                 radius=0.25)
+        windows = 0
+        for (time, a), frame, update in zip(rebuilt, trace, replayed):
+            b = update.topology
+            assert time == frame.time
             assert a.graph.nodes == b.graph.nodes
             assert {frozenset(e) for e in a.graph.edges} == \
                 {frozenset(e) for e in b.graph.edges}
             assert a.positions == b.positions
-
-    def test_rejects_unknown_dynamics(self):
-        model = RandomDirectionModel(5, speed_range=(0, 0.01), rng=6)
-        trace = record_trace(model, duration=2.0, window=2.0)
-        with pytest.raises(ConfigurationError):
-            list(trace.topologies(radius=0.2, dynamics="psychic"))
+            windows += 1
+        assert windows == len(trace) == 6
 
 
 class TestTrace:

@@ -1,5 +1,6 @@
-"""Mobility oracles: the scratch per-window pipeline of Section 5, and
-the random-direction sub-step loop with one fresh array per operation.
+"""Mobility oracles: scratch twins of every delta-maintained window
+source, and the random-direction sub-step loop with one fresh array per
+operation.
 
 :func:`repro.experiments.mobility.run_mobility_trace` maintains one
 dynamic topology, repairs DAG names only when an added edge collides
@@ -8,21 +9,37 @@ is the definition it must equal, run for run: every window rebuilds the
 unit-disk topology from the positions, runs the full polite-renaming
 repair over the persisted names, and elects each configuration with the
 per-node fixpoint of ``tests/oracles/election.py``.
+
+The other window sources get the same treatment: :func:`metric_windows`
+(comparison and re-affiliation churn), :func:`window_hierarchies` (the
+workload's mobility shape) and :func:`run_churn_epochs` (node churn)
+rebuild each window's topology from scratch where the library walks one
+edge-delta stream.  Each takes the arguments the experiments pass to
+the library function, so a test substitutes it for the module attribute
+and runs the experiment in-process at ``jobs=1``.
 """
 
 import numpy as np
 
 from repro.experiments.common import get_preset
+from repro.experiments.metric_windows import METRIC_SCRATCH
 from repro.experiments.mobility import (
     CONFIGURATIONS,
     SPEED_REGIMES,
     MobilityRun,
     speed_range_in_sides,
 )
+from repro.experiments.workload import WORKLOAD_METRICS
+from repro.hierarchy.hierarchy import build_hierarchy
 from repro.metrics.stability import RetentionSeries
+from repro.mobility.churn import ChurnProcess
 from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.trace import topology_at
 from repro.naming.assign import assign_dag_ids
+from repro.protocols.stack import standard_stack
+from repro.runtime.simulator import StepSimulator
+from repro.stabilization.monitor import steps_to_legitimacy
+from repro.stabilization.predicates import make_stack_predicate
 from repro.util.rng import as_rng
 from tests.oracles.election import compute_clustering
 
@@ -95,6 +112,55 @@ def run_mobility_trace(regime, preset, radius=0.1, rng=None,
         windows=windows,
         skipped=skipped,
     )
+
+
+def metric_windows(snapshots, radius):
+    """:func:`repro.experiments.metric_windows.metric_windows` with every
+    window rebuilt: ``topology_at`` plus ``METRIC_SCRATCH`` per snapshot."""
+    for positions in snapshots:
+        topology = topology_at(positions, radius)
+        yield {name: scratch(topology)
+               for name, scratch in METRIC_SCRATCH.items()}
+
+
+def window_hierarchies(snapshots, params, rng):
+    """The workload's ``_window_hierarchies`` as one scratch
+    :func:`build_hierarchy` per snapshot (names, election, overlay)."""
+    metric = params.get("metric", "density")
+    for positions in snapshots:
+        topology = topology_at(positions, params["radius"])
+        if metric == "density":
+            yield build_hierarchy(topology, rng=rng)
+        else:
+            scratch = METRIC_SCRATCH[WORKLOAD_METRICS[metric]]
+            yield build_hierarchy(topology, rng=rng,
+                                  physical_clustering=scratch(topology))
+
+
+def run_churn_epochs(initial_count, radius, leave_probability, arrival_rate,
+                     epochs, rng=None, step_budget=60):
+    """:func:`repro.experiments.churn.run_churn_epochs` with every epoch's
+    topology rebuilt by :meth:`~repro.mobility.churn.ChurnProcess.topology`."""
+    rng = as_rng(rng)
+    process = ChurnProcess(initial_count, radius, leave_probability,
+                           arrival_rate, rng=rng)
+    topology = process.topology()
+    stack = standard_stack(namespace=4 * initial_count)
+    simulator = StepSimulator(topology, stack, rng=rng)
+    predicate = make_stack_predicate()
+    steps_to_legitimacy(simulator, predicate, 300)
+
+    ready = 0
+    steps_total = 0.0
+    for _ in range(epochs):
+        process.epoch()
+        simulator.set_topology(process.topology())
+        report = steps_to_legitimacy(simulator, predicate, step_budget)
+        if report.converged:
+            ready += 1
+            steps_total += report.steps
+    mean_steps = steps_total / ready if ready else float(step_budget)
+    return ready, epochs, mean_steps
 
 
 def advance(model, dt):

@@ -1,4 +1,5 @@
-"""Triangle-count oracle: one mark vector per probed endpoint.
+"""Triangle-count oracles: one mark vector per probed endpoint, and the
+per-edge common-neighbor scan behind Definition 1's densities.
 
 :meth:`repro.graph.csr.CSRAdjacency.triangle_counts` marks the forward
 lists of a whole block of probed endpoints in one ``block x n`` boolean
@@ -7,9 +8,17 @@ replaced, kept as the definition it must equal: the same degree
 orientation and the same "candidates from the smaller forward list"
 rule, with one boolean mark vector set, read and cleared per probed
 endpoint, and one edge at a time.
+
+:func:`repro.clustering.density.all_densities` reads degrees and those
+triangle counts off the graph's CSR snapshot; :func:`all_densities` here
+is the dict-backend scan it replaced, with no NumPy at all.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from repro.clustering.density import ISOLATED_DENSITY
 
 
 def triangle_counts(csr):
@@ -55,3 +64,31 @@ def triangle_counts(csr):
         mark[forward_list(probed)] = False
         start = end
     return tri
+
+
+def all_densities(graph, exact=False):
+    """Density of every node by one common-neighbor scan per edge.
+
+    Each edge between two neighbors of ``w`` is a triangle through
+    ``w``; ``O(m * delta)`` total time.  Same result as
+    :func:`repro.clustering.density.all_densities` (a dict here).
+    """
+    triangles = {node: 0 for node in graph}
+    for u, v in graph.edges:
+        nu = graph.neighbors(u)
+        nv = graph.neighbors(v)
+        if len(nu) > len(nv):
+            nu, nv = nv, nu
+        for w in nu:
+            if w in nv:
+                # w sees edge (u, v) inside its neighborhood.
+                triangles[w] += 1
+    result = {}
+    for node in graph:
+        deg = graph.degree(node)
+        if deg == 0:
+            result[node] = Fraction(0) if exact else ISOLATED_DENSITY
+            continue
+        value = Fraction(deg + triangles[node], deg)
+        result[node] = value if exact else float(value)
+    return result

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.clustering.density import all_densities, all_densities_reference
+from repro.clustering.density import all_densities
 from repro.graph.generators import uniform_topology
 from repro.graph.graph import Graph
 from repro.graph.quasi_udg import quasi_uniform_topology
 
+from tests.oracles import triangles as triangles_oracle
 from tests.property.strategies import graphs
 
 
@@ -41,10 +42,10 @@ def assert_csr_matches_dict(graph):
         assert list(row) == sorted(row)
         for j in row:
             assert csr.has_edge(int(j), index)
-    # Densities: float and exact, bit-identical to the reference.
-    assert all_densities(graph) == all_densities_reference(graph)
+    # Densities: float and exact, bit-identical to the per-edge oracle.
+    assert all_densities(graph) == triangles_oracle.all_densities(graph)
     assert (all_densities(graph, exact=True)
-            == all_densities_reference(graph, exact=True))
+            == triangles_oracle.all_densities(graph, exact=True))
 
 
 @settings(max_examples=60)

@@ -7,9 +7,10 @@ counts, window for window.  Hypothesis drives small adversarial traces
 -- including the all-nodes-moved and empty-delta windows -- through the
 :class:`~repro.graph.dynamic.WindowUpdate` protocol, and seeded walks
 cover churn re-seeds and the max-min disconnected-member singleton
-fallback.  The oracles are the original per-node reference
-implementations, not the vectorized scratch paths, so this suite also
-re-validates those end to end.
+fallback.  The oracles are the per-node loops of
+``tests/oracles/baselines.py`` and ``tests/oracles/election.py``, not
+the vectorized scratch paths, so this suite also re-validates those end
+to end.
 """
 
 import numpy as np
@@ -17,31 +18,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.baselines.common import (
-    greedy_dominating_clustering_reference,
-)
-from repro.clustering.baselines.maxmin import maxmin_clustering_reference
 from repro.clustering.engine import engine_for, registered_engines
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
+from tests.oracles import baselines
 from tests.oracles.election import compute_clustering
 
 
 def _lowest_id_oracle(topology):
     priority = {node: -topology.ids[node] for node in topology.graph}
-    return greedy_dominating_clustering_reference(topology.graph, priority)
+    return baselines.greedy_dominating_clustering(topology.graph, priority)
 
 
 def _degree_oracle(topology):
     graph = topology.graph
     priority = {node: (graph.degree(node), -topology.ids[node])
                 for node in graph}
-    return greedy_dominating_clustering_reference(graph, priority)
+    return baselines.greedy_dominating_clustering(graph, priority)
 
 
 def _maxmin_oracle(d):
-    return lambda topology: maxmin_clustering_reference(
+    return lambda topology: baselines.maxmin_clustering(
         topology.graph, d=d, tie_ids=topology.ids)
 
 
@@ -168,7 +166,7 @@ def test_maxmin_singleton_fallback_survives_deltas():
     d=2 (node 7 self-parents without having selected itself).
     """
     topo = uniform_topology(30, 0.12, rng=57)
-    reference = maxmin_clustering_reference(topo.graph, d=2, tie_ids=topo.ids)
+    reference = baselines.maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids)
     fallback = [node for node in topo.graph
                 if reference.parents[node] == node
                 and node not in _selected_heads(topo)]
@@ -193,15 +191,15 @@ def test_maxmin_singleton_fallback_survives_deltas():
 
 def _selected_heads(topo):
     """Heads by rule 1-3 selection alone (before the fallback)."""
-    from repro.clustering.baselines.maxmin import _flood, _select_head_id
     g = topo.graph
     tie = topo.ids
-    max_log = _flood(g, rounds=2, combine=max,
-                     start={v: tie[v] for v in g})
+    max_log = baselines.flood(g, rounds=2, combine=max,
+                              start={v: tie[v] for v in g})
     final_max = {v: max_log[v][-1] for v in g}
-    min_log = _flood(g, rounds=2, combine=min, start=final_max)
+    min_log = baselines.flood(g, rounds=2, combine=min, start=final_max)
     id_to_node = {tie[v]: v for v in g}
-    chosen = {v: id_to_node[_select_head_id(tie[v], max_log[v], min_log[v])]
+    chosen = {v: id_to_node[baselines.select_head_id(tie[v], max_log[v],
+                                                     min_log[v])]
               for v in g}
     return {chosen[v] for v in g} | {v for v in g if chosen[v] == v}
 

@@ -1,10 +1,10 @@
 """Kernel vs dict-backend traversal equivalence.
 
 The CSR traversal kernel must be observationally identical to the
-original per-node implementations on every graph shape the workloads
-produce: random (often disconnected) hypothesis graphs with isolated
-nodes, geometric UDG / quasi-UDG deployments, and clusterings with
-single-node clusters.  Distances, components, joining-forest depths and
+per-node oracles of ``tests/oracles/traversal.py`` on every graph shape
+the workloads produce: random (often disconnected) hypothesis graphs
+with isolated nodes, geometric UDG / quasi-UDG deployments, and
+clusterings with single-node clusters.  Distances, components, joining-forest depths and
 head eccentricities are all tie-break-free, so equality is exact.
 """
 
@@ -14,34 +14,30 @@ from hypothesis import given, settings
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.graph.generators import uniform_topology
-from repro.graph.paths import (
-    bfs_distances,
-    bfs_distances_reference,
-    connected_components,
-    connected_components_reference,
-)
+from repro.graph.paths import bfs_distances, connected_components
 from repro.graph.quasi_udg import quasi_uniform_topology
 
+from tests.oracles import traversal as oracle
 from tests.property.strategies import graphs
 
 
 def assert_traversals_match(graph):
     components = connected_components(graph)
-    reference = connected_components_reference(graph)
+    reference = oracle.connected_components(graph)
     assert sorted(map(sorted, components)) == sorted(map(sorted, reference))
     for source in graph.nodes:
         assert bfs_distances(graph, source) == \
-            bfs_distances_reference(graph, source)
+            oracle.bfs_distances(graph, source)
 
 
 def assert_clustering_metrics_match(clustering):
     for node in clustering.parents:
-        assert clustering.depth(node) == clustering.depth_reference(node)
+        assert clustering.depth(node) == oracle.depth(clustering, node)
     for head in clustering.heads:
         assert clustering.tree_length(head) == \
-            clustering.tree_length_reference(head)
+            oracle.tree_length(clustering, head)
         assert clustering.head_eccentricity(head) == \
-            clustering.head_eccentricity_reference(head)
+            oracle.head_eccentricity(clustering, head)
 
 
 @settings(max_examples=60)
