@@ -10,13 +10,15 @@ Usage::
     python -m repro mobility --preset quick
     python -m repro scalability
     python -m repro energy
-    python -m repro doctor --clean-shm
+    python -m repro doctor
 
 Experiment output is printed as the same plain-text tables the benchmark
 suite shows.  ``--jobs`` fans the Monte-Carlo runs out over a
 ``multiprocessing`` pool (``--jobs 1``, the default, runs in-process);
 results are identical for every worker count (see
-``repro.experiments.engine``).
+``repro.experiments.engine``).  ``--topology`` and ``--metric`` are read
+only by the families in :data:`FLAG_READERS`; any other experiment
+rejects them.
 """
 
 import argparse
@@ -93,9 +95,10 @@ def _seed_runner(runner):
 
 
 def _workload_runner(args):
-    """``repro workload``: also forwards ``--metric``."""
+    """``repro workload``: also forwards ``--metric`` (default density)."""
     print(run_workload(args.preset, rng=args.seed, jobs=args.jobs,
-                       metric=args.metric, topology=_single_topology(args)))
+                       metric=args.metric or "density",
+                       topology=_single_topology(args)))
 
 
 def _comparison_runner(args):
@@ -158,6 +161,14 @@ EXPERIMENTS = {
                  _workload_runner),
 }
 
+#: The experiments that read each family-specific flag; giving the flag
+#: to any other experiment is a parser error rather than a silent no-op.
+FLAG_READERS = {
+    "topology": frozenset({"table1", "table2", "table4", "table5",
+                           "comparison", "churn", "workload"}),
+    "metric": frozenset({"workload"}),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -166,7 +177,8 @@ def build_parser():
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["doctor", "list"],
                         help="experiment to run, 'list' to enumerate, or "
-                             "'doctor' to inspect host state")
+                             "'doctor' to report the kernel backend and "
+                             "topology registry")
     parser.add_argument("--preset", default="quick",
                         help="workload preset: quick (default), paper, smoke")
     parser.add_argument("--seed", type=int, default=2024,
@@ -180,7 +192,7 @@ def build_parser():
                              "(node count from the preset, matched mean "
                              "degree from --radius equivalents); repeat "
                              "the flag for the comparison sweep")
-    parser.add_argument("--metric", default="density",
+    parser.add_argument("--metric", default=None,
                         choices=("density", "degree", "lowest_id", "maxmin"),
                         help="workload mode: clustering metric maintained "
                              "under mobility traffic (default density)")
@@ -188,23 +200,13 @@ def build_parser():
                         help="worker processes for Monte-Carlo runs "
                              "(default 1; 0 or 'auto' = all cores); "
                              "results are identical for every value")
-    parser.add_argument("--clean-shm", action="store_true",
-                        help="doctor mode: remove shared-memory segments "
-                             "whose publisher process is dead (the "
-                             "leftovers of a SIGKILLed run)")
     return parser
 
 
-def _doctor_main(args):
-    """Report (and optionally clean) this host's repro shared memory.
-
-    Sessions unlink their segments on exit and an ``atexit`` hook covers
-    crashes that still run Python teardown, but a SIGKILLed publisher
-    leaves its segments holding kernel memory until reboot.  ``doctor``
-    lists what is visible and ``--clean-shm`` removes the orphans (live
-    publishers are never touched).  It also reports which traversal
-    kernel backend ``REPRO_KERNELS`` resolved to at import.
-    """
+def _doctor_main():
+    """Report which traversal kernel backend ``REPRO_KERNELS`` resolved
+    to at import, the registered topology generators and the graph I/O
+    formats."""
     from repro.graph import kernels
     from repro.graph.io import FORMATS
     from repro.graph.models.registry import (
@@ -212,7 +214,6 @@ def _doctor_main(args):
         is_geometric,
         registered_topologies,
     )
-    from repro.graph.shm import clean_orphans, list_segments
     info = kernels.backend_info()
     print(f"kernel backend: {info['active']} "
           f"(requested {info['requested']}, numba "
@@ -228,23 +229,18 @@ def _doctor_main(args):
         print(f"  {name} ({kind}; params: {params})")
     print("graph I/O formats: " + ", ".join(FORMATS)
           + " (load via --topology file:PATH, save via repro.graph.io)")
-    removed = clean_orphans() if args.clean_shm else []
-    for name in removed:
-        print(f"removed orphaned segment {name}")
-    remaining = list_segments()
-    print(f"{len(remaining)} repro shared-memory segment(s) present"
-          + (f" after removing {len(removed)} orphan(s)"
-             if args.clean_shm else ""))
-    for name in remaining:
-        print(f"  {name}")
     return 0
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, readers in FLAG_READERS.items():
+        if getattr(args, flag) is not None and args.experiment not in readers:
+            parser.error(f"{args.experiment} does not read --{flag} (read "
+                         f"by: {', '.join(sorted(readers))})")
     if args.experiment == "doctor":
-        return _doctor_main(args)
+        return _doctor_main()
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name in sorted(EXPERIMENTS):

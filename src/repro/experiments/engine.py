@@ -39,7 +39,6 @@ from multiprocessing import get_context
 from typing import Callable
 
 from repro.experiments.common import get_preset
-from repro.graph.shm import share_graphs
 from repro.util.errors import ConfigurationError
 
 
@@ -119,10 +118,9 @@ class PoolExecutor(Executor):
     when it is unset.  A single-task submission (or ``jobs=1``) stays
     in-process.
 
-    While the pool maps, a :func:`repro.graph.shm.share_graphs` session
-    is active, so tasks that embed big graphs pickle them as
-    shared-memory handles the workers attach to zero-copy instead of
-    per-task adjacency copies.
+    Tasks reach the workers by plain pickling; a graph inside a task
+    travels as its compact pair arrays (CSR-only graphs) or its dict
+    adjacency (see :meth:`repro.graph.graph.Graph.__getstate__`).
     """
 
     def __init__(self, jobs=None):
@@ -133,12 +131,8 @@ class PoolExecutor(Executor):
         if self.jobs == 1 or len(tasks) <= 1:
             return [run(task) for task in tasks]
         context = get_context(os.environ.get("REPRO_MP_CONTEXT") or None)
-        # The pool is created *before* the session activates so forked
-        # children never inherit it (a worker publishing segments while
-        # pickling its results would leak them).
         with context.Pool(processes=min(self.jobs, len(tasks))) as pool:
-            with share_graphs():
-                return pool.map(run, tasks)
+            return pool.map(run, tasks)
 
 
 def run_experiment(spec, preset=None, rng=None, jobs=1, executor=None,

@@ -50,17 +50,14 @@ def model_snapshots(model, windows, window_seconds):
         model.advance(window_seconds)
 
 
-def metric_windows(snapshots, radius, metrics=None):
+def metric_windows(snapshots, radius):
     """Yield ``{metric name: Clustering}`` per position snapshot.
 
-    ``metrics`` restricts the evaluation to a subset of metric names
-    (default: all four).  One topology and one engine per metric are
-    maintained across the whole sequence.
+    One topology and one engine per metric (all four) are maintained
+    across the whole sequence.
     """
-    names = list(METRIC_SCRATCH) if metrics is None else list(metrics)
-    engines = {name: METRIC_ENGINES[name]() for name in names}
-    track = "density" in engines
-    for update in window_stream(snapshots, radius, track_densities=track):
+    engines = {name: factory() for name, factory in METRIC_ENGINES.items()}
+    for update in window_stream(snapshots, radius, track_densities=True):
         yield {
             name: engine.apply_delta(update)
             for name, engine in engines.items()

@@ -9,12 +9,11 @@ the path-stretch price paid for the savings.
 The topology and hierarchy for each deployment size are built once in
 the parent; the Monte-Carlo part -- sampling source/destination pairs
 and routing them -- fans out as per-size *chunks* that each carry the
-hierarchy and a pre-spawned generator.  On a process pool the
-hierarchy's physical graph therefore pickles as a shared-memory handle
-(:mod:`repro.graph.shm`), not as an adjacency copy per task.  The
-shipped hierarchy is built on a positions-free topology: routing and
-stretch never read coordinates, so the per-task payload stays at the
-clustering state rather than the geometry.
+hierarchy and a pre-spawned generator.  On a process pool each chunk
+pickles its hierarchy, so chunks are few (:data:`DEFAULT_CHUNKS` per
+size) and the shipped hierarchy is built on a positions-free topology:
+routing and stretch never read coordinates, so the per-task payload
+stays at the clustering state rather than the geometry.
 """
 
 import numpy as np
@@ -76,7 +75,7 @@ def _build(preset, rng, options):
     sizes = options["sizes"]
     radius = options["radius"]
     pairs = options["pairs"]
-    chunks = max(1, min(pairs, options.get("chunks") or DEFAULT_CHUNKS))
+    chunks = max(1, min(pairs, DEFAULT_CHUNKS))
     tasks = []
     for index, (size, run_rng) in enumerate(
             zip(sizes, spawn_rngs(rng, len(sizes)))):
@@ -124,12 +123,11 @@ SCALABILITY_SPEC = ExperimentSpec(name="scalability", build=_build,
 
 
 def run_scalability(sizes=(200, 400, 800), radius=0.12, pairs=40, rng=None,
-                    jobs=1, chunks=None):
+                    jobs=1):
     """Routing state and stretch per deployment size; returns a Table.
 
-    ``chunks`` bounds how many stretch-sampling tasks each size fans out
-    as (default :data:`DEFAULT_CHUNKS`, never more than ``pairs``).
+    Each size fans out as :data:`DEFAULT_CHUNKS` stretch-sampling tasks
+    (never more than ``pairs``).
     """
     return run_experiment(SCALABILITY_SPEC, rng=rng, jobs=jobs,
-                          sizes=tuple(sizes), radius=radius, pairs=pairs,
-                          chunks=chunks)
+                          sizes=tuple(sizes), radius=radius, pairs=pairs)

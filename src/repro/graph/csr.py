@@ -79,9 +79,9 @@ class CSRAdjacency:
     def index_of(self):
         """Node identifier -> row index, built lazily.
 
-        Million-node snapshots that only ever serve array analytics (or
-        are attached zero-copy from shared memory) never pay for the
-        Python dict; identifier-world callers build it on first use.
+        Million-node snapshots that only ever serve array analytics never
+        pay for the Python dict; identifier-world callers build it on
+        first use.
         """
         if self._index_of is None:
             object.__setattr__(

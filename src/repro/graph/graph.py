@@ -33,11 +33,8 @@ snapshot for array-speed analytics; it is built on first use, cached, and
 invalidated by any mutation, so repeated reads over an unchanged graph
 reuse it in O(1).
 
-Pickling is payload-aware: when a shared-memory share session is active
-(:func:`repro.graph.shm.share_graphs`, used by the engine's process
-pool), big graphs serialize as a tiny ``SharedCSR`` handle and workers
-attach to the publisher's frozen arrays zero-copy; lazy graphs ship their
-compact pair arrays; plain dict graphs pickle as before.
+Pickling is payload-aware: lazy graphs ship their compact int32 pair
+arrays; plain dict graphs pickle their dict adjacency.
 """
 
 import numpy as np
@@ -82,9 +79,9 @@ class Graph:
         """Build the dict adjacency from the CSR snapshot (lazy graphs).
 
         Bulk-built graphs (:meth:`from_pair_array`,
-        :meth:`from_pair_chunks`), graphs attached from a shared-memory
-        snapshot and graphs rebased by :meth:`adopt_csr` carry only the
-        CSR arrays until a caller needs dict semantics.  Neighbor sets
+        :meth:`from_pair_chunks`), graphs unpickled from their pair arrays
+        and graphs rebased by :meth:`adopt_csr` carry only the CSR arrays
+        until a caller needs dict semantics.  Neighbor sets
         are filled in ascending row order -- the insertion sequence of an
         ``add_edge`` loop (or :meth:`add_edges_from`) over the same pairs
         in lexicographic order, so the sets equal that build's,
@@ -343,15 +340,9 @@ class Graph:
         return iter(self._adj_map)
 
     def __getstate__(self):
-        # Payload-aware pickling, in order of preference: a shared-memory
-        # handle when a share session is active and the graph is big
-        # enough (pool workers attach zero-copy); the compact int32 pair
-        # arrays for lazy graphs; the dict adjacency otherwise (the
-        # cached snapshot is dropped -- cheap to rebuild, bulky on the
-        # wire).
-        handle = _shm_handle(self)
-        if handle is not None:
-            return {"_shm": handle}
+        # Payload-aware pickling: the compact int32 pair arrays for lazy
+        # graphs; the dict adjacency otherwise (the cached snapshot is
+        # dropped -- cheap to rebuild, bulky on the wire).
         if self._adj_map is None:
             csr = self._csr
             row, col = csr.edge_arrays()
@@ -362,10 +353,7 @@ class Graph:
         return {"_adj": self._adj_map}
 
     def __setstate__(self, state):
-        if "_shm" in state:
-            self._adj_map = None
-            self._csr = state["_shm"].attach()
-        elif "_pairs" in state:
+        if "_pairs" in state:
             lo, hi, ids = state["_pairs"]
             if isinstance(ids, int):
                 ids = range(ids)
@@ -535,21 +523,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={len(self)}, m={self.edge_count()})"
-
-
-def _shm_handle(graph):
-    """The graph's ``SharedCSR`` handle when a share session wants it.
-
-    Returns ``None`` when no session is active or the graph is below the
-    session's size threshold; the import stays local so plain pickling
-    never touches the shared-memory machinery.
-    """
-    from repro.graph import shm
-
-    session = shm.active_session()
-    if session is None:
-        return None
-    return session.handle_for(graph)
 
 
 def _node_ids(node_ids):

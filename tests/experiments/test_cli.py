@@ -3,6 +3,13 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.graph.models.registry import registered_topologies
+
+#: The families that do not read ``--topology``.
+FIXED_TOPOLOGY_FAMILIES = [
+    "beacons", "energy", "figure1", "figure2", "figure3", "intensity",
+    "mobility", "node-churn", "recovery", "scalability", "scaling", "table3",
+]
 
 
 class TestParser:
@@ -74,3 +81,35 @@ class TestMain:
                   "--topology", f"file:{path}"])
         assert exit_info.value.code == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", FIXED_TOPOLOGY_FAMILIES)
+    def test_topology_on_a_family_that_ignores_it_is_a_parser_error(
+            self, family, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([family, "--preset", "smoke", "--topology", "ring"])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family", sorted(name for name in EXPERIMENTS if name != "workload"))
+    def test_metric_outside_workload_is_a_parser_error(self, family, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([family, "--preset", "smoke", "--metric", "degree"])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestDoctor:
+    def test_reports_backend_registry_and_formats(self, capsys):
+        assert main(["doctor"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel backend:" in out
+        for name in registered_topologies():
+            assert f"  {name} (" in out
+        assert "graph I/O formats:" in out
+        assert "shared-memory" not in out
+
+    def test_clean_shm_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["doctor", "--clean-shm"])
+        assert exit_info.value.code == 2

@@ -6,6 +6,7 @@ invisible in the results.  Verified here on the engine itself (with a toy
 spec) and end-to-end on several real experiment families.
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import Preset
@@ -24,6 +25,8 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 from repro.experiments.table4 import run_table4
 from repro.experiments.table5 import run_table5
+from repro.graph.geometry import chunk_pairs
+from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
 
 TINY = Preset(name="tiny", runs=3, intensity=150, mobility_nodes=60,
@@ -42,6 +45,13 @@ def _toy_run(task):
 
 def _toy_reduce(preset, tasks, results, options):
     return {"tasks": list(tasks), "results": list(results)}
+
+
+def _degree_of(task):
+    graph, node = task
+    # Degree reads stay on the CSR snapshot, so a graph that arrived
+    # CSR-only is still lazy afterwards.
+    return graph.degree(node), graph._adj_map is None
 
 
 TOY_SPEC = ExperimentSpec(name="toy", build=_toy_build, run=_toy_run,
@@ -80,6 +90,14 @@ class TestPoolExecutor:
     def test_empty_and_single_task(self):
         assert PoolExecutor(jobs=4).submit_all([], _toy_run) == []
         assert PoolExecutor(jobs=4).submit_all([5], _toy_run) == [25]
+
+    def test_pool_tasks_receive_csr_only_graphs_by_pickling(self):
+        points = np.random.default_rng(9).uniform(0, 1, size=(2500, 2))
+        graph = Graph.from_pair_chunks(chunk_pairs(points, 0.05), 2500)
+        nodes = (0, 100, 2000)
+        results = PoolExecutor(jobs=2).submit_all(
+            [(graph, node) for node in nodes], _degree_of)
+        assert results == [(graph.degree(node), True) for node in nodes]
 
 
 class TestRunExperiment:

@@ -1,4 +1,5 @@
-"""Property tests: density bounds and equivalences on arbitrary graphs."""
+"""Property tests: density bounds and equivalences on arbitrary graphs,
+and the float fast path against the exact fractions."""
 
 from fractions import Fraction
 
@@ -64,3 +65,29 @@ def test_density_depends_only_on_two_hop_ball(graph):
                 graph.remove_edge(u, v)
                 assert density(graph, node, exact=True) == before
                 return
+
+
+@settings(max_examples=60)
+@given(graph=graphs())
+def test_float_density_is_the_rounded_exact_fraction(graph):
+    exact = all_densities(graph, exact=True)
+    fast = all_densities(graph, exact=False)
+    for node in graph:
+        assert fast[node] == float(exact[node])
+
+
+@settings(max_examples=60)
+@given(graph=graphs())
+def test_float_order_agrees_with_exact_order_up_to_ties(graph):
+    exact = all_densities(graph, exact=True)
+    fast = all_densities(graph, exact=False)
+    nodes = list(graph)
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if fast[u] != fast[v]:
+                # Distinct floats: monotone rounding preserves the order.
+                assert (fast[u] < fast[v]) == (exact[u] < exact[v])
+            else:
+                # A float tie can only hide an exact tie at these sizes
+                # (the FLOAT_EXACT_LIMIT injectivity bound).
+                assert exact[u] == exact[v]
