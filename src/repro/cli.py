@@ -16,9 +16,9 @@ Experiment output is printed as the same plain-text tables the benchmark
 suite shows.  ``--jobs`` fans the Monte-Carlo runs out over a
 ``multiprocessing`` pool (``--jobs 1``, the default, runs in-process);
 results are identical for every worker count (see
-``repro.experiments.engine``).  ``--topology`` and ``--metric`` are read
-only by the families in :data:`FLAG_READERS`; any other experiment
-rejects them.
+``repro.experiments.engine``).  ``--preset``, ``--topology`` and
+``--metric`` are read only by the families in :data:`FLAG_READERS`; any
+other experiment rejects them.
 """
 
 import argparse
@@ -164,6 +164,8 @@ EXPERIMENTS = {
 #: The experiments that read each family-specific flag; giving the flag
 #: to any other experiment is a parser error rather than a silent no-op.
 FLAG_READERS = {
+    "preset": frozenset({"table2", "table3", "table4", "table5", "mobility",
+                         "comparison", "recovery", "churn", "workload"}),
     "topology": frozenset({"table1", "table2", "table4", "table5",
                            "comparison", "churn", "workload"}),
     "metric": frozenset({"workload"}),
@@ -177,9 +179,9 @@ def build_parser():
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["doctor", "list"],
                         help="experiment to run, 'list' to enumerate, or "
-                             "'doctor' to report the kernel backend and "
-                             "topology registry")
-    parser.add_argument("--preset", default="quick",
+                             "'doctor' to report the topology registry and "
+                             "graph I/O formats")
+    parser.add_argument("--preset", default=None,
                         help="workload preset: quick (default), paper, smoke")
     parser.add_argument("--seed", type=int, default=2024,
                         help="root RNG seed (default 2024)")
@@ -204,23 +206,14 @@ def build_parser():
 
 
 def _doctor_main():
-    """Report which traversal kernel backend ``REPRO_KERNELS`` resolved
-    to at import, the registered topology generators and the graph I/O
+    """Report the registered topology generators and the graph I/O
     formats."""
-    from repro.graph import kernels
     from repro.graph.io import FORMATS
     from repro.graph.models.registry import (
         accepted_parameters,
         is_geometric,
         registered_topologies,
     )
-    info = kernels.backend_info()
-    print(f"kernel backend: {info['active']} "
-          f"(requested {info['requested']}, numba "
-          + ("available" if info["numba_available"] else "not installed")
-          + ")")
-    if "numba_error" in info:
-        print(f"  numba import failed: {info['numba_error']}")
     names = registered_topologies()
     print(f"{len(names)} registered topology generator(s):")
     for name in names:
@@ -239,6 +232,8 @@ def main(argv=None):
         if getattr(args, flag) is not None and args.experiment not in readers:
             parser.error(f"{args.experiment} does not read --{flag} (read "
                          f"by: {', '.join(sorted(readers))})")
+    if args.preset is None:
+        args.preset = "quick"
     if args.experiment == "doctor":
         return _doctor_main()
     if args.experiment == "list":

@@ -35,7 +35,7 @@ Requirements on spec components:
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Callable
 
 from repro.experiments.common import get_preset
@@ -115,8 +115,9 @@ class PoolExecutor(Executor):
 
     The ``REPRO_MP_CONTEXT`` environment variable selects the start
     method (``"fork"``, ``"spawn"``, ...); the platform default is used
-    when it is unset.  A single-task submission (or ``jobs=1``) stays
-    in-process.
+    when it is unset, and any other value raises
+    :class:`~repro.util.errors.ConfigurationError`.  A single-task
+    submission (or ``jobs=1``) stays in-process.
 
     Tasks reach the workers by plain pickling; a graph inside a task
     travels as its compact pair arrays (CSR-only graphs) or its dict
@@ -130,9 +131,19 @@ class PoolExecutor(Executor):
         tasks = list(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
             return [run(task) for task in tasks]
-        context = get_context(os.environ.get("REPRO_MP_CONTEXT") or None)
+        context = _start_method_context()
         with context.Pool(processes=min(self.jobs, len(tasks))) as pool:
             return pool.map(run, tasks)
+
+
+def _start_method_context():
+    """The ``multiprocessing`` context ``REPRO_MP_CONTEXT`` names."""
+    method = os.environ.get("REPRO_MP_CONTEXT") or None
+    if method is not None and method not in get_all_start_methods():
+        raise ConfigurationError(
+            f"REPRO_MP_CONTEXT={method!r} is not a start method on this "
+            f"platform ({', '.join(get_all_start_methods())})")
+    return get_context(method)
 
 
 def run_experiment(spec, preset=None, rng=None, jobs=1, executor=None,

@@ -328,21 +328,6 @@ def _iter_pair_chunks(x, y, radius, budget):
             yield pairs[cut : cut + budget]
 
 
-def pairwise_within_range(positions, radius):
-    """Index pairs ``(i, j)``, ``i < j``, with distance <= ``radius``.
-
-    Tuple-yielding view of the pair search, kept for callers that consume
-    Python pairs.  Streams through :func:`chunk_pairs` so peak memory is
-    the chunk budget, not the full candidate expansion; bulk consumers
-    should use the arrays directly.
-    """
-    return [
-        (i, j)
-        for chunk in chunk_pairs(positions, radius)
-        for i, j in chunk.tolist()
-    ]
-
-
 def unit_disk_graph(positions, radius, node_ids=None, max_pairs=None):
     """Build the unit-disk :class:`Graph` over ``positions``.
 

@@ -1,19 +1,19 @@
-"""Pure-numpy traversal kernels (the reference backend).
+"""Traversal kernels on raw CSR arrays (``indptr`` / ``indices``).
 
-These are the array-frontier loops that previously lived inline in
-:mod:`repro.graph.traversal`, refactored to operate on raw CSR arrays
-(``indptr``/``indices``) so the numba backend can offer drop-in
-compiled replacements.  Every function here is the *semantics
-reference*: the numba backend must reproduce its outputs bit for bit
-(the ``tests/graph/test_kernels.py`` parity suite enforces that on
-random, disconnected, single-node and isolated-node graphs).
+Every hot traversal loop in the repo lives here: BFS frontier
+expansion, the label-constrained multi-source sweep (resumable, level
+by level, up to a stop row), BFS parents and their unwinding, component
+label propagation, and the pointer-doubling forest resolve.
+:mod:`repro.graph.traversal` applies them to CSR snapshots; the overlay
+(:mod:`repro.hierarchy.overlay`) and the serving router
+(:mod:`repro.workload.serve`) call them on their own arrays.
 
-The deterministic tie-break shared by both backends: a row discovered
-at BFS level ``d`` records as parent its **first discoverer in
-(sorted-frontier row, ascending CSR neighbor) order**, which equals the
-smallest-index neighbor at level ``d - 1``.  Distances, component
-labels, forest roots and depths are tie-break-free; parents and
-unwound paths rely on that rule.
+The deterministic tie-break: a row discovered at BFS level ``d``
+records as parent its **first discoverer in (sorted-frontier row,
+ascending CSR neighbor) order**, which equals the smallest-index
+neighbor at level ``d - 1``.  Distances, component labels, forest
+roots and depths are tie-break-free; parents and unwound paths rely on
+that rule.
 """
 
 import numpy as np
@@ -243,3 +243,12 @@ def unwind_path(parents, source, target):
         rows.append(parent)
     rows.reverse()
     return np.asarray(rows, dtype=np.int64)
+
+
+def backend_info():
+    """The kernel implementation, for run records: ``{"active": "numpy"}``."""
+    return {"active": "numpy"}
+
+
+def warm_up():
+    """Prepare the kernels for timing; numpy kernels need nothing."""

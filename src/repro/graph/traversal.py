@@ -3,11 +3,9 @@
 Every headline metric of the paper is hop-based -- head eccentricity
 ``e(H(u)/C)``, joining-tree length, route stretch -- and all of them are
 traversal-shaped.  This module is the shared *public* kernel surface
-those metrics ride; since the compiled-kernel refactor the hot loops
-themselves live behind the :mod:`repro.graph.kernels` seam (pure numpy
-by default, ``numba.njit`` when installed and selected via
-``REPRO_KERNELS``; outputs bit-identical either way).  What remains
-here is the id/row plumbing and the error contract:
+those metrics ride; the hot loops themselves are the array kernels of
+:mod:`repro.graph.kernels`.  What remains here is the id/row plumbing
+and the error contract:
 
 * :func:`csr_bfs_distances` -- single-source BFS returning an ``int64``
   distance array (``-1`` marks unreachable rows);
@@ -31,10 +29,10 @@ here is the id/row plumbing and the error contract:
   a clustering) resolved to per-node roots and depths.
 
 Distances, component partitions, roots and depths are all tie-break-free
-quantities, and the parent rule is pinned identically in both backends,
-which is what lets the callers in ``graph/paths.py``,
-``clustering/result.py`` and ``hierarchy/routing.py`` swap backends
-without changing a single reported number.
+quantities, and parents follow the one rule stated in
+:mod:`repro.graph.kernels`, so every number the callers in
+``graph/paths.py``, ``clustering/result.py`` and ``hierarchy/routing.py``
+report is a function of the graph alone.
 """
 
 import numpy as np

@@ -8,8 +8,7 @@ member of the other; the physical edge realizing the adjacency is the
 
 Both choices hierarchical routing makes on the overlay follow a rule
 stated on the physical CSR rows (``clustering.cluster_rows()``), so
-neither depends on how the graph was built, how it was pickled or which
-kernel backend runs:
+neither depends on how the graph was built or how it was pickled:
 
 * the gateway of an overlay edge is its **lowest ``(row, row)``**
   physical edge -- the smallest ``(u, v)``, ``u < v``, among the edges

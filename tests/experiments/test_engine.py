@@ -99,6 +99,18 @@ class TestPoolExecutor:
             [(graph, node) for node in nodes], _degree_of)
         assert results == [(graph.degree(node), True) for node in nodes]
 
+    def test_start_method_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
+        assert PoolExecutor(jobs=2).submit_all([3, 4], _toy_run) == [9, 16]
+
+    def test_unknown_start_method_is_a_configuration_error(self,
+                                                           monkeypatch):
+        monkeypatch.setenv("REPRO_MP_CONTEXT", "bogus")
+        with pytest.raises(ConfigurationError, match="REPRO_MP_CONTEXT"):
+            PoolExecutor(jobs=2).submit_all([3, 4], _toy_run)
+        # A submission that stays in-process never reads the variable.
+        assert PoolExecutor(jobs=1).submit_all([3, 4], _toy_run) == [9, 16]
+
 
 class TestRunExperiment:
     def test_reducer_sees_tasks_and_ordered_results(self):

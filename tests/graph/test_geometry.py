@@ -8,7 +8,6 @@ from repro.graph.geometry import (
     chunk_pairs,
     pair_columns,
     pairs_within_range,
-    pairwise_within_range,
     subset_pair_columns,
     unit_disk_graph,
 )
@@ -26,42 +25,49 @@ def brute_force_pairs(positions, radius):
     return pairs
 
 
+def pair_set(positions, radius):
+    """:func:`pairs_within_range` rows as a set of ``(i, j)`` tuples."""
+    return set(map(tuple, pairs_within_range(positions, radius).tolist()))
+
+
 class TestPairwiseWithinRange:
+    """The pair search against brute force, boundaries and bad input."""
+
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             points = rng.uniform(0, 1, size=(120, 2))
             radius = float(rng.uniform(0.05, 0.3))
-            fast = set(pairwise_within_range(points, radius))
+            fast = pair_set(points, radius)
             assert fast == brute_force_pairs(points, radius)
 
     def test_exact_boundary_distance_included(self):
         points = [(0.0, 0.0), (0.1, 0.0)]
-        assert set(pairwise_within_range(points, 0.1)) == {(0, 1)}
+        assert pair_set(points, 0.1) == {(0, 1)}
 
     def test_just_outside_excluded(self):
         points = [(0.0, 0.0), (0.1000001, 0.0)]
-        assert set(pairwise_within_range(points, 0.1)) == set()
+        assert pair_set(points, 0.1) == set()
 
     def test_coincident_points_are_linked(self):
         points = [(0.5, 0.5), (0.5, 0.5)]
-        assert set(pairwise_within_range(points, 0.01)) == {(0, 1)}
+        assert pair_set(points, 0.01) == {(0, 1)}
 
     def test_empty_input(self):
-        assert set(pairwise_within_range(np.empty((0, 2)), 0.1)) == set()
+        assert pair_set(np.empty((0, 2)), 0.1) == set()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ConfigurationError):
-            list(pairwise_within_range(np.zeros((3, 3)), 0.1))
+            pairs_within_range(np.zeros((3, 3)), 0.1)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ConfigurationError):
-            list(pairwise_within_range(np.zeros((2, 2)), 0.0))
+            pairs_within_range(np.zeros((2, 2)), 0.0)
 
     def test_points_spanning_many_cells(self):
         # Distances straddling cell borders must not be missed.
         points = [(x * 0.09999, 0.0) for x in range(12)]
-        fast = set(pairwise_within_range(points, 0.1))
+        fast = pair_set(points, 0.1)
         assert fast == brute_force_pairs(points, 0.1)
 
     def test_property_random_sets_match_brute_force(self):
@@ -71,7 +77,7 @@ class TestPairwiseWithinRange:
         for n in (1, 2, 7, 40, 150):
             for radius in (0.01, 0.07, 0.25, 0.9, 2.0):
                 points = rng.uniform(0, 1, size=(n, 2))
-                fast = set(pairwise_within_range(points, radius))
+                fast = pair_set(points, radius)
                 assert fast == brute_force_pairs(points, radius), \
                     (n, radius)
 
@@ -82,7 +88,7 @@ class TestPairwiseWithinRange:
         radius = 0.125
         points = [(col * radius, row * radius)
                   for row in range(5) for col in range(5)]
-        fast = set(pairwise_within_range(points, radius))
+        fast = pair_set(points, radius)
         expected = brute_force_pairs(points, radius)
         assert fast == expected
         # Sanity: the boundary pairs really are there (4-neighborhood).
@@ -92,12 +98,12 @@ class TestPairwiseWithinRange:
         # Cell binning must not assume the unit square.
         rng = np.random.default_rng(3)
         points = rng.uniform(-5.0, 5.0, size=(80, 2))
-        fast = set(pairwise_within_range(points, 0.8))
+        fast = pair_set(points, 0.8)
         assert fast == brute_force_pairs(points, 0.8)
 
     def test_many_coincident_points(self):
         points = [(0.3, 0.3)] * 6 + [(0.9, 0.9)]
-        fast = set(pairwise_within_range(points, 0.05))
+        fast = pair_set(points, 0.05)
         assert fast == {(i, j) for i in range(6) for j in range(i + 1, 6)}
 
 
@@ -113,13 +119,6 @@ class TestPairsWithinRangeArray:
         keys = list(map(tuple, pairs.tolist()))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)  # no duplicates
-
-    def test_agrees_with_tuple_view(self):
-        rng = np.random.default_rng(9)
-        points = rng.uniform(0, 1, size=(50, 2))
-        pairs = pairs_within_range(points, 0.3)
-        assert [tuple(p) for p in pairs.tolist()] == \
-            pairwise_within_range(points, 0.3)
 
     def test_empty_cases(self):
         assert pairs_within_range(np.empty((0, 2)), 0.1).shape == (0, 2)

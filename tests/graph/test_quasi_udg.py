@@ -23,7 +23,7 @@ class TestQuasiUnitDiskGraph:
 
     def test_same_seed_same_graph(self):
         # Gray-zone draws consume the RNG in pair order, so determinism
-        # relies on pairwise_within_range's ordering contract
+        # relies on pairs_within_range's ordering contract
         # (lexicographic since the vectorized rewrite).
         points = np.random.default_rng(3).uniform(0, 1, size=(100, 2))
         first, _ = quasi_unit_disk_graph(points, 0.08, 0.16,

@@ -146,12 +146,12 @@ def test_simulator_family_stdout_is_frozen(args, digest, capsys):
     ("intensity", "3c9dee5b5fe70544b384aad0abc378afea7414477357d0f8a904159abef9a116"),
 ])
 def test_density_family_stdout_is_frozen(family, digest, capsys):
-    """sha256 of ``repro <family> --preset smoke --seed 2024`` stdout.
+    """sha256 of ``repro <family> --seed 2024`` stdout.
 
     Both families read ``all_densities`` on graphs built by
     ``Graph.from_pair_array``: ``energy`` ranks exact densities under
     the energy-aware order, ``intensity`` averages float densities."""
-    assert main([family, "--preset", "smoke", "--seed", "2024"]) == 0
+    assert main([family, "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -159,7 +159,7 @@ def test_density_family_stdout_is_frozen(family, digest, capsys):
 @pytest.mark.parametrize("args,digest", [
     (["workload", "--preset", "quick"],
      "645c80addd8da9d1ca4652f8df183d33ac2f47c837d1a6fe1267b7f75f846d8c"),
-    (["scalability", "--preset", "smoke"],
+    (["scalability"],
      "3442b5a9127ec4db88c2c843c88a4d1fe997d025b61157fb52a027d15a2f9b77"),
 ], ids=["workload", "scalability"])
 def test_routing_family_stdout_is_frozen(args, digest, capsys):
