@@ -44,9 +44,7 @@ def greedy_dominating_clustering(graph, priority, densities=None):
     order = scan_order(columns)
     heads = greedy_heads(csr, order)
     parent_rows = affiliate(csr, heads, scan_rank(order))
-    ids = csr.ids
-    parents = {ids[i]: ids[p] for i, p in enumerate(parent_rows.tolist())}
-    return Clustering(graph, parents, densities=densities)
+    return Clustering.from_rows(graph, parent_rows, densities=densities)
 
 
 def checked_tie_ids(graph, tie_ids):

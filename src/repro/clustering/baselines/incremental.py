@@ -232,9 +232,8 @@ class GreedyDominatingEngine(EngineBase):
             parent[row] = adjacent[np.argmax(prio[adjacent])]
 
     def _to_clustering(self, graph):
-        ids = self._csr.ids
-        parents = {ids[i]: ids[p] for i, p in enumerate(self._parent.tolist())}
-        return Clustering(graph, parents)
+        # ``_reaffiliate`` writes ``_parent`` in place: hand over a copy.
+        return Clustering.from_rows(graph, self._parent.copy())
 
 
 class MaxMinEngine(EngineBase):
@@ -391,9 +390,8 @@ class MaxMinEngine(EngineBase):
             )
 
     def _to_clustering(self, graph):
-        ids = self._csr.ids
-        parents = {ids[i]: ids[p] for i, p in enumerate(self._parent.tolist())}
-        return Clustering(graph, parents)
+        # ``_parent`` seeds the next repair: hand over a copy.
+        return Clustering.from_rows(graph, self._parent.copy())
 
 
 register_engine("lowest-id")(lambda: GreedyDominatingEngine("lowest-id"))

@@ -58,10 +58,7 @@ def maxmin_clustering(graph, d=2, tie_ids=None):
     max_log, min_log = flood_logs(csr, tie, d)
     head_id = select_head_ids(tie, max_log, min_log)
     labels = normalize_membership(tie, head_id)
-    parent_rows = cluster_parent_rows(csr, tie, labels)
-    ids = csr.ids
-    parents = {ids[i]: ids[p] for i, p in enumerate(parent_rows.tolist())}
-    return Clustering(graph, parents)
+    return Clustering.from_rows(graph, cluster_parent_rows(csr, tie, labels))
 
 
 def flood_logs(csr, tie, d):

@@ -69,6 +69,16 @@ def _previous_heads(previous):
     return previous.heads
 
 
+def _incumbent_mask(previous, ids):
+    """Per-row incumbent flags over ``ids`` (``previous`` as in
+    :func:`_previous_heads`); a previous clustering reads its own rows."""
+    if previous is None or isinstance(previous, (set, frozenset)):
+        heads = _previous_heads(previous)
+        return np.fromiter((node in heads for node in ids), dtype=bool,
+                           count=len(ids))
+    return previous.head_mask(ids)
+
+
 class IncrementalElection(ClusteringEngine):
     """Per-configuration election engine reused across windows.
 
@@ -168,9 +178,7 @@ class IncrementalElection(ClusteringEngine):
             self._dag = None if dag_ids is None else np.fromiter(
                 (dag_ids[node] for node in ids), dtype=np.int64, count=n)
 
-        heads_prev = _previous_heads(previous)
-        is_head = np.fromiter((node in heads_prev for node in ids),
-                              dtype=bool, count=n)
+        is_head = _incumbent_mask(previous, ids)
         was_head = self._is_head
         heads_same = (was_head is not None
                       and np.array_equal(is_head, was_head))
@@ -332,13 +340,12 @@ def _ranked_clustering(graph, ranks, fusion=False, densities=None,
     first, then, with ``fusion``, the Section 4.3 fusion greedy.
     """
     csr = graph.to_csr()
-    ids = csr.ids
     parent_idx, self_wins = _basic_parents(csr, ranks)
     if fusion:
         _fusion_adjust(csr, ranks, parent_idx, self_wins)
-    parents = {ids[i]: ids[p] for i, p in enumerate(parent_idx.tolist())}
-    return Clustering(graph, parents, densities=densities, dag_ids=dag_ids,
-                      order_name=order_name, fusion=fusion)
+    return Clustering.from_rows(graph, parent_idx, densities=densities,
+                                dag_ids=dag_ids, order_name=order_name,
+                                fusion=fusion)
 
 
 def _basic_parents(csr, ranks):

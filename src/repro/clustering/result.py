@@ -12,15 +12,24 @@ neighbor, or itself), and the root of each tree is the cluster-head
   maximum number of parent links from a member to its head, which bounds
   the number of steps head identities need to propagate (Section 5).
 
-Both metric families ride the CSR traversal kernel
-(:mod:`repro.graph.traversal`): *all* head eccentricities come from one
+A clustering is stored as *parent rows*: a node tuple and one read-only
+``int64`` array whose entry ``i`` is the position of node ``i``'s
+parent.  The engines elect on the rows of ``graph.to_csr()`` and hand
+their array over through :meth:`Clustering.from_rows`, so a clustering
+costs one array and its head set to make.  Everything else is built on
+first read and kept: one pointer-doubling resolve of the forest
+(:func:`~repro.graph.traversal.resolve_forest`, O(n log h) array
+passes) gives every root and depth, and ``parents``, ``head_of`` and
+``clusters`` are dicts over those arrays (O(n) each).  Both metric
+families read the arrays: *all* head eccentricities come from one
 batched label-constrained BFS sweep over the whole graph (no induced
-subgraphs), and every node's head and joining-tree depth from the one
-pointer-doubling resolve of the parent forest that construction runs
-(no per-node link-chasing).  Distances and
-depths are tie-break-free, so every reported number is identical to
-chasing parent links node by node and to a BFS per induced subgraph.
+subgraphs, no per-node dicts), and tree heights from one scatter of the
+depths onto the roots.  Distances and depths are tie-break-free, so
+every reported number is identical to chasing parent links node by node
+and to a BFS per induced subgraph.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +37,47 @@ from repro.graph.dynamic import DensityMap
 from repro.graph.traversal import csr_multi_source_distances, resolve_forest
 from repro.util.errors import TopologyError
 
+#: The fields a pickle carries; everything else is rebuilt on first read.
+_STATE = ("graph", "densities", "dag_ids", "order_name", "fusion")
+
 
 class Clustering:
-    """An immutable snapshot of a cluster assignment over a graph."""
+    """An immutable snapshot of a cluster assignment over a graph.
+
+    ``Clustering(graph, parents)`` validates a ``{node: parent}`` map:
+    it must cover exactly the graph's nodes, every parent must be the
+    node itself or a neighbor, and the links must be acyclic.
+    :meth:`from_rows` adopts an engine's parent rows without those
+    checks.  Either way ``heads`` is built at once, in the order of the
+    rows; ``parents``, ``head_of``, ``clusters`` and the forest's roots
+    and depths are built on first read.
+    """
 
     def __init__(self, graph, parents, densities=None, dag_ids=None,
                  order_name=None, fusion=False):
+        nodes, rows = _validated_rows(graph, dict(parents))
+        self._adopt(graph, nodes, rows, densities, dag_ids, order_name, fusion)
+        self._forest  # one pointer-doubling resolve rejects cycles
+
+    @classmethod
+    def from_rows(cls, graph, rows, densities=None, dag_ids=None,
+                  order_name=None, fusion=False):
+        """The clustering whose parent rows over ``graph.to_csr()`` are
+        ``rows``.
+
+        Contract, not checked: ``rows[i]`` is ``i`` or a CSR neighbor of
+        row ``i``, and the links are acyclic.  The clustering owns the
+        array and marks it read-only, so a caller that keeps updating its
+        own parent array must hand over a copy.
+        """
+        clustering = cls.__new__(cls)
+        clustering._adopt(graph, graph.to_csr().ids, np.asarray(rows, np.int64),
+                          densities, dag_ids, order_name, fusion)
+        return clustering
+
+    def _adopt(self, graph, nodes, rows, densities, dag_ids, order_name,
+               fusion):
         self.graph = graph
-        self.parents = dict(parents)
         # A DensityMap is immutable per window; anything else is copied.
         if densities is not None and not isinstance(densities, DensityMap):
             densities = dict(densities)
@@ -43,122 +85,150 @@ class Clustering:
         self.dag_ids = dict(dag_ids) if dag_ids is not None else None
         self.order_name = order_name
         self.fusion = fusion
-        nodes, index, rows = self._parent_rows()
-        # One pointer-doubling resolve finds every head and rejects cycles.
-        roots, depths = resolve_forest(rows)
-        self.head_of = dict(zip(nodes, [nodes[root] for root in roots.tolist()]))
-        self.heads = frozenset(node for node, parent in self.parents.items()
-                               if parent == node)
-        self.clusters = _group_clusters(nodes, roots)
-        self._forest_cache = (index, depths)
-        self._height_cache = None
+        rows.flags.writeable = False
+        self._nodes = nodes
+        self._rows = rows
+        self.heads = frozenset(map(nodes.__getitem__,
+                                   self._head_positions.tolist()))
         self._sweep_cache = None
 
+    def __getstate__(self):
+        # The defining fields only, rows as int32 and identity node ids
+        # as their count; the dicts and array caches are rebuilt on read.
+        state = {name: self.__dict__[name] for name in _STATE}
+        nodes = self._nodes
+        n = len(nodes)
+        state["_nodes"] = n if nodes == tuple(range(n)) else nodes
+        state["_rows"] = self._rows.astype(np.int32)
+        return state
+
+    def __setstate__(self, state):
+        nodes = state.pop("_nodes")
+        if isinstance(nodes, int):
+            nodes = tuple(range(nodes))
+        rows = state.pop("_rows").astype(np.int64)
+        self._adopt(nodes=nodes, rows=rows, **state)
+
     # ------------------------------------------------------------------
-    # construction helpers
+    # the parent rows and what is built from them on first read
     # ------------------------------------------------------------------
 
-    def _parent_rows(self):
-        """``(nodes, index, rows)``: the nodes in parents order, node ->
-        position, and each node's parent position; validates the parents.
+    @cached_property
+    def _head_positions(self):
+        """Positions of the heads (self-parents), ascending."""
+        rows = self._rows
+        return np.flatnonzero(rows == np.arange(rows.size))
 
-        On a CSR-only graph (streamed, or rebased by the dynamic
-        subsystem) whose rows the parents follow -- every engine's
-        output -- positions are CSR rows and adjacency is one vectorized
-        membership test; otherwise one ``has_edge`` per node.
+    @cached_property
+    def _forest(self):
+        """``(roots, depths)``: every position's root position and its
+        number of parent links to it, from one resolve."""
+        roots, depths = resolve_forest(self._rows)
+        roots.flags.writeable = False
+        depths.flags.writeable = False
+        return roots, depths
+
+    @cached_property
+    def _index(self):
+        """node -> position."""
+        return {node: i for i, node in enumerate(self._nodes)}
+
+    @cached_property
+    def _sizes(self):
+        """Member count per head position (0 elsewhere)."""
+        return np.bincount(self._forest[0], minlength=self._rows.size)
+
+    @cached_property
+    def _heights(self):
+        """Joining-tree height per head position, one ``maximum.at``
+        scatter of the depths onto the roots."""
+        roots, depths = self._forest
+        heights = np.zeros(roots.size, dtype=np.int64)
+        np.maximum.at(heights, roots, depths)
+        return heights
+
+    @cached_property
+    def parents(self):
+        """``{node: F(node)}``, in row order."""
+        nodes = self._nodes
+        return dict(zip(nodes, map(nodes.__getitem__, self._rows.tolist())))
+
+    @cached_property
+    def head_of(self):
+        """``{node: H(node)}``, in row order."""
+        nodes = self._nodes
+        return dict(zip(nodes, map(nodes.__getitem__,
+                                   self._forest[0].tolist())))
+
+    @cached_property
+    def clusters(self):
+        """``{head: frozenset(members)}``, heads in the order of their
+        first member."""
+        return _group_clusters(self._nodes, self._forest[0])
+
+    def head_mask(self, ids):
+        """Boolean array over ``ids``: which of them are heads here.
+
+        One comparison over the rows when ``ids`` is this clustering's
+        node order (a window over the same snapshot rows); one set
+        lookup per node otherwise.
         """
-        graph = self.graph
-        if set(self.parents) != set(graph.nodes):
-            raise TopologyError("parents must cover exactly the graph's nodes")
-        nodes = tuple(self.parents)
-        csr = graph.to_csr() if graph._adj_map is None else None
-        if csr is not None and csr.ids == nodes:
-            index = csr.index_of
-        else:
-            csr = None
-            index = {node: i for i, node in enumerate(nodes)}
-        rows = np.fromiter(
-            (index.get(parent, -1) for parent in self.parents.values()),
-            dtype=np.int64, count=len(nodes))
-        if csr is not None:
-            own = np.arange(len(nodes), dtype=np.int64)
-            bad = np.flatnonzero((rows != own) & ~csr.has_edges(own, rows))
-            invalid = [nodes[i] for i in bad[:1]]
-        else:
-            invalid = (node for node, parent in self.parents.items()
-                       if parent != node and not graph.has_edge(node, parent))
-        for node in invalid:
-            raise TopologyError(
-                f"parent of {node!r} is {self.parents[node]!r}, which is not "
-                "a neighbor")
-        return nodes, index, rows
+        nodes = self._nodes
+        if ids is nodes or ids == nodes:
+            rows = self._rows
+            return rows == np.arange(rows.size)
+        heads = self.heads
+        return np.fromiter((node in heads for node in ids), dtype=bool,
+                           count=len(ids))
+
+    def _head_position(self, head):
+        """``head``'s position; :class:`TopologyError` if it heads no
+        cluster."""
+        position = self._index.get(head)
+        if position is None or self._rows[position] != position:
+            raise TopologyError(f"{head!r} is not a cluster-head")
+        return position
 
     # ------------------------------------------------------------------
     # traversal-kernel caches
     # ------------------------------------------------------------------
 
-    def __getstate__(self):
-        # The caches hold frozen CSR snapshots and arrays; they are cheap
-        # to rebuild and would bloat (or break) pickled payloads shipped
-        # to experiment worker processes.
-        state = self.__dict__.copy()
-        state["_forest_cache"] = None
-        state["_height_cache"] = None
-        state["_sweep_cache"] = None
-        return state
-
-    def _forest(self):
-        """``(index, depths)``: per-node joining-forest depths.
-
-        The pointer-doubling resolve of the construction (O(n log h)
-        numpy ops), kept as a cache -- the parent map is immutable -- and
-        redone only after unpickling.
-        """
-        if self._forest_cache is None:
-            _nodes, index, rows = self._parent_rows()
-            self._forest_cache = (index, resolve_forest(rows)[1])
-        return self._forest_cache
-
-    def _tree_heights(self):
-        """Per-head joining-tree heights, one ``maximum.at`` scatter."""
-        if self._height_cache is None:
-            index, depths = self._forest()
-            heights = np.zeros(len(index), dtype=np.int64)
-            if index:
-                head_rows = np.fromiter(
-                    (index[self.head_of[node]] for node in self.parents),
-                    dtype=np.int64, count=len(index))
-                np.maximum.at(heights, head_rows, depths)
-            self._height_cache = heights
-        return self._height_cache
-
     def _cluster_sweep(self):
-        """``(csr, labels, ecc, reach)`` from one batched head sweep.
+        """``(csr, labels, ecc, reach, row_of)`` from one batched head
+        sweep.
 
         Every head seeds a BFS wave that expands only along edges whose
         endpoints share the head's label, so the sweep computes every
         cluster's internal distances simultaneously -- no induced
         subgraphs.  ``ecc[r]`` / ``reach[r]`` are the eccentricity and
-        reached-member count of the head at row ``r``.  Cached against
-        the CSR snapshot identity, so any graph mutation (which
-        invalidates the snapshot) forces a re-sweep.
+        reached-member count of the head at row ``r``, and ``row_of``
+        maps positions to rows of the current snapshot (``-1`` for nodes
+        no longer in the graph).  Cached against the CSR snapshot
+        identity, so any graph mutation (which invalidates the snapshot)
+        forces a re-sweep.
         """
         csr = self.graph.to_csr()
         cached = self._sweep_cache
         if cached is not None and cached[0] is csr:
             return cached
+        nodes = self._nodes
+        roots = self._forest[0]
+        if csr.ids is nodes or csr.ids == nodes:
+            # The clustering's positions are the snapshot's rows.
+            row_of = np.arange(len(nodes), dtype=np.int64)
+            labels = roots
+        else:
+            index_of = csr.index_of
+            row_of = np.fromiter((index_of.get(node, -1) for node in nodes),
+                                 dtype=np.int64, count=len(nodes))
+            labels = np.full(len(csr), -1, dtype=np.int64)
+            head_rows = row_of[roots]
+            kept = (row_of >= 0) & (head_rows >= 0)
+            labels[row_of[kept]] = head_rows[kept]
+        sources = row_of[self._head_positions]
+        dist = csr_multi_source_distances(csr, sources[sources >= 0],
+                                          labels=labels)
         n = len(csr)
-        index_of = csr.index_of
-        labels = np.full(n, -1, dtype=np.int64)
-        for node, head in self.head_of.items():
-            row = index_of.get(node)
-            head_row = index_of.get(head)
-            if row is not None and head_row is not None:
-                labels[row] = head_row
-        sources = np.fromiter(
-            (index_of[head] for head in self.heads if head in index_of),
-            dtype=np.int64)
-        dist = csr_multi_source_distances(csr, sources, labels=labels)
         ecc = np.zeros(n, dtype=np.int64)
         reach = np.zeros(n, dtype=np.int64)
         reached = dist >= 0
@@ -166,7 +236,7 @@ class Clustering:
             lab = labels[reached]
             np.maximum.at(ecc, lab, dist[reached])
             reach += np.bincount(lab, minlength=n)
-        self._sweep_cache = (csr, labels, ecc, reach)
+        self._sweep_cache = (csr, labels, ecc, reach, row_of)
         return self._sweep_cache
 
     def cluster_rows(self):
@@ -175,10 +245,26 @@ class Clustering:
         ``labels[r]`` is the row index of row ``r``'s head (``-1`` for
         rows outside the clustering).  Shared with hierarchical routing,
         whose intra-cluster legs are label-constrained path searches over
-        the same arrays.
+        the same arrays.  Callers must not write to ``labels``: it may
+        be the clustering's own (read-only) root array.
         """
-        csr, labels, _ecc, _reach = self._cluster_sweep()
+        csr, labels, _ecc, _reach, _row_of = self._cluster_sweep()
         return csr, labels
+
+    def _head_eccentricities(self):
+        """Every head's eccentricity, heads in ascending position order.
+
+        One array check of the sweep's reach counts against the cluster
+        sizes; when a cluster fails it, the per-head loop raises the
+        error :meth:`head_eccentricity` gives for the first such head.
+        """
+        _csr, _labels, ecc, reach, row_of = self._cluster_sweep()
+        positions = self._head_positions
+        rows = row_of[positions]
+        if (rows < 0).any() or (reach[rows] != self._sizes[positions]).any():
+            for head in self.heads:
+                self.head_eccentricity(head)
+        return ecc[rows]
 
     # ------------------------------------------------------------------
     # queries
@@ -209,8 +295,7 @@ class Clustering:
 
     def depth(self, node):
         """Number of parent links from ``node`` to its head."""
-        index, depths = self._forest()
-        return int(depths[index[node]])
+        return int(self._forest[1][self._index[node]])
 
     # ------------------------------------------------------------------
     # Table 4 / Table 5 metrics
@@ -218,15 +303,14 @@ class Clustering:
 
     def tree_length(self, head):
         """Height of the joining tree rooted at ``head`` (0 for singletons)."""
-        self.members(head)  # validates that ``head`` is a cluster-head
-        index, _depths = self._forest()
-        return int(self._tree_heights()[index[head]])
+        return int(self._heights[self._head_position(head)])
 
     def average_tree_length(self):
         """Mean joining-tree height over clusters ("average tree length")."""
         if not self.heads:
             return 0.0
-        return sum(self.tree_length(head) for head in self.heads) / len(self.heads)
+        heights = self._heights[self._head_positions]
+        return int(heights.sum()) / len(self.heads)
 
     def head_eccentricity(self, head):
         """``e(H(u)/C)``: max hop distance from the head to any member,
@@ -238,12 +322,13 @@ class Clustering:
         :class:`TopologyError` when the graph changed under the
         clustering so that members are missing or cut off from the head.
         """
-        members = self.members(head)
-        csr, _labels, ecc, reach = self._cluster_sweep()
-        index_of = csr.index_of
-        row = index_of.get(head)
-        if row is None or int(reach[row]) != len(members):
-            missing = [node for node in members if node not in index_of]
+        position = self._head_position(head)
+        csr, _labels, ecc, reach, row_of = self._cluster_sweep()
+        row = int(row_of[position])
+        if row < 0 or int(reach[row]) != int(self._sizes[position]):
+            index_of = csr.index_of
+            missing = [node for node in self.clusters[head]
+                       if node not in index_of]
             if missing:
                 raise TopologyError(
                     f"nodes not in graph: {sorted(missing, key=repr)}")
@@ -255,7 +340,7 @@ class Clustering:
         """Mean head eccentricity over clusters."""
         if not self.heads:
             return 0.0
-        return sum(self.head_eccentricity(h) for h in self.heads) / len(self.heads)
+        return int(self._head_eccentricities().sum()) / len(self.heads)
 
     # ------------------------------------------------------------------
     # invariants (used by tests and the stabilization monitor)
@@ -272,10 +357,7 @@ class Clustering:
         set, heads must additionally be at least 3 hops apart, which
         :meth:`check_fusion_separation` covers.
         """
-        for head in self.heads:
-            # Served from one shared batched sweep, so the whole loop costs
-            # one BFS over the graph plus O(heads) cache reads.
-            self.head_eccentricity(head)  # raises if a cluster is disconnected
+        self._head_eccentricities()  # raises if a cluster is disconnected
         if heads_non_adjacent:
             for head in self.heads:
                 adjacent_heads = self.graph.neighbors(head) & self.heads
@@ -299,6 +381,43 @@ class Clustering:
     def __repr__(self):
         return (f"Clustering(clusters={self.cluster_count}, "
                 f"order={self.order_name!r}, fusion={self.fusion})")
+
+
+def _validated_rows(graph, parents):
+    """``(nodes, rows)`` for a ``{node: parent}`` map: the nodes in
+    parents order and each node's parent position.
+
+    Raises :class:`TopologyError` unless the parents cover exactly the
+    graph's nodes and every parent is the node itself or a neighbor.  On
+    a CSR-only graph (streamed, or rebased by the dynamic subsystem)
+    whose rows the parents follow, positions are CSR rows and adjacency
+    is one vectorized membership test; otherwise one ``has_edge`` per
+    node.
+    """
+    if set(parents) != set(graph.nodes):
+        raise TopologyError("parents must cover exactly the graph's nodes")
+    nodes = tuple(parents)
+    csr = graph.to_csr() if graph._adj_map is None else None
+    if csr is not None and csr.ids == nodes:
+        nodes = csr.ids
+        index = csr.index_of
+    else:
+        csr = None
+        index = {node: i for i, node in enumerate(nodes)}
+    rows = np.fromiter((index.get(parent, -1) for parent in parents.values()),
+                       dtype=np.int64, count=len(nodes))
+    if csr is not None:
+        own = np.arange(len(nodes), dtype=np.int64)
+        bad = np.flatnonzero((rows != own) & ~csr.has_edges(own, rows))
+        invalid = [nodes[i] for i in bad[:1]]
+    else:
+        invalid = (node for node, parent in parents.items()
+                   if parent != node and not graph.has_edge(node, parent))
+    for node in invalid:
+        raise TopologyError(
+            f"parent of {node!r} is {parents[node]!r}, which is not "
+            "a neighbor")
+    return nodes, rows
 
 
 def _group_clusters(nodes, roots):

@@ -143,8 +143,11 @@ class CachedRouter:
         One kernel BFS over the overlay per source head, cached; paths
         unwind from it (:meth:`~repro.hierarchy.overlay.Overlay.
         head_path`), so every pair shares the uncached routine's
-        smallest-row-parent rule.
+        smallest-row-parent rule.  ``None`` for every pair when the
+        physical level has no overlay.
         """
+        if self.overlay is None:
+            return None
         key = (head_src, head_dst)
         path = self._overlay_paths.get(key, key)
         if path is key:
@@ -357,8 +360,7 @@ class CachedRouter:
         plan = self._plans.get(key, key)
         if plan is not key:
             return plan
-        head_path = None if self.overlay is None else \
-            self.overlay_path(head_src, head_dst)
+        head_path = self.overlay_path(head_src, head_dst)
         if head_path is not None:
             exit_node, current = self._gateway(head_path[0], head_path[1])
             transit = []
@@ -420,8 +422,10 @@ class CachedRouter:
         per-request access sequence.  The returned stream is
         byte-identical to calling :meth:`serve` per request with
         ``with_flat = flat_every and (first_index + i) % flat_every ==
-        0``.
+        0``; a negative ``flat_every`` raises
+        :class:`ConfigurationError`.
         """
+        _check_flat_every(flat_every)
         return [
             self.serve(request, with_flat=bool(flat_every)
                        and index % flat_every == 0)
@@ -546,6 +550,11 @@ def _router_stats_sink(collector):
     return None
 
 
+def _check_flat_every(flat_every):
+    if flat_every < 0:
+        raise ConfigurationError(f"flat_every must be >= 0, got {flat_every}")
+
+
 def serve_workload(hierarchy, requests, collector, flat_every=1,
                    router=None, batch_size=BATCH_REQUESTS):
     """Serve a request stream through ``hierarchy`` into ``collector``.
@@ -564,8 +573,7 @@ def serve_workload(hierarchy, requests, collector, flat_every=1,
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if flat_every < 0:
-        raise ConfigurationError(f"flat_every must be >= 0, got {flat_every}")
+    _check_flat_every(flat_every)
     if router is None:
         router = CachedRouter(hierarchy)
     sink = _router_stats_sink(collector)

@@ -161,12 +161,22 @@ def test_density_family_stdout_is_frozen(family, digest, capsys):
      "645c80addd8da9d1ca4652f8df183d33ac2f47c837d1a6fe1267b7f75f846d8c"),
     (["scalability"],
      "3442b5a9127ec4db88c2c843c88a4d1fe997d025b61157fb52a027d15a2f9b77"),
-], ids=["workload", "scalability"])
+    (["workload", "--preset", "smoke", "--metric", "degree"],
+     "aa0ac9ca3ca3294aff6d56c9e727541f4bcf3cd767d6fb0c4e0b0dfe0b6b2ef8"),
+    (["workload", "--preset", "smoke", "--metric", "lowest_id"],
+     "597119b89d9f8ab5a429fc1f830eba3fdea10f3b9e1a76ee30373e0b153f3da6"),
+    (["workload", "--preset", "smoke", "--metric", "maxmin"],
+     "73d3c844f87fd416b1daeab69bc7c0113f1c1ff77dcf182569f3edda4d99cad6"),
+], ids=["workload", "scalability", "workload-degree", "workload-lowest-id",
+        "workload-maxmin"])
 def test_routing_family_stdout_is_frozen(args, digest, capsys):
     """sha256 of ``repro <args> --seed 2024`` stdout, for the two
     families that route over the cluster hierarchy: ``workload`` serves
     request streams (its mobility shape re-elects on every window),
-    ``scalability`` counts flat against hierarchical routing state."""
+    ``scalability`` counts flat against hierarchical routing state.
+    The three ``--metric`` cases serve over the baseline engines
+    (highest degree, lowest ID, max-min), whose windows hand their
+    parent rows to ``Clustering.from_rows``."""
     assert main([*args, "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

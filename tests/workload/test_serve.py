@@ -2,6 +2,7 @@
 uncached routines and to the serving oracle, flat-hop accounting, the
 sampling contract, and errors for unknown nodes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,19 @@ class TestCachedRouter:
         served = router.serve(Request(time=0.0, source=0, destination=3))
         assert served == ServedRequest(request=served.request, route=None,
                                        head_path=None, hops=None)
+
+    def test_overlay_path_without_overlay_is_none(self):
+        """A one-level hierarchy has no overlay: every inter-cluster
+        head pair is unroutable, as ``route`` already reports."""
+        hierarchy = build_hierarchy(uniform_topology(60, 0.2, rng=3),
+                                    rng=3, max_levels=1)
+        assert hierarchy.physical.overlay is None
+        clustering = hierarchy.physical.clustering
+        head_src, head_dst = sorted(clustering.heads)[:2]
+        router = CachedRouter(hierarchy)
+        assert router.overlay_path(head_src, head_dst) is None
+        assert router.route(min(clustering.members(head_src)),
+                            min(clustering.members(head_dst))) == (None, None)
 
 
 class TestServeWorkload:
@@ -220,6 +234,15 @@ class TestBatchedRouting:
         assert served[0].route is None and served[0].hops is None
         assert served[1].route is not None
 
+    def test_route_batch_rejects_negative_flat_every(self, deployment):
+        """``i % -1 == 0`` for every ``i``: a negative stride would
+        sample every request instead of failing as ``serve_workload``
+        does."""
+        topo, hierarchy = deployment
+        requests = list(poisson_requests(sorted(topo.graph.nodes), 5, rng=5))
+        with pytest.raises(ConfigurationError, match="flat_every"):
+            CachedRouter(hierarchy).route_batch(requests, flat_every=-1)
+
     def test_route_stretch_matches_uncached(self, deployment):
         topo, hierarchy = deployment
         router = CachedRouter(hierarchy)
@@ -312,6 +335,11 @@ class TestDenseCap:
         assert large and router._sparse
         assert router._dense and not large & set(router._dense)
         assert all(len(matrix) <= cap for matrix in router._dense.values())
+
+    def test_int16_holds_the_longest_dense_distance(self):
+        """A dense matrix stores hop counts as int16; a cluster of
+        ``DENSE_MAX_MEMBERS`` members spans at most one hop fewer."""
+        assert serve.DENSE_MAX_MEMBERS - 1 <= np.iinfo(np.int16).max
 
 
 @st.composite
