@@ -16,8 +16,9 @@ keys the regression gate requires:
   bench pins exactly that.
 * ``stretch_samples_per_sec_1m`` -- flat-vs-hierarchical stretch
   samples per second through
-  :meth:`~repro.workload.serve.CachedRouter.route_stretch`.  Each cold
-  sample pays one full-graph BFS (the flat oracle); destinations cycle
+  :meth:`~repro.workload.serve.CachedRouter.route_stretch`.  Each flat
+  lookup the destination's cached sweep has not reached meets in the
+  middle with a throwaway BFS ball from the source; destinations cycle
   through a small hot set so the LRU flat cache amortizes them the way
   ``flat_every`` sampling does in the workload experiment.
 

@@ -68,10 +68,14 @@ def _closed_reduce_rows(indptr, indices, values, rows, ufunc):
     return result
 
 
-def _endpoint_rows(csr, delta):
-    """Unique rows incident to the delta, as an index array."""
+def _endpoint_rows(index_of, delta):
+    """Unique rows incident to the delta, as an index array.
+
+    ``index_of`` is the seed snapshot's identifier -> row map: a window
+    only runs over the node set the engine seeded on, so its snapshot
+    never needs a map of its own.
+    """
     touched = np.concatenate((delta.added.reshape(-1), delta.removed.reshape(-1)))
-    index_of = csr.index_of
     rows = np.fromiter((index_of[int(x)] for x in touched), dtype=np.int64)
     return np.unique(rows)
 
@@ -103,6 +107,7 @@ class GreedyDominatingEngine(EngineBase):
             )
         self.metric = metric
         self._csr = None
+        self._index_of = None
         self._tie_rank = None
         self._prio = None
         self._heads = None
@@ -116,6 +121,7 @@ class GreedyDominatingEngine(EngineBase):
         graph = topology.graph
         csr = graph.to_csr()
         self._csr = csr
+        self._index_of = csr.index_of
         n = len(csr)
         tie = _checked_tie_column(csr, topology.ids)
         self._tie_rank = np.empty(n, dtype=np.int64)
@@ -159,7 +165,7 @@ class GreedyDominatingEngine(EngineBase):
         their neighbors for the degree metric (the endpoint degrees
         changed, so comparisons against every neighbor may flip).
         Refreshes the stored priorities of the endpoint rows."""
-        endpoints = _endpoint_rows(csr, delta)
+        endpoints = _endpoint_rows(self._index_of, delta)
         if self.metric == "lowest-id":
             return endpoints
         degrees = csr.degrees()
@@ -245,6 +251,7 @@ class MaxMinEngine(EngineBase):
             raise ConfigurationError(f"d must be >= 1, got {d}")
         self.d = int(d)
         self._csr = None
+        self._index_of = None
         self._tie = None
         self._max_log = None
         self._min_log = None
@@ -258,6 +265,7 @@ class MaxMinEngine(EngineBase):
         graph = topology.graph
         csr = graph.to_csr()
         self._csr = csr
+        self._index_of = csr.index_of
         self._tie = _checked_tie_column(csr, topology.ids)
         self._recompute(csr)
         return self._to_clustering(graph)
@@ -277,7 +285,7 @@ class MaxMinEngine(EngineBase):
         csr = graph.to_csr()
         self._csr = csr
         endpoint_mask = np.zeros(len(csr), dtype=bool)
-        endpoint_mask[_endpoint_rows(csr, update.delta)] = True
+        endpoint_mask[_endpoint_rows(self._index_of, update.delta)] = True
         old_parent = self._parent
         log_dirty = self._repair_floods(csr, endpoint_mask)
         if log_dirty is None:

@@ -1,9 +1,11 @@
 """Traversal kernels on raw CSR arrays (``indptr`` / ``indices``).
 
 Every hot traversal loop in the repo lives here: BFS frontier
-expansion, the label-constrained multi-source sweep (resumable, level
-by level, up to a stop row), BFS parents and their unwinding, component
-label propagation, and the pointer-doubling forest resolve.
+expansion, the one-level distance wave that every distance sweep loops
+over (label-constrained multi-source sweeps and the lazy
+:class:`~repro.graph.traversal.DistanceSweep` alike), BFS parents and
+their unwinding, component label propagation, and the pointer-doubling
+forest resolve.
 :mod:`repro.graph.traversal` applies them to CSR snapshots; the overlay
 (:mod:`repro.hierarchy.overlay`) and the serving router
 (:mod:`repro.workload.serve`) call them on their own arrays.
@@ -42,32 +44,30 @@ def _expand_frontier(indptr, indices, frontier):
     return indices[take].astype(np.int64), np.repeat(frontier, counts)
 
 
-def expand_distances(indptr, indices, dist, frontier, level, stop, labels=None):
-    """Advance a BFS in place until ``dist[stop] >= 0`` or it runs out.
+def expand_distances(indptr, indices, dist, frontier, level, labels=None):
+    """Grow a BFS by one level in place; returns ``(frontier, level)``.
 
-    ``dist`` holds the distances found so far (``-1`` unreached),
-    ``frontier`` the distinct rows discovered at ``level``.  Each wave
-    discovers the next level; the sweep stops as soon as row ``stop``
-    has a distance, or when the frontier empties (a negative ``stop``
-    sweeps to exhaustion).  Returns ``(frontier, level)``, from which a
-    later call resumes.  ``labels`` constrains expansion exactly as in
-    :func:`multi_source_distances`.
+    ``dist`` holds the distances found so far (``-1`` unreached) and
+    ``frontier`` the distinct rows discovered at ``level``.  The wave
+    writes ``level + 1`` into every unreached neighbor of the frontier
+    and returns those rows (empty once the BFS is exhausted) with
+    ``level + 1``, from which the next call resumes.  ``labels``
+    constrains expansion exactly as in :func:`multi_source_distances`.
     """
-    stamp = np.empty(len(dist), dtype=np.int64)
-    while frontier.size and (stop < 0 or dist[stop] < 0):
-        level += 1
-        neigh, src = _expand_frontier(indptr, indices, frontier)
-        keep = dist[neigh] < 0
-        if labels is not None:
-            keep &= labels[neigh] == labels[src]
-        cand = neigh[keep]
-        # One position per distinct row survives: whichever duplicate
-        # wrote ``stamp[row]`` last.  O(k) where np.unique sorts, and
-        # distances do not depend on frontier order.
-        position = np.arange(cand.size)
-        stamp[cand] = position
-        frontier = cand[stamp[cand] == position]
-        dist[frontier] = level
+    neigh, src = _expand_frontier(indptr, indices, frontier)
+    keep = dist[neigh] < 0
+    if labels is not None:
+        keep &= labels[neigh] == labels[src]
+    cand = neigh[keep]
+    # One position per distinct row survives: whichever duplicate wrote
+    # its stamp (negative, so the row still reads unreached) into
+    # ``dist[row]`` last.  O(k) where np.unique sorts, with no scratch
+    # array, and distances do not depend on frontier order.
+    stamp = np.arange(-2, -2 - cand.size, -1)
+    dist[cand] = stamp
+    frontier = cand[dist[cand] == stamp]
+    level += 1
+    dist[frontier] = level
     return frontier, level
 
 
@@ -82,7 +82,11 @@ def multi_source_distances(indptr, indices, sources, labels=None):
     dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
     frontier = np.unique(sources)
     dist[frontier] = 0
-    expand_distances(indptr, indices, dist, frontier, 0, -1, labels=labels)
+    level = 0
+    while frontier.size:
+        frontier, level = expand_distances(
+            indptr, indices, dist, frontier, level, labels=labels
+        )
     return dist
 
 

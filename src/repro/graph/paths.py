@@ -39,7 +39,10 @@ def bfs_distances(graph, source):
 def hop_distance(graph, u, v):
     """Minimum hop count from ``u`` to ``v``; ``inf`` if disconnected.
 
-    The BFS from ``u`` stops at the level that reaches ``v``.
+    One :class:`~repro.graph.traversal.DistanceSweep` lookup: BFS balls
+    from ``u`` and ``v`` grow a level at a time, smaller frontier first,
+    until they touch (or one runs out of rows), so a lookup costs about
+    two half-radius balls instead of one full-radius ball.
     """
     if v not in graph:
         raise TopologyError(f"node {v!r} not in graph")

@@ -9,9 +9,10 @@ and the error contract:
 
 * :func:`csr_bfs_distances` -- single-source BFS returning an ``int64``
   distance array (``-1`` marks unreachable rows);
-* :class:`DistanceSweep` -- the same BFS expanded lazily: a lookup
-  sweeps only the levels up to the row it asks for, and later lookups
-  resume where the last one stopped;
+* :class:`DistanceSweep` -- the same BFS grown lazily for point
+  lookups: a row the sweep already reached is one read, and any other
+  lookup meets in the middle, growing the cached sweep and a throwaway
+  sweep from the asked row one level at a time until they touch;
 * :func:`csr_multi_source_distances` -- the batched form: any number of
   sources expand simultaneously, and an optional per-row ``labels`` array
   constrains expansion to label-matching edges.  Seeding every
@@ -69,15 +70,26 @@ def csr_bfs_distances(csr, source):
 
 
 class DistanceSweep:
-    """One source's BFS, expanded only as far as lookups need.
+    """One source's BFS, grown only as far as lookups need.
 
     ``dist`` holds the distances found so far (``-1`` for rows not yet
-    reached or unreachable).  :meth:`distance` resumes the sweep
-    (:func:`~repro.graph.kernels.expand_distances`) only when its row
-    is not reached yet, and stops at the level that reaches it, so a
-    lookup near the source costs the levels up to it and never more
-    than one full BFS over all lookups.  Distances are tie-break-free,
-    so every answer equals :func:`csr_bfs_distances`.
+    reached or unreachable).  The sweep grows whole BFS levels, so
+    ``dist`` equals :func:`csr_bfs_distances` on every row up to its
+    deepest level.  A lookup of a row already reached is one read, and
+    an exhausted sweep answers ``-1`` for every other row.  Any other
+    lookup meets in the middle: a throwaway sweep from the row and this
+    sweep each grow one level at a time
+    (:func:`~repro.graph.kernels.expand_distances`), smaller frontier
+    first, until a wave reaches a row the other side holds.  The two
+    balls shared no row before that wave, so the distance is the sum of
+    the two sides' levels; an emptied frontier means unreachable.  Such
+    a lookup grows about two half-radius balls instead of one full
+    ball, and this sweep keeps every level it grew for later lookups.
+    The throwaway side never grows deeper than this sweep, so every
+    lookup leaves this sweep at least half way to its row, and a
+    destination looked up again and again grows its own sweep instead
+    of rebuilding throwaway balls.  Distances are tie-break-free, so
+    every answer equals :func:`csr_bfs_distances`.
     """
 
     __slots__ = ("dist", "_indptr", "_indices", "_frontier", "_level")
@@ -94,13 +106,29 @@ class DistanceSweep:
 
     def distance(self, row):
         """Hop distance from the source to ``row``; ``-1`` unreachable."""
-        hops = int(self.dist[row])
-        if hops < 0 and self._frontier.size:
-            self._frontier, self._level = kernels.expand_distances(
-                self._indptr, self._indices, self.dist, self._frontier,
-                self._level, row)
-            hops = int(self.dist[row])
-        return hops
+        dist = self.dist
+        if not 0 <= row < len(dist):
+            raise TopologyError(f"row {row} out of range [0, {len(dist)})")
+        hops = int(dist[row])
+        if hops >= 0 or not self._frontier.size:
+            return hops
+        indptr, indices = self._indptr, self._indices
+        near = np.full(len(dist), -1, dtype=np.int64)
+        near[row] = 0
+        frontier, level = np.array([row], dtype=np.int64), 0
+        while True:
+            if self._frontier.size <= frontier.size or level >= self._level:
+                self._frontier, self._level = kernels.expand_distances(
+                    indptr, indices, dist, self._frontier, self._level)
+                wave, other = self._frontier, near
+            else:
+                frontier, level = kernels.expand_distances(
+                    indptr, indices, near, frontier, level)
+                wave, other = frontier, dist
+            if not wave.size:
+                return -1
+            if bool((other[wave] >= 0).any()):
+                return self._level + level
 
 
 def csr_shortest_path(csr, source, target, labels=None):

@@ -15,11 +15,12 @@ overlay legs follow shortest paths in the overlay graph.  The *stretch*
 routing-state savings cost; the scalability experiment reports both.
 
 Traversal-heavy pieces ride the CSR kernel: the flat BFS distance of
-:func:`route_stretch` is one array-frontier sweep that stops at the
-level reaching the destination, and the intra-cluster
-legs are label-constrained path searches over the full-graph snapshot
-(sharing the clustering's cached per-row labels), so no induced subgraph
-is ever materialized.  The head path is
+:func:`route_stretch` is one meet-in-the-middle
+:class:`~repro.graph.traversal.DistanceSweep` lookup (array-frontier
+balls from both endpoints, grown a level at a time until they touch),
+and the intra-cluster legs are label-constrained path searches over
+the full-graph snapshot (sharing the clustering's cached per-row
+labels), so no induced subgraph is ever materialized.  The head path is
 :meth:`~repro.hierarchy.overlay.Overlay.head_path`: a kernel BFS over
 the overlay's rank-ordered CSR, so a head's parent is the smallest-row
 head at the previous BFS level, and each overlay hop crosses its

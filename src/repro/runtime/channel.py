@@ -83,7 +83,43 @@ class IdealChannel(Channel):
         return "IdealChannel()"
 
 
-class BernoulliLossChannel(Channel):
+class _NeighborScanChannel(Channel):
+    """Base of the lossy models: they scan ``graph.neighbors`` sets.
+
+    Their RNG draws follow neighbor-set iteration order, so the scan
+    must keep iterating the sets ``graph.neighbors`` returns.  Building
+    those sets costs a few microseconds a node on a CSR-only graph, so
+    they are memoized per (graph, CSR snapshot) -- keyed by identity,
+    like :class:`IdealChannel`'s scan cache -- and every step over an
+    unchanged graph iterates the very same set objects.  Any mutation
+    replaces the snapshot, and the next step rebuilds the memo.
+    Topologies without a snapshot are scanned afresh every step.
+    """
+
+    _neighbor_memo = None
+
+    def __getstate__(self):
+        # The memo holds the graph and its snapshot; pickled channels
+        # (experiment task payloads) carry only their parameters.
+        state = self.__dict__.copy()
+        state.pop("_neighbor_memo", None)
+        return state
+
+    def _neighbor_sets(self, graph):
+        """``{node: graph.neighbors(node)}`` in graph order."""
+        to_csr = getattr(graph, "to_csr", None)
+        if to_csr is None:
+            return {node: graph.neighbors(node) for node in graph}
+        csr = to_csr()
+        memo = self._neighbor_memo
+        if memo is None or memo[0] is not graph or memo[1] is not csr:
+            memo = (graph, csr,
+                    {node: graph.neighbors(node) for node in graph})
+            self._neighbor_memo = memo
+        return memo[2]
+
+
+class BernoulliLossChannel(_NeighborScanChannel):
     """Independent per-(frame, receiver) loss with probability ``loss``."""
 
     def __init__(self, loss):
@@ -98,14 +134,17 @@ class BernoulliLossChannel(Channel):
         return 1.0 - self.loss
 
     def deliver(self, frames, graph, rng):
-        # Stays on the dict backend: each (frame, receiver) pair consumes
-        # one RNG draw in neighbor-set iteration order, so reordering the
-        # scan (e.g. onto sorted CSR rows) would reshuffle every lossy
-        # trace.
+        # Each (frame, receiver) pair consumes one RNG draw in
+        # neighbor-set iteration order, so reordering the scan (e.g.
+        # onto sorted CSR rows) would reshuffle every lossy trace.
         rng = as_rng(rng)
-        inboxes = {node: [] for node in graph}
+        neighbor_sets = self._neighbor_sets(graph)
+        inboxes = {node: [] for node in neighbor_sets}
         for sender, frame in frames.items():
-            for receiver in graph.neighbors(sender):
+            receivers = neighbor_sets.get(sender)
+            if receivers is None:
+                receivers = graph.neighbors(sender)  # raises TopologyError
+            for receiver in receivers:
                 if rng.random() >= self.loss:
                     inboxes[receiver].append(frame)
         return inboxes
@@ -114,7 +153,7 @@ class BernoulliLossChannel(Channel):
         return f"BernoulliLossChannel(loss={self.loss})"
 
 
-class SlottedContentionChannel(Channel):
+class SlottedContentionChannel(_NeighborScanChannel):
     """Slotted random-access MAC with ``slots`` slots per step.
 
     Every transmitting node picks one slot uniformly.  Receiver ``r`` hears
@@ -146,9 +185,9 @@ class SlottedContentionChannel(Channel):
     def deliver(self, frames, graph, rng):
         rng = as_rng(rng)
         slot_of = {sender: int(rng.integers(self.slots)) for sender in frames}
-        inboxes = {node: [] for node in graph}
-        for receiver in graph.nodes:
-            neighbors = graph.neighbors(receiver)
+        neighbor_sets = self._neighbor_sets(graph)
+        inboxes = {node: [] for node in neighbor_sets}
+        for receiver, neighbors in neighbor_sets.items():
             transmitting = [s for s in neighbors if s in slot_of]
             slot_counts = {}
             for s in transmitting:

@@ -38,8 +38,11 @@ exploits that: it memoizes
   cache -- hits move to the back of the eviction queue, so Zipf-skewed
   destination popularity keeps its hot set resident -- with hit/miss
   counters the workload family reports.  Each entry is a
-  :class:`~repro.graph.traversal.DistanceSweep` that expands only the
-  BFS levels its lookups reach, resuming where the last one stopped.
+  :class:`~repro.graph.traversal.DistanceSweep`: a source it already
+  reached is one read, and any other lookup meets in the middle, growing
+  the cached sweep and a throwaway sweep from the source a level at a
+  time until they touch (about two half-radius balls instead of one
+  full one).
 
 The routes it returns are therefore exactly
 ``hierarchical_route(hierarchy, source, destination)`` -- the test
@@ -438,8 +441,10 @@ class CachedRouter:
         Sweeps are keyed by *destination* (hop distances are
         symmetric), which is exactly the axis skewed workloads
         concentrate on; the cache is LRU so a skewed hot set stays
-        resident.  A sweep expands only the BFS levels up to the
-        sources asked of it.
+        resident.  A source the sweep already reached is one read; any
+        other lookup meets in the middle (see
+        :class:`~repro.graph.traversal.DistanceSweep`), and the sweep
+        keeps the levels it grew for later hits.
         """
         row = self._row(source)
         sweep = self._flat.get(destination)

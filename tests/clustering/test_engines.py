@@ -162,3 +162,29 @@ class TestRepairPaths:
         # the SCRATCH_FALLBACK_FRACTION budget and the engines rebuild.
         assert SCRATCH_FALLBACK_FRACTION > 1
         self._drive(metric, count=60, mover_count=55, seed=12)
+
+    @pytest.mark.parametrize("metric", ["lowest-id", "degree", "max-min"])
+    def test_windows_leave_the_snapshot_id_map_unbuilt(self, metric):
+        # Delta endpoints map to rows through the seed snapshot's
+        # ``index_of``: a window's CSR-only snapshot never builds its own.
+        rng = np.random.default_rng(13)
+        positions = rng.uniform(0, 1, size=(250, 2))
+        dynamic = DynamicTopology(positions, self.RADIUS,
+                                  track_densities=False)
+        engine = engine_for(metric)
+        engine.apply_delta(WindowUpdate(topology=dynamic.topology, delta=None,
+                                        density_changed=None, densities=None))
+        windows = 0
+        while windows < 3:
+            movers = rng.choice(250, size=6, replace=False)
+            positions = positions.copy()
+            positions[movers] += rng.uniform(-0.05, 0.05, size=(6, 2))
+            update = dynamic.move(np.clip(positions, 0, 1))
+            if not update.delta:
+                continue
+            windows += 1
+            csr = update.topology.graph.to_csr()
+            assert update.topology.graph._adj_map is None
+            assert csr._index_of is None
+            engine.apply_delta(update)
+            assert csr._index_of is None

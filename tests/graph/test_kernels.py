@@ -1,7 +1,7 @@
 """The traversal kernels against each other and a plain-Python BFS.
 
-Resumed ``expand_distances`` sweeps must end in the one-shot
-``multi_source_distances``; the small-graph Python BFS of
+``expand_distances`` looped one wave at a time must end in the one-shot
+``multi_source_distances``, level by level; the small-graph Python BFS of
 ``bfs_parents`` must equal its vectorized path bit for bit; and
 distances on duplicate-heavy frontiers must equal a plain-Python BFS.
 Graphs are random (frequently disconnected, with single-node and
@@ -21,6 +21,7 @@ from repro.graph import kernels
 from repro.graph.generators import (
     complete_topology,
     grid_topology,
+    line_topology,
     star_topology,
     uniform_topology,
 )
@@ -39,67 +40,72 @@ def _random_labels(n, seed):
     return np.random.default_rng(seed).integers(0, 3, size=n)
 
 
-def assert_resumed_sweep_matches(indptr, indices, sources, stops,
-                                 labels=None):
-    """``expand_distances`` resumed at each of ``stops`` (then to
-    exhaustion) ends in the one-shot ``multi_source_distances``.
+def assert_waves_match(indptr, indices, sources, labels=None):
+    """``expand_distances`` looped one wave at a time ends in the
+    one-shot ``multi_source_distances``.
 
-    After every call the reached rows carry their final distances, every
-    row at or below the deepest reached level is reached, and a stop row
-    the sweep can reach is reached at its own level and no deeper.
+    After every wave the reached rows carry their final distances and
+    are exactly the rows at or below the wave's level, the returned
+    frontier is exactly the rows at that level, and the loop ends on the
+    first empty wave.
     """
-    n = len(indptr) - 1
     oneshot = kernels.multi_source_distances(
         indptr, indices, sources, labels=labels)
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
     frontier = np.unique(sources)
     dist[frontier] = 0
     level = 0
-    for stop in stops:
-        deepest = int(dist.max())
+    while frontier.size:
         frontier, level = kernels.expand_distances(
-            indptr, indices, dist, frontier, level, stop, labels=labels)
+            indptr, indices, dist, frontier, level, labels=labels)
         reached = dist >= 0
         np.testing.assert_array_equal(dist[reached], oneshot[reached])
-        assert not ((oneshot >= 0) & (oneshot <= dist.max()) & ~reached).any()
-        if oneshot[stop] >= 0:
-            assert dist[stop] == oneshot[stop]
-            assert dist.max() == max(deepest, oneshot[stop])
-        else:
-            assert frontier.size == 0
-    kernels.expand_distances(
-        indptr, indices, dist, frontier, level, -1, labels=labels)
+        np.testing.assert_array_equal(
+            reached, (oneshot >= 0) & (oneshot <= level))
+        np.testing.assert_array_equal(
+            np.sort(frontier), np.flatnonzero(oneshot == level))
+    assert level == oneshot.max() + 1
     np.testing.assert_array_equal(dist, oneshot)
 
 
-def _sweep_cases(graph, data):
-    """``(indptr, indices, sources, stops, labels)`` drawn for ``graph``."""
+def _wave_cases(graph, data):
+    """``(indptr, indices, sources, labels)`` drawn for ``graph``."""
     indptr, indices = _arrays(graph)
     n = len(indptr) - 1
     rows = st.integers(0, n - 1)
     sources = np.array(data.draw(st.lists(rows, min_size=1, max_size=3)),
                        dtype=np.int64)
-    stops = data.draw(st.lists(rows, max_size=6))
     labels = data.draw(st.sampled_from([None, _random_labels(n, seed=n)]))
-    return indptr, indices, sources, stops, labels
+    return indptr, indices, sources, labels
 
 
 class TestResumedSweeps:
-    """``expand_distances`` resumed at random stop rows equals one-shot
+    """``expand_distances`` grows one level per call, and a sweep
+    resumed wave by wave from the sources equals one-shot
     ``multi_source_distances``."""
 
     @settings(max_examples=60, deadline=None)
     @given(graph=graphs(), data=st.data())
     def test_resumed_equals_oneshot(self, graph, data):
-        assert_resumed_sweep_matches(*_sweep_cases(graph, data))
+        assert_waves_match(*_wave_cases(graph, data))
 
     def test_udg_deployment(self):
         indptr, indices = _arrays(uniform_topology(300, 0.1, rng=4).graph)
-        stops = np.random.default_rng(4).integers(0, 300, size=20).tolist()
-        assert_resumed_sweep_matches(indptr, indices, np.array([7]), stops)
-        assert_resumed_sweep_matches(
-            indptr, indices, np.array([7, 150]), stops,
-            labels=_random_labels(300, seed=4))
+        assert_waves_match(indptr, indices, np.array([7]))
+        assert_waves_match(indptr, indices, np.array([7, 150]),
+                           labels=_random_labels(300, seed=4))
+
+    def test_exhausted_frontier_is_a_no_op(self):
+        indptr, indices = _arrays(line_topology(3).graph)
+        dist = np.array([0, 1, 2], dtype=np.int64)
+        frontier, level = kernels.expand_distances(
+            indptr, indices, dist, np.array([2]), 2)
+        assert frontier.size == 0 and level == 3
+        assert dist.tolist() == [0, 1, 2]
+        frontier, level = kernels.expand_distances(
+            indptr, indices, dist, frontier, level)
+        assert frontier.size == 0
+        assert dist.tolist() == [0, 1, 2]
 
 
 class TestNumpySmallPathParity:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import kernels
 from repro.graph.graph import Graph
 from repro.graph.traversal import (
     DistanceSweep,
@@ -43,12 +44,19 @@ class TestBfsDistances:
 class TestDistanceSweep:
     def test_lookups_equal_full_bfs(self):
         csr = rows(Graph(nodes=range(8), edges=[(i, i + 1) for i in range(5)]))
+        full = csr_bfs_distances(csr, 2)
         sweep = DistanceSweep(csr, 2)
         for row in (7, 0, 5, 2, 6, 3, 1, 4):
-            assert sweep.distance(row) == csr_bfs_distances(csr, 2)[row]
-        assert sweep.dist.tolist() == csr_bfs_distances(csr, 2).tolist()
+            assert sweep.distance(row) == full[row]
+            reached = sweep.dist >= 0
+            np.testing.assert_array_equal(sweep.dist[reached], full[reached])
+            # Whole levels only: every row up to the deepest is reached.
+            assert (reached == ((full >= 0)
+                                & (full <= sweep.dist.max()))).all()
 
     def test_sweep_stops_at_the_asked_level(self):
+        # On a path both frontiers hold one row, and ties grow the
+        # cached sweep, so it stops at exactly the level asked for.
         csr = rows(Graph(nodes=range(6), edges=[(i, i + 1) for i in range(5)]))
         sweep = DistanceSweep(csr, 0)
         assert sweep.distance(2) == 2
@@ -57,6 +65,68 @@ class TestDistanceSweep:
         assert sweep.dist.tolist() == [0, 1, 2, -1, -1, -1]
         assert sweep.distance(4) == 4
         assert sweep.dist.tolist() == [0, 1, 2, 3, 4, -1]
+
+    def test_lookups_meet_in_the_middle(self):
+        # Source 0 fans out to 1, 2, 3 and then 4, 5, 6; row 9 hangs off
+        # 4 through 7 and 8.  The throwaway side from 9 has the smaller
+        # frontier and grows to 8, then 7; the cached sweep's third level
+        # reaches 7, so 3 + 2 hops, and rows 8 and 9 stay unreached.
+        csr = rows(Graph(nodes=range(10),
+                         edges=[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5),
+                                (3, 6), (4, 7), (7, 8), (8, 9)]))
+        sweep = DistanceSweep(csr, 0)
+        assert sweep.distance(9) == 5
+        assert sweep.dist.tolist() == [0, 1, 1, 1, 2, 2, 2, 3, -1, -1]
+        assert sweep.distance(2) == 1  # already reached: one read
+        assert sweep.dist.tolist() == [0, 1, 1, 1, 2, 2, 2, 3, -1, -1]
+        assert sweep.distance(8) == 4
+        assert sweep.dist.tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 4, -1]
+
+    def test_throwaway_side_never_outgrows_the_sweep(self):
+        # Hub 0 reaches four rows at level 1; row 14 ends a path
+        # 1-10-11-12-13-14.  The throwaway side from 14 keeps the
+        # smaller frontier, but it may grow no deeper than the cached
+        # sweep, so the cached sweep walks the path until it meets 13.
+        csr = rows(Graph(nodes=[0, 1, 2, 3, 4, 10, 11, 12, 13, 14],
+                         edges=[(0, 1), (0, 2), (0, 3), (0, 4), (1, 10),
+                                (10, 11), (11, 12), (12, 13), (13, 14)]))
+        sweep = DistanceSweep(csr, 0)
+        assert sweep.distance(1) == 1
+        assert sweep.distance(9) == 6  # row 9 is node 14
+        assert sweep.dist.tolist() == [0, 1, 1, 1, 1, 2, 3, 4, 5, -1]
+
+    def test_exhausted_sweep_answers_without_growing(self, monkeypatch):
+        # Components {0, 1} and {2, 3, 4}: growing the cached sweep from
+        # 0 empties its frontier, after which every lookup of the other
+        # component is one read.
+        csr = rows(Graph(nodes=range(5), edges=[(0, 1), (2, 3), (3, 4)]))
+        sweep = DistanceSweep(csr, 0)
+        assert sweep.distance(4) == -1
+        assert sweep.distance(1) == 1
+        assert sweep.distance(3) == -1
+        assert sweep.dist.tolist() == [0, 1, -1, -1, -1]
+        waves = []
+        monkeypatch.setattr(kernels, "expand_distances",
+                            lambda *args, **kwargs: waves.append(args))
+        assert [sweep.distance(row) for row in range(5)] == [0, 1, -1, -1, -1]
+        assert waves == []
+
+    def test_unreachable_when_the_throwaway_side_empties(self):
+        # The lone row 3 empties its own frontier first; the cached
+        # sweep keeps what it grew and still answers its component.
+        csr = rows(Graph(nodes=range(4), edges=[(0, 1), (0, 2)]))
+        sweep = DistanceSweep(csr, 0)
+        assert sweep.distance(1) == 1
+        assert sweep.distance(3) == -1
+        assert sweep.distance(2) == 1
+
+    @pytest.mark.parametrize("row", [-1, -4, 4, 10])
+    def test_out_of_range_row_raises(self, row):
+        # Negative rows used to wrap around (-1 read the source's 0).
+        csr = rows(Graph(nodes=range(4), edges=[(i, i + 1) for i in range(3)]))
+        sweep = DistanceSweep(csr, 3)
+        with pytest.raises(TopologyError):
+            sweep.distance(row)
 
     def test_out_of_range_source_raises(self):
         with pytest.raises(TopologyError):

@@ -3,7 +3,8 @@
 :meth:`repro.workload.serve.CachedRouter.route_batch` serves each
 request from a cached (source head, destination head) plan, takes legs
 from per-cluster sub-CSRs and dense distance matrices, and answers flat
-lookups from BFS sweeps expanded only as far as each lookup needs.
+lookups from lazy BFS sweeps that meet a throwaway sweep from the source
+in the middle.
 This is the loop it must equal, event for event and cache counter for
 cache counter: every request routed on its own by walking its head
 path hop by hop, every intra-cluster leg unwound from one

@@ -1,17 +1,24 @@
 """Tests for the radio channel models, including the tau bound."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.graph.dynamic import DynamicTopology
 from repro.graph.generators import complete_topology, line_topology, \
-    star_topology
+    star_topology, uniform_topology
+from repro.graph.graph import Graph
+from repro.protocols.stack import standard_stack
 from repro.runtime.channel import (
     BernoulliLossChannel,
     IdealChannel,
     SlottedContentionChannel,
 )
 from repro.runtime.frames import Frame
-from repro.util.errors import ConfigurationError
+from repro.runtime.simulator import StepSimulator
+from repro.util.errors import ConfigurationError, TopologyError
+from tests.oracles import channel as oracle
 
 
 def frames_for(topology):
@@ -133,3 +140,76 @@ class TestSlottedContentionChannel:
         inboxes = channel.deliver(frames_for(topo), topo.graph, rng)
         received = sum(len(inbox) for inbox in inboxes.values())
         assert received >= 10  # at most a couple of unlucky collisions
+
+
+LOSSY = {
+    "bernoulli": (lambda: BernoulliLossChannel(0.3),
+                  lambda: oracle.BernoulliLossOracle(0.3)),
+    "slotted": (lambda: SlottedContentionChannel(3),
+                lambda: oracle.SlottedContentionOracle(3)),
+}
+
+
+class TestLossyNeighborMemo:
+    """The lossy models scan neighbor sets memoized per (graph, CSR
+    snapshot) and must draw their randomness exactly as a scan that
+    calls ``graph.neighbors`` on every step does."""
+
+    @pytest.mark.parametrize("kind", sorted(LOSSY))
+    def test_trace_equals_fresh_neighbor_oracle(self, kind):
+        place = np.random.default_rng(7)
+        dynamics = DynamicTopology(place.uniform(0, 1, size=(40, 2)), 0.3)
+        assert dynamics.topology.graph._adj_map is None  # CSR-only
+        sims = [StepSimulator(dynamics.topology, standard_stack(namespace=160),
+                              channel=make(), rng=11, cache_timeout=4)
+                for make in LOSSY[kind]]
+        for step in range(16):
+            if step in (6, 11):
+                # The live graph is rebased in place: same graph object,
+                # new snapshot, so the memo must be rebuilt.
+                update = dynamics.move(place.uniform(0, 1, size=(40, 2)))
+                assert update.delta
+                for sim in sims:
+                    sim.set_topology(update.topology)
+            fast, slow = sims
+            assert fast.step() == slow.step()
+            assert fast.rng.bit_generator.state == \
+                slow.rng.bit_generator.state
+            assert {n: r.shared for n, r in fast.runtimes.items()} == \
+                {n: r.shared for n, r in slow.runtimes.items()}
+            assert fast.traffic == slow.traffic
+
+    @pytest.mark.parametrize("kind", sorted(LOSSY))
+    def test_unchanged_graph_reuses_the_same_sets(self, kind, monkeypatch):
+        graph = uniform_topology(30, 0.3, rng=2).graph
+        frames = {node: Frame(sender=node) for node in graph}
+        channel = LOSSY[kind][0]()
+        channel.deliver(frames, graph, np.random.default_rng(0))
+        first = channel._neighbor_sets(graph)
+        calls = []
+        monkeypatch.setattr(Graph, "neighbors",
+                            lambda self, node: calls.append(node))
+        channel.deliver(frames, graph, np.random.default_rng(1))
+        assert calls == []
+        assert all(channel._neighbor_sets(graph)[node] is first[node]
+                   for node in graph)
+
+    @pytest.mark.parametrize("kind", sorted(LOSSY))
+    def test_pickle_drops_the_memo(self, kind):
+        channel = LOSSY[kind][0]()
+        topo = line_topology(4)
+        channel.deliver(frames_for(topo), topo.graph, np.random.default_rng(0))
+        clone = pickle.loads(pickle.dumps(channel))
+        assert "_neighbor_memo" not in vars(clone)
+        assert repr(clone) == repr(channel)
+        assert clone.deliver(frames_for(topo), topo.graph,
+                             np.random.default_rng(5)) == \
+            channel.deliver(frames_for(topo), topo.graph,
+                            np.random.default_rng(5))
+
+    def test_sender_outside_the_graph_raises(self):
+        topo = line_topology(3)
+        frames = {9: Frame(sender=9)}
+        with pytest.raises(TopologyError):
+            BernoulliLossChannel(0.1).deliver(frames, topo.graph,
+                                              np.random.default_rng(0))

@@ -2,6 +2,8 @@
 uncached routines and to the serving oracle, flat-hop accounting, the
 sampling contract, and errors for unknown nodes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,20 @@ from repro.collectors import (
     LinkLoadCollector,
     StretchCollector,
 )
-from repro.graph.generators import Topology, uniform_topology
+from repro.graph.generators import (
+    Topology,
+    complete_topology,
+    line_topology,
+    ring_topology,
+    star_topology,
+    uniform_topology,
+)
 from repro.graph.graph import Graph
-from repro.graph.paths import is_connected
+from repro.graph.models.random_graphs import (
+    erdos_renyi_topology,
+    fixed_degree_topology,
+)
+from repro.graph.paths import hop_distance, is_connected
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import hierarchical_route, route_stretch
 from repro.util.errors import ConfigurationError, TopologyError
@@ -29,6 +42,7 @@ from repro.workload.serve import (
     serve_workload,
 )
 from tests.oracles import serving
+from tests.oracles import traversal as traversal_oracle
 from tests.property.strategies import graphs
 
 
@@ -397,6 +411,61 @@ class TestServingParity:
             assert (router.flat_hits, router.flat_misses) == \
                 (oracle.flat_hits, oracle.flat_misses)
             assert list(router._flat) == list(oracle._flat)
+
+
+DEGENERATE = {
+    "erdos_renyi-p0": lambda: erdos_renyi_topology(12, p=0, rng=1),
+    "fixed_degree-0": lambda: fixed_degree_topology(12, degree=0, rng=1),
+    "complete": lambda: complete_topology(8),
+    "star": lambda: star_topology(8),
+    "line": lambda: line_topology(10),
+    "ring": lambda: ring_topology(11),
+}
+
+
+class TestDegenerateTopologies:
+    """Every ordered pair through the flat path on edgeless, complete,
+    star, line and ring graphs: the cached router and the serving loop
+    equal the uncached ``route_stretch``."""
+
+    @pytest.fixture(scope="class", params=sorted(DEGENERATE))
+    def degenerate(self, request):
+        topo = DEGENERATE[request.param]()
+        nodes = sorted(topo.graph.nodes)
+        pairs = [(s, d) for s in nodes for d in nodes]
+        return topo, build_hierarchy(topo, rng=3), pairs
+
+    def test_route_stretch_matches_uncached(self, degenerate):
+        _topo, hierarchy, pairs = degenerate
+        router = CachedRouter(hierarchy, flat_cache=4)
+        for source, destination in pairs:
+            assert router.route_stretch(source, destination) == \
+                route_stretch(hierarchy, source, destination)
+
+    def test_serve_workload_samples_equal_uncached(self, degenerate):
+        _topo, hierarchy, pairs = degenerate
+        requests = [Request(time=float(i), source=s, destination=d)
+                    for i, (s, d) in enumerate(pairs)]
+        collector = serve_workload(hierarchy, requests, StretchCollector(),
+                                   flat_every=1, batch_size=7)
+        expected = {}
+        for source, destination in pairs:
+            hops, flat, _stretch = route_stretch(hierarchy, source,
+                                                 destination)
+            if not math.isinf(flat):
+                expected[(hops, flat)] = expected.get((hops, flat), 0) + 1
+        assert collector.pairs == expected
+
+    def test_hop_distance_matches_deque_bfs(self, degenerate):
+        """0 for ``u == v`` and ``inf`` across components."""
+        topo, _hierarchy, pairs = degenerate
+        graph = topo.graph
+        for source, destination in pairs:
+            expected = traversal_oracle.bfs_distances(graph, source).get(
+                destination, math.inf)
+            assert hop_distance(graph, source, destination) == expected
+            if source == destination:
+                assert expected == 0
 
 
 class TestUnknownNodes:
