@@ -36,6 +36,7 @@ from repro.clustering.order import BasicOrder, IncumbentOrder, NodeView, make_or
 from repro.util.errors import ConfigurationError
 
 _INT64 = np.iinfo(np.int64)
+_INTEGER_TYPES = (int, np.integer)
 
 
 def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
@@ -140,9 +141,14 @@ def _check_ids(graph, tie_ids, dag_ids):
 
 def _int64_ids(ids):
     """True iff every identifier is an integer that the engine's negated
-    int64 key columns hold exactly."""
+    int64 key columns hold exactly.
+
+    The integer check reads the set of value types, built at C level;
+    ``min`` and ``max`` bound the values.
+    """
     values = ids.values()
-    if not all(isinstance(value, (int, np.integer)) for value in values):
+    kinds = set(map(type, values))
+    if not all(issubclass(kind, _INTEGER_TYPES) for kind in kinds):
         return False
     return not values or (_INT64.min < min(values)
                           and max(values) <= _INT64.max)

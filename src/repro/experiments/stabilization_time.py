@@ -35,15 +35,22 @@ FAULTS = {
 }
 
 
-def cold_boot_steps(side, use_dag, rng, radius_cells=1.6, max_steps=None):
-    """Stabilization steps from a cold boot on a ``side x side`` grid.
+def _grid(side, radius_cells=1.6):
+    """A ``side x side`` grid spanning the unit square.
 
     ``radius_cells`` sets the transmission range in units of grid spacing
-    (1.6 gives the 8-neighborhood of the paper's R=0.05 scenario).
+    (1.6 gives the 8-neighborhood of the paper's R=0.05 scenario); a
+    one-node grid has no spacing and takes the unit square's side.
     """
-    rng = as_rng(rng)
     spacing = 1.0 / max(side - 1, 1)
-    topology = grid_topology(side, side, radius_cells * spacing)
+    return grid_topology(side, side, radius_cells * spacing)
+
+
+def cold_boot_steps(side, use_dag, rng, radius_cells=1.6, max_steps=None):
+    """Stabilization steps from a cold boot on a ``side x side`` grid
+    (see :func:`_grid` for ``radius_cells``)."""
+    rng = as_rng(rng)
+    topology = _grid(side, radius_cells)
     stack = standard_stack(topology=topology, use_dag=use_dag)
     simulator = StepSimulator(topology, stack, rng=rng)
     predicate = make_stack_predicate(use_dag=use_dag)
@@ -96,8 +103,7 @@ def run_scaling_experiment(sides=(4, 6, 8, 10, 12), runs=3, rng=None, jobs=1):
 
 def _run_recovery(task):
     fault_name, side, max_steps, run_rng = task
-    spacing = 1.0 / (side - 1)
-    topology = grid_topology(side, side, 1.6 * spacing)
+    topology = _grid(side)
     stack = standard_stack(topology=topology, use_dag=True)
     simulator = StepSimulator(topology, stack, rng=run_rng)
     predicate = make_stack_predicate(use_dag=True)

@@ -15,12 +15,18 @@ sides of that ledger:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 _SCALAR_BYTES = 4
 _FRACTION_BYTES = 8
 _FIXED_BYTES = {type(None): 1, bool: 1, Fraction: _FRACTION_BYTES,
                 int: _SCALAR_BYTES, float: _SCALAR_BYTES}
 _CONTAINERS = (list, tuple, set, frozenset)
+# Summed sizes of dict key tuples made only of strings, by the tuple: a
+# payload carries the same few variable names frame after frame.
+_KEY_BYTES = {}
+_KEY_BYTES_LIMIT = 256
+_payload_of = attrgetter("payload")
 
 
 def payload_bytes(value):
@@ -34,7 +40,9 @@ def payload_bytes(value):
 
     Values of the listed built-in types are sized by one lookup of their
     exact type; anything else (subclasses included) walks the
-    ``isinstance`` chain, with the same result.
+    ``isinstance`` chain, with the same result.  The key bytes of a dict
+    whose keys are all strings are looked up by its key tuple once they
+    have been summed.
     """
     kind = type(value)
     size = _FIXED_BYTES.get(kind)
@@ -43,10 +51,22 @@ def payload_bytes(value):
     if kind is str:
         return len(value.encode("utf-8"))
     if kind is dict:
-        return 1 + _items_bytes(value.keys()) + _items_bytes(value.values())
+        return 1 + _keys_bytes(tuple(value)) + _items_bytes(value.values())
     if kind in _CONTAINERS:
         return 1 + _items_bytes(value)
     return _payload_bytes_by_isinstance(value)
+
+
+def _keys_bytes(keys):
+    """Summed sizes of a dict's ``keys``, memoized for string keys."""
+    size = _KEY_BYTES.get(keys)
+    if size is None:
+        size = _items_bytes(keys)
+        if all(type(key) is str for key in keys):
+            if len(_KEY_BYTES) >= _KEY_BYTES_LIMIT:
+                _KEY_BYTES.clear()
+            _KEY_BYTES[keys] = size
+    return size
 
 
 def _items_bytes(items):
@@ -92,13 +112,13 @@ class TrafficStats:
     per_step_bytes: list = field(default_factory=list)
 
     def record_step(self, frames, inboxes):
-        step_bytes = 0
-        for frame in frames.values():
-            self.frames_sent += 1
-            step_bytes += frame_bytes(frame)
+        # frame_bytes of every frame, summed.
+        step_bytes = _SCALAR_BYTES * len(frames) + sum(
+            map(payload_bytes, map(_payload_of, frames.values())))
+        self.frames_sent += len(frames)
         self.bytes_sent += step_bytes
         self.per_step_bytes.append(step_bytes)
-        self.frames_delivered += sum(len(inbox) for inbox in inboxes.values())
+        self.frames_delivered += sum(map(len, inboxes.values()))
 
     def mean_bytes_per_step(self):
         if not self.per_step_bytes:

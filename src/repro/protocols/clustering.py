@@ -10,7 +10,7 @@ The protocol of Section 4.2 with the optional Section 4.3 refinements:
 Shared variables: ``density``, ``head``, ``parent``, plus (with fusion) a
 ``summary`` of cached neighbor states so 2-hop head claims propagate.
 
-Every comparison funnels through the same per-node key shape the
+Every comparison funnels through the same per-node key order the
 centralized oracle uses -- ``(density, [is_head,] -dag_id, -tie_id)`` --
 so the protocol's stable state coincides with the oracle's fixpoint, which
 the integration suite asserts on random topologies.  Values a node has not
@@ -18,8 +18,17 @@ learned yet rank below everything (unknown density below isolated's 0,
 unknown DAG name loses every tie): a node acts on its best current
 knowledge and revises as caches fill, which is exactly the transient
 behaviour self-stabilization tolerates.
+
+A key leads with the density's float image, ``(float(d), d, ...)``:
+correct rounding is monotone, so the keys order exactly as the
+Fraction-led ones do, and two different densities are told apart by a
+float comparison; the exact Fraction is compared only on a float tie.  A
+density beyond the float range images to +-inf and so always falls
+through to the Fraction.  R2 reads each neighbor's key off its cache
+entry, where the first receiver of the frame memoized it.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,6 +45,18 @@ def _density(degree, links):
     """``(degree + links) / degree``, one shared object per value pair: a
     key comparison between equal densities then stops at identity."""
     return Fraction(degree + links, degree)
+
+
+def _float_image(density):
+    """``float(density)``, or +-inf when it is beyond the float range."""
+    try:
+        if type(density) is Fraction:
+            # What float() computes for a Fraction, with fewer calls: the
+            # correctly rounded quotient of the two integers.
+            return density.numerator / density.denominator
+        return float(density)
+    except OverflowError:
+        return math.inf if density > 0 else -math.inf
 
 
 class DensityClusteringProtocol:
@@ -111,13 +132,20 @@ class DensityClusteringProtocol:
 
     def _r2_head(self, runtime, _rng):
         own_key = self._own_key(runtime)
-        neighbor_keys = {q: self._neighbor_key(runtime, q)
-                         for q in runtime.known_neighbors()}
-        # Keys are totally ordered: every neighbor key is below our own
-        # iff the greatest one is.
-        best = max(neighbor_keys, key=neighbor_keys.get) if neighbor_keys \
-            else None
-        if not neighbor_keys or neighbor_keys[best] < own_key:
+        tag = self._memo_tag
+        caches = runtime.caches
+        # The first greatest neighbor key, as max() picks it.  Keys are
+        # totally ordered: every neighbor key is below our own iff the
+        # greatest one is.
+        best = best_key = None
+        for q in runtime.known_neighbors():
+            entry = caches[q]
+            key = entry.memo.get(tag)
+            if key is None:
+                key = self._entry_key(entry, q)
+            if best_key is None or key > best_key:
+                best, best_key = q, key
+        if best_key is None or best_key < own_key:
             if not self.fusion:
                 self._become_head(runtime)
                 return
@@ -125,7 +153,7 @@ class DensityClusteringProtocol:
             if dominator is None:
                 self._become_head(runtime)
                 return
-            self._join_toward(runtime, dominator, neighbor_keys)
+            self._join_toward(runtime, dominator)
             return
         self._join(runtime, best)
 
@@ -137,10 +165,11 @@ class DensityClusteringProtocol:
         runtime.shared["parent"] = parent
         runtime.shared["head"] = runtime.cached(parent, "head")
 
-    def _join_toward(self, runtime, dominator, neighbor_keys):
+    def _join_toward(self, runtime, dominator):
         """Fusion: a deposed local maximum joins the strongest neighbor that
         reports the dominating 2-hop head as its own neighbor."""
-        gateways = {q: key for q, key in neighbor_keys.items()
+        gateways = {q: self._neighbor_key(runtime, q)
+                    for q in runtime.known_neighbors()
                     if dominator in (runtime.cached(q, "neighbors")
                                      or frozenset())}
         if not gateways:
@@ -156,7 +185,9 @@ class DensityClusteringProtocol:
     # ------------------------------------------------------------------
 
     def _key(self, density, is_head, dag_id, tie_id):
-        components = [density if density is not None else UNKNOWN_DENSITY]
+        if density is None:
+            density = UNKNOWN_DENSITY
+        components = [_float_image(density), density]
         if self.order == "incumbent":
             components.append(bool(is_head))
         if self.use_dag:
@@ -165,12 +196,11 @@ class DensityClusteringProtocol:
         return tuple(components)
 
     def _own_key(self, runtime):
-        return self._key(
-            density=runtime.shared.get("density"),
-            is_head=runtime.shared.get("head") == runtime.node_id,
-            dag_id=runtime.shared.get("dag_id") if self.use_dag else None,
-            tie_id=runtime.tie_id,
-        )
+        shared = runtime.shared
+        return self._key(shared.get("density"),
+                         shared.get("head") == runtime.node_id,
+                         shared.get("dag_id") if self.use_dag else None,
+                         runtime.tie_id)
 
     def _neighbor_key(self, runtime, q):
         """``q``'s key from its cache entry, memoized on the entry: the
@@ -178,12 +208,17 @@ class DensityClusteringProtocol:
         entry = runtime.caches[q]
         key = entry.memo.get(self._memo_tag)
         if key is None:
-            key = entry.memo[self._memo_tag] = self._key(
-                density=entry.get("density"),
-                is_head=entry.get("head") == q,
-                dag_id=entry.get("dag_id") if self.use_dag else None,
-                tie_id=entry.get("tie_id", q),
-            )
+            key = self._entry_key(entry, q)
+        return key
+
+    def _entry_key(self, entry, q):
+        """Compute ``q``'s key from ``entry`` and memoize it there."""
+        payload = entry.payload
+        key = entry.memo[self._memo_tag] = self._key(
+            payload.get("density"),
+            payload.get("head") == q,
+            payload.get("dag_id") if self.use_dag else None,
+            payload.get("tie_id", q))
         return key
 
     # ------------------------------------------------------------------

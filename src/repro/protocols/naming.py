@@ -11,6 +11,10 @@ Two conflict-resolution variants (mirroring the offline simulators):
   name among its cached neighbor names re-draws;
 * ``"polite"`` -- the Section 5 simulation variant: on a collision only
   the endpoint with the smaller normal identifier re-draws.
+
+The polite N1 scans a node's cache entries once, stopping at the first
+neighbor that holds the node's name and has a larger normal identifier;
+only a node that re-draws gathers the cached names it must avoid.
 """
 
 from repro.naming.namespace import NameSpace
@@ -46,22 +50,29 @@ class DagNamingProtocol:
 
     def _n1(self, runtime, rng):
         current = runtime.shared.get("dag_id")
-        cached_names = runtime.cached_all("dag_id")
-        cached_ids = [value for value in cached_names.values()
-                      if value is not None]
         if self.variant == "randomized":
-            runtime.shared["dag_id"] = new_id(current, cached_ids,
+            runtime.shared["dag_id"] = new_id(current, _cached_names(runtime),
                                               self.namespace, rng)
             return
         # Polite variant: re-draw only when conflicting with a neighbor of
-        # larger normal identifier (or when the name is invalid).
-        if current not in self.namespace:
-            runtime.shared["dag_id"] = self.namespace.sample(
-                rng, exclude=cached_ids)
-            return
-        colliders = [q for q, value in cached_names.items()
-                     if value == current]
-        if any(runtime.cached(q, "tie_id", q) > runtime.tie_id
-               for q in colliders):
-            runtime.shared["dag_id"] = self.namespace.sample(
-                rng, exclude=cached_ids)
+        # larger normal identifier (or when the name is invalid).  One
+        # scan looks for such a collider; the exclusions are gathered only
+        # for a re-draw.
+        if current in self.namespace:
+            tie_id = runtime.tie_id
+            for q, entry in runtime.caches.items():
+                payload = entry.payload
+                if (payload.get("dag_id") == current
+                        and payload.get("tie_id", q) > tie_id):
+                    break
+            else:
+                return
+        runtime.shared["dag_id"] = self.namespace.sample(
+            rng, exclude=_cached_names(runtime))
+
+
+def _cached_names(runtime):
+    """The names cached for ``runtime``'s neighbors, unset ones left out,
+    in cache order."""
+    return [name for name in runtime.cached_all("dag_id").values()
+            if name is not None]

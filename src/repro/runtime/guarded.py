@@ -50,10 +50,16 @@ class Program:
             raise ConfigurationError(f"duplicate command names: {names}")
 
     def execute(self, runtime, rng):
-        """Run one round-robin pass; return the names of fired commands."""
+        """Run one round-robin pass; return the names of fired commands.
+
+        Each command fires as :meth:`GuardedCommand.fire` would fire it;
+        the constant guard :func:`always` is not called.
+        """
         fired = []
         for command in self.commands:
-            if command.fire(runtime, rng):
+            guard = command.guard
+            if guard is always or guard(runtime, rng):
+                command.action(runtime, rng)
                 fired.append(command.name)
         return fired
 

@@ -16,7 +16,11 @@ is exactly one such Δ(τ):
 A step costs one unit of work per frame plus cheap reads per delivery:
 each payload is snapshotted once, into one immutable
 :class:`~repro.runtime.node.CacheEntry` that all of the frame's
-receivers cache, and the frame is sized once.
+receivers cache, and the frame is sized once (the byte count of its
+variable names is memoized).  In step 4 a program calls each action
+whose guard is the constant ``always`` directly; the clustering layer's
+R2 reads float-led neighbor keys memoized on the entries, and the
+polite N1 scans a node's entries once.
 
 The simulator never lets protocol code read the true graph: all knowledge
 flows through frames, which is what makes the self-stabilization

@@ -18,6 +18,9 @@ It is held by snapshot identity, as
 or rebased graph has a new snapshot.  It lives in the predicate's
 closure, which is never pickled.  Every predicate that reads the truth
 takes it as ``truth``, and computes it afresh when none is given.
+:func:`two_hop_accurate` judges each cache entry once per call and
+builds a receiver's believed 2-neighborhood only when its own view is
+not already exact by those verdicts.
 """
 
 from repro.clustering.density import all_densities
@@ -37,8 +40,16 @@ class GroundTruth:
 
     def __init__(self, graph):
         self.snapshot = _snapshot(graph)
-        self.neighbors = {node: graph.neighbors(node) for node in graph}
-        self.two_hop = {node: graph.k_neighborhood(node, 2) for node in graph}
+        self.neighbors = neighbors = {node: graph.neighbors(node)
+                                      for node in graph}
+        # Graph.k_neighborhood(node, 2), from the sets above: the node's
+        # neighbors and theirs, without the node.
+        self.two_hop = {}
+        for node, adjacent in neighbors.items():
+            reach = set(adjacent)
+            reach.update(*map(neighbors.__getitem__, adjacent))
+            reach.discard(node)
+            self.two_hop[node] = reach
         # The oracle ranks with the DensityMap's float image; the
         # per-step density predicate reads a dict built from it once.
         self._density_map = all_densities(graph, exact=True)
@@ -86,12 +97,34 @@ def two_hop_accurate(simulator, truth=None):
 
     Requires the *shared* neighbor sets (what neighbors reported) to be
     accurate, i.e. one more propagation step than 1-hop accuracy.
+
+    Each cache entry is judged once per call, however many receivers
+    hold it: does it report exactly its sender's true neighbors?  A
+    receiver whose 1-hop set is exact and whose entries all pass sees
+    its true 2-neighborhood, so only the other receivers build the union
+    of the reported sets.
     """
     if truth is None:
         truth = GroundTruth(simulator.graph)
     runtimes = simulator.runtimes
-    return all(runtimes[node].two_hop_view() == two_hop
-               for node, two_hop in truth.two_hop.items())
+    neighbors = truth.neighbors
+    verdicts = {}
+    for node, two_hop in truth.two_hop.items():
+        runtime = runtimes[node]
+        caches = runtime.caches
+        if caches.keys() == neighbors[node]:
+            for q, entry in caches.items():
+                verdict = verdicts.get(id(entry))
+                if verdict is None:
+                    verdict = verdicts[id(entry)] = \
+                        entry.payload.get("neighbors") == neighbors[q]
+                if not verdict:
+                    break
+            else:
+                continue
+        if runtime.two_hop_view() != two_hop:
+            return False
+    return True
 
 
 def naming_legitimate(simulator):

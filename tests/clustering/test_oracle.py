@@ -1,8 +1,11 @@
 """Tests for the centralized clustering oracle."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.clustering.oracle import compute_clustering
+from repro.clustering.oracle import _int64_ids, compute_clustering
 from repro.graph.generators import (
     complete_topology,
     line_topology,
@@ -13,6 +16,7 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 from repro.graph.paths import hop_distance
 from repro.util.errors import ConfigurationError
+from tests.oracles.election import int64_ids
 
 
 class TestFigure1:
@@ -211,3 +215,45 @@ class TestValidation:
         clustering = compute_clustering(fig1.graph, tie_ids=fig1.ids,
                                         densities=densities)
         assert clustering.heads == {"h", "j"}
+
+
+_LOW, _HIGH = -2 ** 63, 2 ** 63 - 1
+_identifiers = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([_LOW, _LOW + 1, _HIGH, _HIGH + 1, 2 ** 64, -2 ** 70]),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from([0, 1, _HIGH, _HIGH + 1, 2 ** 64 - 1]).map(np.uint64),
+    st.sampled_from([_LOW, _LOW + 1, -1, _HIGH]).map(np.int64),
+    st.integers(-3, 3).map(np.int8),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+
+
+class TestInt64Ids:
+    """The engine's identifier check answers as the value-by-value
+    oracle does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ids=st.dictionaries(st.integers(0, 30), _identifiers,
+                               max_size=8))
+    def test_equals_oracle(self, ids):
+        assert _int64_ids(ids) == int64_ids(ids)
+
+    @pytest.mark.parametrize("values, expected", [
+        ([], True),
+        ([_LOW + 1, _HIGH], True),
+        ([_LOW], False),
+        ([_HIGH + 1], False),
+        ([True, 2], True),
+        ([np.uint64(2 ** 64 - 1)], False),
+        ([np.int64(_HIGH), 3], True),
+        ([1.0], False),
+        (["1"], False),
+        ([1, "1"], False),
+    ])
+    def test_cases(self, values, expected):
+        ids = dict(enumerate(values))
+        assert bool(_int64_ids(ids)) is expected
+        assert bool(int64_ids(ids)) is expected

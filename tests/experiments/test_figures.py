@@ -1,5 +1,7 @@
 """Tests for the figure runners and stabilization experiments."""
 
+import pytest
+
 from repro.experiments.figures import run_figure1, run_figure2, run_figure3
 from repro.experiments.stabilization_time import (
     cold_boot_steps,
@@ -7,6 +9,7 @@ from repro.experiments.stabilization_time import (
     run_scaling_experiment,
 )
 from repro.experiments.common import Preset
+from repro.util.errors import ConfigurationError
 
 
 class TestFigures:
@@ -57,3 +60,21 @@ class TestStabilizationExperiments:
                         mobility_duration=0, mobility_window=1)
         table = run_recovery_experiment(preset, side=5, rng=7)
         assert all(flag == "yes" for flag in table.column("all converged"))
+
+    def test_one_node_grid(self):
+        # A 1x1 grid has no spacing; both experiments size its radius
+        # by the same rule.
+        preset = Preset(name="t", runs=1, intensity=0, mobility_nodes=0,
+                        mobility_duration=0, mobility_window=1)
+        table = run_recovery_experiment(preset, side=1, rng=8)
+        assert all(flag == "yes" for flag in table.column("all converged"))
+        scaling = run_scaling_experiment(sides=(1,), runs=1, rng=9)
+        assert [row[0] for row in scaling.rows] == [1]
+
+    def test_empty_grid_rejected(self):
+        preset = Preset(name="t", runs=1, intensity=0, mobility_nodes=0,
+                        mobility_duration=0, mobility_window=1)
+        with pytest.raises(ConfigurationError):
+            run_recovery_experiment(preset, side=0, rng=8)
+        with pytest.raises(ConfigurationError):
+            run_scaling_experiment(sides=(0,), runs=1, rng=9)

@@ -9,6 +9,8 @@ neighbors' keys through the per-node rules of
 :mod:`repro.clustering.heads`, with exact Fraction densities throughout.
 """
 
+import numpy as np
+
 from repro.clustering.density import all_densities
 from repro.clustering.heads import choose_parent, is_local_max
 from repro.clustering.oracle import _check_ids
@@ -35,6 +37,18 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
     return clustering_from_keys(graph, keys, fusion=fusion,
                                 densities=densities, dag_ids=dag_ids,
                                 order_name=order_obj.name)
+
+
+def int64_ids(ids):
+    """:func:`repro.clustering.oracle._int64_ids` value by value: True
+    iff every identifier is an ``int`` or ``np.integer`` strictly above
+    int64's minimum and at most its maximum."""
+    values = ids.values()
+    if not all(isinstance(value, (int, np.integer)) for value in values):
+        return False
+    bounds = np.iinfo(np.int64)
+    return not values or (bounds.min < min(values)
+                          and max(values) <= bounds.max)
 
 
 def clustering_from_keys(graph, keys, fusion=False, densities=None,

@@ -3,24 +3,35 @@
 :meth:`repro.runtime.simulator.StepSimulator.step` snapshots each
 sender's payload once per step and hands every receiver the same
 immutable :class:`~repro.runtime.node.CacheEntry`; the clustering layer
-memoizes neighbor keys on that entry and counts R1's links with set
-intersections; frame sizes dispatch on exact types; the legitimacy
-predicates compute their ground truth once per CSR snapshot.  This
+leads its keys with the density's float image, memoizes neighbor keys
+on that entry and counts R1's links with set intersections; the polite
+N1 scans the cache once; a program calls the action of an ``always``
+guard directly; frame sizes dispatch on exact types and memoize key
+bytes; the legitimacy predicates compute their ground truth once per
+CSR snapshot and judge each cache entry once per two-hop check.  This
 module is what all of that must equal, written the direct way: every
 receiver copies the payload into its own entry
 (:meth:`~repro.runtime.node.NodeRuntime.ingest`), R1 collects one
-frozenset per linked pair, R2 rebuilds each neighbor key from the cache,
-sizes walk the ``isinstance`` chain, and the predicates recompute the
-truth from the graph on every call.
+frozenset per linked pair, R2 rebuilds each Fraction-led neighbor key
+from the cache, N1 lists the colliders before it compares tie
+identifiers, every guard is evaluated before its action
+(:meth:`~repro.runtime.guarded.GuardedCommand.fire`), sizes walk the
+``isinstance`` chain, and the predicates recompute the truth from the
+graph on every call.
 """
 
 from fractions import Fraction
 
 from repro.clustering.density import all_densities
 from repro.clustering.oracle import compute_clustering
-from repro.naming.renaming import is_locally_unique
+from repro.naming.renaming import is_locally_unique, new_id
 from repro.protocols.base import ProtocolStack
-from repro.protocols.clustering import DensityClusteringProtocol
+from repro.protocols.clustering import (
+    _UNKNOWN_DAG,
+    UNKNOWN_DENSITY,
+    DensityClusteringProtocol,
+)
+from repro.protocols.naming import DagNamingProtocol
 from repro.runtime.frames import Frame
 from repro.runtime.simulator import StepSimulator
 
@@ -82,15 +93,26 @@ class OracleSimulator(StepSimulator):
         order = sorted(self.runtimes, key=lambda n: self.runtimes[n].tie_id)
         for node in order:
             if node in activated:
-                fired[node] = self._program.execute(self.runtimes[node],
-                                                    self.rng)
+                fired[node] = execute(self._program, self.runtimes[node],
+                                      self.rng)
             else:
                 fired[node] = []
         return fired
 
 
+def execute(program, runtime, rng):
+    """:meth:`~repro.runtime.guarded.Program.execute`, firing every
+    command through its guard."""
+    fired = []
+    for command in program:
+        if command.fire(runtime, rng):
+            fired.append(command.name)
+    return fired
+
+
 class OracleClusteringProtocol(DensityClusteringProtocol):
-    """R1 with a frozenset per linked pair; R2 with unmemoized keys."""
+    """R1 with a frozenset per linked pair; R2 with unmemoized
+    Fraction-led keys, one ``max`` over a dict of them."""
 
     def _r1_density(self, runtime, _rng):
         neighbors = runtime.known_neighbors()
@@ -106,6 +128,43 @@ class OracleClusteringProtocol(DensityClusteringProtocol):
         runtime.shared["density"] = Fraction(len(neighbors) + len(counted),
                                              len(neighbors))
 
+    def _r2_head(self, runtime, _rng):
+        own_key = self._own_key(runtime)
+        neighbor_keys = {q: self._neighbor_key(runtime, q)
+                         for q in runtime.known_neighbors()}
+        best = max(neighbor_keys, key=neighbor_keys.get) if neighbor_keys \
+            else None
+        if not neighbor_keys or neighbor_keys[best] < own_key:
+            if not self.fusion:
+                self._become_head(runtime)
+                return
+            dominator = self._strongest_dominator(runtime, own_key)
+            if dominator is None:
+                self._become_head(runtime)
+                return
+            self._join_toward(runtime, dominator, neighbor_keys)
+            return
+        self._join(runtime, best)
+
+    def _join_toward(self, runtime, dominator, neighbor_keys):
+        gateways = {q: key for q, key in neighbor_keys.items()
+                    if dominator in (runtime.cached(q, "neighbors")
+                                     or frozenset())}
+        if not gateways:
+            self._become_head(runtime)
+            return
+        best = max(gateways, key=gateways.get)
+        self._join(runtime, best)
+
+    def _key(self, density, is_head, dag_id, tie_id):
+        components = [density if density is not None else UNKNOWN_DENSITY]
+        if self.order == "incumbent":
+            components.append(bool(is_head))
+        if self.use_dag:
+            components.append(-dag_id if dag_id is not None else _UNKNOWN_DAG)
+        components.append(-tie_id)
+        return tuple(components)
+
     def _neighbor_key(self, runtime, q):
         return self._key(
             density=runtime.cached(q, "density"),
@@ -115,6 +174,31 @@ class OracleClusteringProtocol(DensityClusteringProtocol):
         )
 
 
+class OracleNamingProtocol(DagNamingProtocol):
+    """N1 over the whole cache: every cached name first, then the
+    colliders, then their tie identifiers."""
+
+    def _n1(self, runtime, rng):
+        current = runtime.shared.get("dag_id")
+        cached_names = runtime.cached_all("dag_id")
+        cached_ids = [value for value in cached_names.values()
+                      if value is not None]
+        if self.variant == "randomized":
+            runtime.shared["dag_id"] = new_id(current, cached_ids,
+                                              self.namespace, rng)
+            return
+        if current not in self.namespace:
+            runtime.shared["dag_id"] = self.namespace.sample(
+                rng, exclude=cached_ids)
+            return
+        colliders = [q for q, value in cached_names.items()
+                     if value == current]
+        if any(runtime.cached(q, "tie_id", q) > runtime.tie_id
+               for q in colliders):
+            runtime.shared["dag_id"] = self.namespace.sample(
+                rng, exclude=cached_ids)
+
+
 def oracle_clustering(protocol):
     """The oracle twin of a :class:`DensityClusteringProtocol`."""
     return OracleClusteringProtocol(order=protocol.order,
@@ -122,13 +206,22 @@ def oracle_clustering(protocol):
                                     use_dag=protocol.use_dag)
 
 
+def oracle_naming(protocol):
+    """The oracle twin of a :class:`DagNamingProtocol`."""
+    return OracleNamingProtocol(protocol.namespace, variant=protocol.variant)
+
+
 def oracle_stack(stack):
-    """``stack`` with every clustering layer replaced by its oracle twin
-    (the other layers keep no state and are shared)."""
-    return ProtocolStack([
-        oracle_clustering(layer)
-        if isinstance(layer, DensityClusteringProtocol) else layer
-        for layer in stack.layers])
+    """``stack`` with every clustering and naming layer replaced by its
+    oracle twin (the other layers keep no state and are shared)."""
+    twins = []
+    for layer in stack.layers:
+        if isinstance(layer, DensityClusteringProtocol):
+            layer = oracle_clustering(layer)
+        elif isinstance(layer, DagNamingProtocol):
+            layer = oracle_naming(layer)
+        twins.append(layer)
+    return ProtocolStack(twins)
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Parity: the per-frame step equals the per-receiver oracle.
 
 :class:`~repro.runtime.simulator.StepSimulator` hands every receiver of a
-frame one shared cache entry, memoizes the clustering keys on it, sizes
-each frame once by exact type, and the legitimacy predicates compute the
-ground truth once per CSR snapshot.  ``tests/oracles/simulator.py`` does
-each of those the direct way.  Both run side by side over random graphs,
-every stack configuration, channel and daemon, every fault injector and
-mid-run topology swaps; after every step the shared variables, cache
-payloads and timestamps, fired commands, RNG state, traffic counters and
-predicate values must be equal.
+frame one shared cache entry, memoizes the float-led clustering keys on
+it, runs the polite N1 in one cache scan, calls ``always``-guarded
+actions directly, sizes each frame once by exact type with memoized key
+bytes, and the legitimacy predicates compute the ground truth once per
+CSR snapshot and judge each cache entry once per two-hop check.
+``tests/oracles/simulator.py`` does each of those the direct way.  Both
+run side by side over random graphs, every stack configuration, channel
+and daemon, every fault injector and mid-run topology swaps; after every
+step the shared variables, cache payloads and timestamps, fired
+commands, RNG state, traffic counters and predicate values must be
+equal.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.graph.dynamic import DynamicTopology
 from repro.graph.generators import Topology
+from repro.metrics.overhead import payload_bytes
 from repro.protocols.base import Protocol
 from repro.protocols.clustering import DensityClusteringProtocol
 from repro.protocols.stack import standard_stack
@@ -33,7 +38,7 @@ from repro.runtime.daemon import (
     SynchronousDaemon,
 )
 from repro.runtime.guarded import GuardedCommand, Program, always
-from repro.runtime.node import NodeRuntime
+from repro.runtime.node import CacheEntry, NodeRuntime
 from repro.runtime.simulator import StepSimulator
 from repro.stabilization import faults, predicates
 from tests.oracles import simulator as oracle
@@ -44,6 +49,7 @@ CONFIGURATIONS = {
     "DAG": {"use_dag": True},
     "DAG + fusion": {"use_dag": True, "fusion": True},
     "DAG + incumbent": {"use_dag": True, "order": "incumbent"},
+    "DAG + randomized N1": {"use_dag": True, "variant": "randomized"},
 }
 
 CHANNELS = {
@@ -58,12 +64,26 @@ DAEMONS = {
     "central": CentralDaemon,
 }
 
+
+def _lasting_ghosts(runtime, _rng):
+    """Ghost entries stamped far in the future: they never expire, so the
+    programs read them.  They claim the node's own DAG name, and without
+    a ``tie_id`` the ghost's label stands in for it."""
+    for ghost in (1000, 1001):
+        runtime.caches[ghost] = CacheEntry(
+            payload={"dag_id": runtime.shared.get("dag_id"),
+                     "density": Fraction(99), "head": None,
+                     "neighbors": frozenset()},
+            refreshed_at=10**9)
+
+
 FAULTS = {
     "clear_caches": faults.clear_caches,
     "clear_shared": faults.clear_shared,
     "duplicate_dag_ids": faults.duplicate_dag_ids,
     "garbage_shared": faults.garbage_shared,
     "fabricate_caches": faults.fabricate_caches([1000, 1001]),
+    "lasting_ghosts": _lasting_ghosts,
     "total_corruption": faults.total_corruption,
 }
 
@@ -313,7 +333,8 @@ class _Name(str):
 
 class SharedPayloadProtocol(Protocol):
     """Broadcasts ``runtime.shared`` itself, then rewrites it: frames
-    must carry the values of broadcast time."""
+    must carry the values of broadcast time.  One command's guard draws
+    from the RNG, so guards must be evaluated as the oracle does."""
 
     def initialize(self, runtime, rng):
         runtime.shared["count"] = int(rng.integers(0, 5))
@@ -341,7 +362,14 @@ class SharedPayloadProtocol(Protocol):
                                                1 + len(heard))
             runtime.shared["by_sender"] = dict(heard)
 
+        def coin(_runtime, rng):
+            return rng.random() < 0.5
+
+        def flip(runtime, _rng):
+            runtime.shared["odd"] = not runtime.shared.get("odd")
+
         return Program([GuardedCommand("bump", always, bump),
+                        GuardedCommand("flip", coin, flip),
                         GuardedCommand("listen", always, listen)])
 
 
@@ -359,3 +387,95 @@ class TestSharedPayload:
         for _ in range(steps):
             assert fast.step() == slow.step()
             assert_same_state(fast, slow)
+
+
+# ----------------------------------------------------------------------
+# the pieces of the step on their own
+# ----------------------------------------------------------------------
+
+# Densities around the float range's edges: overflowing ones image to
+# +-inf, tiny ones to 0.0 or to a shared subnormal.
+_HUGE = 2 ** 1024
+_densities = st.one_of(
+    st.none(),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-3, 3).map(lambda k: _HUGE + k)),
+    st.builds(Fraction, st.integers(-3, 3).map(lambda k: -_HUGE + k)),
+    st.builds(Fraction, st.integers(1, 3),
+              st.integers(0, 3).map(lambda k: _HUGE + k)),
+    st.builds(Fraction, st.integers(1, 2 ** 60), st.just(2 ** 1100)),
+    st.builds(Fraction, st.integers(0, 1), st.integers(1, 3)),
+)
+_key_fields = st.tuples(_densities, st.booleans(),
+                        st.one_of(st.none(), st.integers(0, 3)),
+                        st.integers(0, 3))
+
+
+def _copy(density):
+    """An equal density held in a different object."""
+    if density is None:
+        return None
+    copy = Fraction(density.numerator * 3, density.denominator * 3)
+    assert copy == density and copy is not density
+    return copy
+
+
+class TestKeyOrder:
+    """Float-led keys order exactly as the oracle's Fraction-led keys, in
+    every configuration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=_key_fields, second=_key_fields, copied=st.booleans())
+    def test_float_led_keys_order_like_fraction_led(self, first, second,
+                                                    copied):
+        if copied:
+            second = (_copy(first[0]),) + second[1:]
+        for layer, oracle_layer in _LAYERS:
+            mine = [layer._key(*fields) for fields in (first, second)]
+            theirs = [oracle_layer._key(*fields)
+                      for fields in (first, second)]
+            assert (mine[0] < mine[1]) == (theirs[0] < theirs[1])
+            assert (mine[0] == mine[1]) == (theirs[0] == theirs[1])
+            assert (mine[0] > mine[1]) == (theirs[0] > theirs[1])
+
+    def test_overflowing_densities_image_to_infinity(self):
+        layer = DensityClusteringProtocol(use_dag=False)
+        big = layer._key(Fraction(_HUGE + 1), False, None, 1)
+        bigger = layer._key(Fraction(_HUGE + 2), False, None, 2)
+        assert big[0] == bigger[0] == math.inf
+        assert big < bigger
+        assert layer._key(Fraction(-_HUGE), False, None, 1)[0] == -math.inf
+        assert layer._key(None, False, None, 1)[:2] == (-1.0, Fraction(-1))
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 40, 2 ** 40),
+    st.floats(allow_nan=False), st.fractions(max_denominator=20),
+    st.text(max_size=4), st.text(max_size=3).map(_Name),
+    st.integers(0, 9).map(np.int64))
+_keys = st.one_of(st.text(max_size=4), st.integers(0, 9), st.booleans(),
+                  st.none())
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(st.one_of(st.integers(0, 9), st.booleans(),
+                                st.text(max_size=2)), max_size=4),
+        st.sets(st.integers(-5, 5), max_size=4),
+        st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestPayloadBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_payloads)
+    def test_sizes_equal_isinstance_oracle(self, value):
+        assert payload_bytes(value) == oracle.payload_bytes(value)
+        # Twice: the second call may read the memoized key bytes.
+        assert payload_bytes(value) == oracle.payload_bytes(value)
+
+    def test_equal_keys_of_other_types_are_not_conflated(self):
+        for value in ({"a": 1}, {True: 1}, {1: 1}, {1.0: 1},
+                      {Fraction(1): 1}, {"a": 1}, {_Name("a"): 1}):
+            assert payload_bytes(value) == oracle.payload_bytes(value)
