@@ -14,7 +14,10 @@ Basic rule (Section 4.2)::
 
 Fusion rule (Section 4.3) strengthens the self-election condition: ``p``
 must also dominate every node in its 2-neighborhood that currently claims
-to be a cluster-head.
+to be a cluster-head.  Only local maxima claim headship and no two of
+them are adjacent, so ``_fusion_adjust`` checks the condition against
+the maxima that share a neighbor with ``p``; the per-node rules here
+take the whole 2-neighborhood, as the paper states them.
 """
 
 

@@ -26,9 +26,11 @@ every window, re-seeding only what changed:
 * the Section 4.2 parent choice is a vectorized per-row argmax over
   neighbor ranks on the CSR snapshot (:func:`_basic_parents`); the
   Section 4.3 fusion greedy runs in Python but only over the (few)
-  local maxima, with two-hop neighborhoods gathered as array slices
-  (:func:`_fusion_adjust`).  These are the library's only copy of the
-  two rules;
+  local maxima, one CSR row slice each: two maxima are never adjacent,
+  so a head within two hops of one is a head that shares a neighbor
+  with it, read off a per-row record of the confirmed maximum next to
+  each row (:func:`_fusion_adjust`).  These are the library's only copy
+  of the two rules;
 * when a window changes nothing -- empty edge delta, same densities,
   same incumbents, same names -- the previous
   :class:`~repro.clustering.result.Clustering` is returned as-is.  The
@@ -380,24 +382,6 @@ def _basic_parents(csr, ranks):
     return parent_idx, self_wins
 
 
-def _two_hop_rows(csr, deg, row):
-    """Rows within two hops of ``row`` (possibly with duplicates and
-    ``row`` itself -- harmless for the membership tests below, which
-    mirror the set semantics of ``Graph.k_neighborhood``)."""
-    indptr = csr.indptr
-    indices = csr.indices
-    nbrs = indices[indptr[row]:indptr[row + 1]].astype(np.int64)
-    if not nbrs.size:
-        return nbrs
-    counts = deg[nbrs]
-    total = int(counts.sum())
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    take = (np.arange(total, dtype=np.int64)
-            - np.repeat(starts, counts)
-            + np.repeat(indptr[nbrs].astype(np.int64), counts))
-    return np.concatenate((nbrs, indices[take].astype(np.int64)))
-
-
 def _fusion_adjust(csr, ranks, parent_idx, self_wins):
     """Apply the Section 4.3 fusion rule in place.
 
@@ -410,34 +394,32 @@ def _fusion_adjust(csr, ranks, parent_idx, self_wins):
     neighbor it shares with its strongest dominator, which merges its
     cluster into the dominator's (the "fusion" the paper describes) and
     keeps parent chains acyclic (DESIGN.md, deviation 6).
+
+    Ranks are distinct, so two local maxima are never adjacent: a head
+    within two hops of a maximum is one that shares a neighbor with it.
+    One pass over the maxima's own rows therefore decides everything.
+    ``holder[v]`` is the rank of the confirmed maximum adjacent to row
+    ``v`` (at most one: confirmed maxima share no neighbor), or -1.  A
+    maximum whose neighbors all read -1 is confirmed and claims them;
+    otherwise the greatest rank they read is its dominator, and the
+    neighbors reading it are exactly the common neighbors it joins
+    through.
     """
     indptr = csr.indptr
     indices = csr.indices
-    deg = np.diff(indptr.astype(np.int64))
-    local_rows = np.flatnonzero(self_wins)
-    order_desc = local_rows[np.argsort(ranks[local_rows])][::-1]
-    confirmed = np.zeros(len(csr), dtype=bool)
-    deposed = []
-    for row in order_desc.tolist():
-        reach = _two_hop_rows(csr, deg, row)
-        if reach.size and bool(
-                (confirmed[reach] & (ranks[reach] > ranks[row])).any()):
-            deposed.append(row)
+    maxima = np.flatnonzero(self_wins)
+    holder = np.full(len(csr), -1, dtype=np.int64)
+    for row in maxima[np.argsort(ranks[maxima])[::-1]].tolist():
+        nbrs = indices[indptr[row]:indptr[row + 1]]
+        if not nbrs.size:
+            continue
+        held = holder[nbrs]
+        dominator = held.max()
+        if dominator < 0:
+            holder[nbrs] = ranks[row]
         else:
-            confirmed[row] = True
-    mark = np.zeros(len(csr), dtype=bool)
-    for row in deposed:
-        reach = _two_hop_rows(csr, deg, row)
-        dominators = reach[confirmed[reach] & (ranks[reach] > ranks[row])]
-        dominator = int(dominators[np.argmax(ranks[dominators])])
-        nbrs = indices[indptr[row]:indptr[row + 1]].astype(np.int64)
-        dom_closed = np.append(
-            indices[indptr[dominator]:indptr[dominator + 1]].astype(np.int64),
-            dominator)
-        mark[dom_closed] = True
-        common = nbrs[mark[nbrs]]
-        mark[dom_closed] = False
-        parent_idx[row] = int(common[np.argmax(ranks[common])])
+            common = nbrs[held == dominator]
+            parent_idx[row] = common[np.argmax(ranks[common])]
 
 
 register_engine("density")(IncrementalElection)

@@ -14,7 +14,8 @@ proportional to the *delta*:
   + skin`` yields every pair that could become an edge while no node has
   drifted more than ``skin / 2`` from its join-time anchor position.  A
   position update re-classifies only the candidate pairs incident to
-  nodes that moved.  Nodes that drifted past the bound are re-anchored by
+  nodes that moved (all of them, with no mover mask, when every node
+  moved).  Nodes that drifted past the bound are re-anchored by
   the geometry module's row-subset join
   (:func:`~repro.graph.geometry.subset_pair_columns`) against every
   anchor; when most of the population drifted, the whole list is
@@ -42,7 +43,11 @@ proportional to the *delta*:
   credited once -- through its smallest-key changed edge -- to its three
   corners.  The window's exact densities are a read-only
   :class:`DensityMap` over the degree and triangle arrays, whose float
-  image the election engine ranks with directly.
+  image the election engine ranks with directly.  It keeps one
+  :class:`~repro.graph.generators.Topology` per node set: a move hands
+  back the same object, whose positions are the window's read-only
+  :class:`PositionMap` over the disk's coordinate columns (no dict is
+  copied or validated per window); churn builds a new one.
 
 The scratch pipeline (``topology_at`` -> ``all_densities``) is the
 reference oracle; the property suite drives randomized move/join/leave
@@ -209,7 +214,6 @@ class DynamicUnitDisk:
         self._ids_list = ids_list
         self._ids = np.array(ids_list, dtype=np.int64)
         self._x, self._y = coordinate_columns(positions)
-        self._pos_dict = None
         self._rejoin()
 
     @staticmethod
@@ -262,20 +266,6 @@ class DynamicUnitDisk:
         """
         return CSRAdjacency.from_pairs(*self._edges(), self._ids_list)
 
-    def positions_by_id(self):
-        """``dict[id, (x, y)]`` of the current positions.
-
-        The dict is maintained incrementally across :meth:`move` calls
-        (only movers' entries are rewritten), so per-window cost tracks
-        the number of movers, not the population.  Callers must treat
-        the returned dict as read-only; ``Topology`` copies it.
-        """
-        if self._pos_dict is None:
-            self._pos_dict = dict(zip(self._ids_list,
-                                      zip(self._x.tolist(),
-                                          self._y.tolist())))
-        return self._pos_dict
-
     # ------------------------------------------------------------------
     # candidate list
     # ------------------------------------------------------------------
@@ -295,17 +285,25 @@ class DynamicUnitDisk:
 
         ``mask`` (over ``ci`` / ``cj``) is updated in place; returns the
         ``(added, removed)`` row pairs whose classification flipped.
+        ``moved`` holds distinct rows; when it holds every row, every
+        candidate pair is touched and is classified without a mover mask.
         """
         if not ci.size:
             return _NO_ROWS, _NO_ROWS
-        hit = np.zeros(len(self._x), dtype=bool)
-        hit[moved] = True
-        touched = np.flatnonzero(hit.take(ci) | hit.take(cj))
-        lo = ci.take(touched)
-        hi = cj.take(touched)
-        inside = within_range(self._x, self._y, lo, hi, self._r2)
-        flip = inside != mask.take(touched)
-        mask[touched] = inside
+        if moved.size == len(self._x):
+            lo, hi = ci, cj
+            inside = within_range(self._x, self._y, lo, hi, self._r2)
+            flip = inside != mask
+            mask[:] = inside
+        else:
+            hit = np.zeros(len(self._x), dtype=bool)
+            hit[moved] = True
+            touched = np.flatnonzero(hit.take(ci) | hit.take(cj))
+            lo = ci.take(touched)
+            hi = cj.take(touched)
+            inside = within_range(self._x, self._y, lo, hi, self._r2)
+            flip = inside != mask.take(touched)
+            mask[touched] = inside
         flip = np.flatnonzero(flip)
         lo, hi, inside = lo.take(flip), hi.take(flip), inside.take(flip)
         return (lo[inside], hi[inside]), (lo[~inside], hi[~inside])
@@ -375,10 +373,6 @@ class DynamicUnitDisk:
             return _NO_ROWS, _NO_ROWS
         before = self.coordinates
         self._x, self._y = x, y
-        if self._pos_dict is not None:
-            self._pos_dict.update(zip(self._ids[moved].tolist(),
-                                      zip(x[moved].tolist(),
-                                          y[moved].tolist())))
         dx = x - self._ax
         dy = y - self._ay
         dx *= dx
@@ -440,7 +434,6 @@ class DynamicUnitDisk:
         self._ids = np.array(new_ids, dtype=np.int64)
         self._x = np.concatenate((self._x[keep], arrival_x))
         self._y = np.concatenate((self._y[keep], arrival_y))
-        self._pos_dict = None
         self._rejoin()
         lo, hi = self._edges()
         # Arrivals take the rows past the survivors, and lo < hi.
@@ -584,12 +577,54 @@ class DensityMap(Mapping):
         return f"DensityMap(n={len(self.ids)})"
 
 
+class PositionMap(Mapping):
+    """One window's positions, as a read-only ``{id: (x, y)}`` mapping.
+
+    Built in O(1), the way :class:`DensityMap` views its arrays: a view
+    over the row-ordered identifiers and the window's ``x`` / ``y``
+    coordinate columns.  A lookup returns the two coordinates as Python
+    floats, the pair a dict built from ``x.tolist()`` / ``y.tolist()``
+    holds, so the map compares equal to that dict from either side of
+    ``==``.  The disk installs new columns on every move and never writes
+    into old ones, so a map kept from one window keeps reading that
+    window's positions.
+    """
+
+    def __init__(self, ids, x, y):
+        self._ids = ids
+        self._x = x
+        self._y = y
+        self._index_of = None
+
+    def __getitem__(self, node):
+        if self._index_of is None:
+            self._index_of = {key: i for i, key in enumerate(self._ids)}
+        row = self._index_of[node]
+        return float(self._x[row]), float(self._y[row])
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __reduce__(self):
+        return (PositionMap, (self._ids, self._x, self._y))
+
+    def __repr__(self):
+        return f"PositionMap(n={len(self._ids)})"
+
+
 @dataclass(frozen=True)
 class WindowUpdate:
     """Everything one window of dynamics produced.
 
-    ``topology`` wraps the *live* graph (rebased again by the next window
-    -- read metrics within the window, as the experiment loops do);
+    ``topology`` is the dynamic topology's one :class:`Topology` for the
+    current node set: a move hands back the same object with the *live*
+    graph (rebased again by the next window -- read metrics within the
+    window, as the experiment loops do) and a fresh :class:`PositionMap`
+    of this window's positions, which stays valid after later moves;
+    only churn builds a new one.
     ``delta`` is the exact edge difference from the previous window;
     ``density_changed`` the identifiers whose degree or triangle count
     changed (a superset of those whose exact density changed).
@@ -615,6 +650,11 @@ class DynamicTopology:
     ``all_densities(exact=True)``) would produce, bit for bit; only the
     cost differs.  ``track_densities=False`` skips the triangles and the
     densities for consumers that never read them (the baseline engines).
+
+    :attr:`topology` is one :class:`Topology` per node set: a move
+    changes neither the nodes nor their identifiers, so it keeps the
+    object and only swaps its ``positions`` for the window's
+    :class:`PositionMap`; churn builds and validates a new one.
     """
 
     def __init__(self, positions, radius, ids=None, skin=None,
@@ -633,8 +673,15 @@ class DynamicTopology:
         self.topology = self._wrap()
 
     def _wrap(self):
-        return Topology(self.graph, positions=self._disk.positions_by_id(),
-                        radius=self.radius)
+        """A validated :class:`Topology` over the live graph.  Its
+        positions come from the same identifier list as the graph's
+        nodes, so they cover exactly those nodes."""
+        topology = Topology(self.graph, radius=self.radius)
+        topology.positions = self._positions()
+        return topology
+
+    def _positions(self):
+        return PositionMap(self._disk._ids_list, *self._disk.coordinates)
 
     def __len__(self):
         return len(self.graph)
@@ -651,6 +698,7 @@ class DynamicTopology:
         delta = _edge_delta(added, removed, ids, ids)
         changed = self._rebase(delta, added, removed, before) if delta \
             else frozenset()
+        self.topology.positions = self._positions()
         return self._update(delta, changed)
 
     def apply_churn(self, departed=(), arrivals=()):
@@ -664,10 +712,10 @@ class DynamicTopology:
             changed = frozenset()
         else:
             changed = self._rebase(delta, added, removed, before, keep)
+        self.topology = self._wrap()
         return self._update(delta, changed)
 
     def _update(self, delta, changed):
-        self.topology = self._wrap()
         return WindowUpdate(
             topology=self.topology, delta=delta,
             density_changed=None if self.triangles is None else changed,

@@ -20,7 +20,8 @@ Three drivers share the cell join:
 
 * :func:`pairs_within_range` (and its column form :func:`pair_columns`)
   materializes the whole pair array at once -- the right call below ~10^5
-  nodes;
+  nodes -- expanding the candidates of one cache-sized block of points
+  at a time;
 * :func:`chunk_pairs` streams the same rows, in the same lexicographic
   order, as bounded-size chunks -- so a 10^6-node unit-disk graph builds
   without ever holding the full candidate expansion in memory;
@@ -40,6 +41,11 @@ from repro.util.errors import ConfigurationError
 # count at which the graph builders switch to the chunked path.
 DEFAULT_CHUNK_PAIRS = 4_000_000
 STREAM_NODE_THRESHOLD = 200_000
+
+# Candidate budget of one block of points in the one-shot cell join,
+# small enough for the block's gathers and distance tests to stay in
+# cache (16,384 measured fastest at 1000 and 5000 nodes).
+_JOIN_BLOCK = 16_384
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS.flags.writeable = False
@@ -179,7 +185,11 @@ def _join_keys(x, y, radius):
     the rest of its own cell plus the next cell up (keys ``k`` and ``k +
     1``), and the three cells of the next column (keys ``k + stride - 1
     .. k + stride + 1``).  Together they join each unordered pair of
-    neighboring cells exactly once.
+    neighboring cells exactly once.  The runs are expanded one block of
+    consecutive points at a time, each block holding at most
+    :data:`_JOIN_BLOCK` candidates (a point whose runs hold more is a
+    block of its own), so the candidate arrays stay cache-sized however
+    many points a cell holds.
     """
     n = len(x)
     key, stride = _cell_keys(x, y, radius)
@@ -189,19 +199,32 @@ def _join_keys(x, y, radius):
     sy = y[order]
     r2 = radius * radius
     indices = np.arange(n)
+    own_lo = indices + 1
     own_hi = np.searchsorted(sorted_key, sorted_key + 1, side="right")
     next_lo = np.searchsorted(sorted_key, sorted_key + (stride - 1), side="left")
     next_hi = np.searchsorted(sorted_key, sorted_key + (stride + 1), side="right")
+    counts = own_hi - own_lo
+    counts += next_hi - next_lo
+    ends = np.cumsum(counts)
     chunks = []
-    for lo, hi in ((indices + 1, own_hi), (next_lo, next_hi)):
-        left, right = _expand_runs(indices, lo, hi)
-        close = within_range(sx, sy, left, right, r2)
-        a = order.take(left[close])
-        b = order.take(right[close])
-        pair_keys = np.minimum(a, b)
-        pair_keys *= n
-        pair_keys += np.maximum(a, b)
-        chunks.append(pair_keys)
+    start = 0
+    while start < n:
+        base = ends[start] - counts[start]
+        stop = max(
+            int(np.searchsorted(ends, base + _JOIN_BLOCK, side="right")), start + 1
+        )
+        for lo, hi in ((own_lo, own_hi), (next_lo, next_hi)):
+            left, right = _expand_runs(
+                indices[start:stop], lo[start:stop], hi[start:stop]
+            )
+            close = within_range(sx, sy, left, right, r2)
+            a = order.take(left[close])
+            b = order.take(right[close])
+            pair_keys = np.minimum(a, b)
+            pair_keys *= n
+            pair_keys += np.maximum(a, b)
+            chunks.append(pair_keys)
+        start = stop
     return np.concatenate(chunks)
 
 

@@ -11,6 +11,8 @@ presets interpret the square as 1 km x 1 km, so a pedestrian 1.6 m/s is
 0.0016 sides/s and the R = 0.05..0.1 ranges are 50..100 m.
 """
 
+import math
+
 import numpy as np
 
 from repro.util.errors import ConfigurationError
@@ -23,8 +25,9 @@ class MobilityModel:
     def __init__(self, count, side=1.0, rng=None):
         if count < 1:
             raise ConfigurationError(f"count must be >= 1, got {count}")
-        if side <= 0:
-            raise ConfigurationError(f"side must be positive, got {side}")
+        if not (side > 0 and math.isfinite(side)):
+            raise ConfigurationError(
+                f"side must be positive and finite, got {side}")
         self.count = int(count)
         self.side = float(side)
         self.rng = as_rng(rng)
@@ -33,6 +36,27 @@ class MobilityModel:
     def advance(self, dt):
         """Advance all nodes by ``dt`` seconds; returns the new positions."""
         raise NotImplementedError
+
+    @staticmethod
+    def _speed_range(speed_range):
+        """``speed_range`` as a ``(low, high)`` float pair, validated."""
+        low, high = speed_range
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ConfigurationError(
+                f"speed_range must be finite, got {speed_range}")
+        if low < 0 or high < low:
+            raise ConfigurationError(
+                f"speed_range must satisfy 0 <= min <= max, got {speed_range}")
+        return float(low), float(high)
+
+    @staticmethod
+    def _duration(dt):
+        """``dt`` as a float, validated: a finite, non-negative time."""
+        if not math.isfinite(dt):
+            raise ConfigurationError(f"dt must be finite, got {dt}")
+        if dt < 0:
+            raise ConfigurationError(f"dt must be non-negative, got {dt}")
+        return float(dt)
 
     def _reflect(self, positions, flipped):
         """Reflect ``positions`` at the square borders, in place.

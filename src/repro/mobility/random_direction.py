@@ -6,6 +6,11 @@ off the square's borders, and re-draws heading and speed after an
 exponentially distributed leg duration.  This matches the paper's loose
 "nodes move randomly at a randomly chosen speed" while avoiding the
 center-bias pathology of random waypoint.
+
+An advance runs one sub-step per expiring leg: every coordinate moves
+by its velocity, and the border reflection runs only in the sub-steps
+that leave a coordinate outside ``[+0, side]`` (a few percent of them
+at the paper's speeds); in the others it would change no bit.
 """
 
 import numpy as np
@@ -20,14 +25,11 @@ class RandomDirectionModel(MobilityModel):
     def __init__(self, count, speed_range, side=1.0, mean_leg_duration=30.0,
                  rng=None):
         super().__init__(count, side=side, rng=rng)
-        low, high = speed_range
-        if low < 0 or high < low:
-            raise ConfigurationError(
-                f"speed_range must satisfy 0 <= min <= max, got {speed_range}")
-        if mean_leg_duration <= 0:
+        low, high = self._speed_range(speed_range)
+        if not mean_leg_duration > 0:
             raise ConfigurationError(
                 f"mean_leg_duration must be positive, got {mean_leg_duration}")
-        self.speed_range = (float(low), float(high))
+        self.speed_range = (low, high)
         self.mean_leg_duration = float(mean_leg_duration)
         self._speeds = self.rng.uniform(low, high, size=self.count)
         headings = self.rng.uniform(0.0, 2.0 * np.pi, size=self.count)
@@ -37,9 +39,7 @@ class RandomDirectionModel(MobilityModel):
             self.mean_leg_duration, size=self.count)
 
     def advance(self, dt):
-        if dt < 0:
-            raise ConfigurationError(f"dt must be non-negative, got {dt}")
-        remaining = float(dt)
+        remaining = self._duration(dt)
         if remaining <= 1e-12:
             return self.positions
         # A fresh position array per call (callers may keep the previous
@@ -48,8 +48,10 @@ class RandomDirectionModel(MobilityModel):
         positions = self.positions.copy()
         velocities = self._velocities
         legs = self._leg_remaining
+        side = self.side
         step = np.empty_like(positions)
         flipped = np.empty(positions.shape, dtype=bool)
+        outside = np.empty(positions.shape, dtype=bool)
         # Process in sub-steps so a leg change mid-interval is honored for
         # the remainder of the interval.
         while remaining > 1e-12:
@@ -57,8 +59,13 @@ class RandomDirectionModel(MobilityModel):
             sub = max(sub, 1e-9)
             np.multiply(velocities, sub, out=step)
             np.add(positions, step, out=positions)
-            self._reflect(positions, flipped)
-            np.negative(velocities, out=velocities, where=flipped)
+            # Reflection changes nothing while every coordinate lies in
+            # [+0, side]; most sub-steps leave none outside.
+            np.signbit(positions, out=outside)
+            outside |= positions > side
+            if outside.any():
+                self._reflect(positions, flipped)
+                np.negative(velocities, out=velocities, where=flipped)
             legs -= sub
             expired = np.flatnonzero(legs <= 1e-12)
             if expired.size:

@@ -18,30 +18,23 @@ class RandomWaypointModel(MobilityModel):
 
     def __init__(self, count, speed_range, side=1.0, pause=0.0, rng=None):
         super().__init__(count, side=side, rng=rng)
-        low, high = speed_range
-        if low < 0 or high < low:
-            raise ConfigurationError(
-                f"speed_range must satisfy 0 <= min <= max, got {speed_range}")
-        if pause < 0:
+        low, high = self._speed_range(speed_range)
+        if not pause >= 0:
             raise ConfigurationError(f"pause must be non-negative, got {pause}")
-        self.speed_range = (float(low), float(high))
+        self.speed_range = (low, high)
         self.pause = float(pause)
         self._targets = self.rng.uniform(0.0, self.side, size=(self.count, 2))
         self._speeds = self.rng.uniform(low, high, size=self.count)
         self._pausing = np.zeros(self.count)
 
     def advance(self, dt):
-        if dt < 0:
-            raise ConfigurationError(f"dt must be non-negative, got {dt}")
-        remaining = np.full(self.count, float(dt))
-        # Nodes consume pause time first, then move leg by leg.
-        for _ in range(10_000):
-            active = remaining > 1e-12
-            if not np.any(active):
-                return self.positions
+        remaining = np.full(self.count, self._duration(dt))
+        # Nodes consume pause time first, then move leg by leg: one pass
+        # per leg, so a long advance takes as many passes as it has legs.
+        while np.any(remaining > 1e-12):
             self._consume_pause(remaining)
             self._move_legs(remaining)
-        raise AssertionError("advance did not terminate; dt or speeds corrupt")
+        return self.positions
 
     def _consume_pause(self, remaining):
         pausing = (self._pausing > 0) & (remaining > 0)

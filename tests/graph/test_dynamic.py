@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from repro.clustering.density import all_densities
+import repro.graph.dynamic as dynamic_module
 from repro.graph.dynamic import (
     DensityMap,
     DynamicTopology,
     DynamicUnitDisk,
+    PositionMap,
     _canonical_id_pairs,
 )
-from repro.graph.geometry import pairs_within_range
+from repro.graph.generators import Topology
+from repro.graph.geometry import coordinate_columns, pairs_within_range
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError, TopologyError
 
@@ -108,6 +111,32 @@ class TestDynamicUnitDisk:
         assert frozenset((40, 41)) in {frozenset(p)
                                        for p in delta.added.tolist()}
         assert disk.ids == expect_ids
+
+    @pytest.mark.parametrize("scale", [0.002, 0.02])
+    def test_all_movers_path_equals_the_masked_path(self, scale):
+        """Every row moved: the direct classification of all candidate
+        pairs leaves the same mask and flips the same pairs as the mover
+        mask path.  Listing each row twice selects every candidate pair
+        through the mask, since the direct path needs ``moved`` to hold
+        exactly ``n`` distinct rows.  No node drifts past ``skin / 2``
+        (0.0375 here), so the candidate list still covers every edge."""
+        rng = np.random.default_rng(21)
+        positions = rng.uniform(0, 1, size=(90, 2))
+        direct = DynamicUnitDisk(positions, 0.15)
+        masked = DynamicUnitDisk(positions, 0.15)
+        moved = walk(rng, positions, scale)
+        for disk in (direct, masked):
+            disk._x, disk._y = coordinate_columns(moved)
+        rows = np.arange(90)
+        got = direct._reclassify(rows, direct._ci, direct._cj, direct._mask)
+        want = masked._reclassify(np.concatenate((rows, rows)), masked._ci,
+                                  masked._cj, masked._mask)
+        assert np.array_equal(direct._mask, masked._mask)
+        for got_pairs, want_pairs in zip(got, want):
+            for got_rows, want_rows in zip(got_pairs, want_pairs):
+                assert np.array_equal(got_rows, want_rows)
+        assert sum(len(pairs[0]) for pairs in got) > 0
+        assert disk_edges(direct) == scratch_edges(moved, 0.15)
 
     def test_churn_validation(self):
         disk = DynamicUnitDisk([(0.1, 0.1), (0.2, 0.2)], 0.3)
@@ -272,6 +301,58 @@ class TestDynamicTopology:
             dynamic.move(np.array([(0.1, 0.1), (np.nan, 0.2), (0.9, 0.9)]))
         self.assert_matches_scratch(dynamic)
 
+    def test_a_move_keeps_its_topology(self, monkeypatch):
+        """A move hands back the topology it holds and constructs no
+        :class:`Topology`; its positions are the new window's."""
+        rng = np.random.default_rng(14)
+        positions = rng.uniform(0, 1, size=(40, 2))
+        dynamic = DynamicTopology(positions, 0.2)
+        topology = dynamic.topology
+        built = []
+        monkeypatch.setattr(dynamic_module, "Topology",
+                            lambda *args, **kwargs: built.append(args))
+        for _ in range(3):
+            positions = walk(rng, positions, 0.05)
+            update = dynamic.move(positions)
+            assert update.topology is topology is dynamic.topology
+            assert update.topology.graph is dynamic.graph
+            assert dict(topology.positions) == dict(
+                zip(range(40), map(tuple, positions.tolist())))
+        assert not built
+
+    def test_kept_positions_read_their_own_window(self):
+        rng = np.random.default_rng(15)
+        windows = [rng.uniform(0, 1, size=(30, 2))]
+        dynamic = DynamicTopology(windows[0], 0.2)
+        kept = [dynamic.topology.positions]
+        for _ in range(4):
+            windows.append(walk(rng, windows[-1], 0.1))
+            kept.append(dynamic.move(windows[-1]).topology.positions)
+        for view, window in zip(kept, windows):
+            assert [view[node] for node in range(30)] \
+                == list(map(tuple, window.tolist()))
+
+    def test_churn_builds_a_new_validated_topology(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        dynamic = DynamicTopology(rng.uniform(0, 1, size=(25, 2)), 0.25)
+        before = dynamic.topology
+        validated = []
+        validate = Topology._validate
+
+        def spy(topology):
+            validated.append(topology)
+            return validate(topology)
+
+        monkeypatch.setattr(Topology, "_validate", spy)
+        update = dynamic.apply_churn(departed=[3, 8],
+                                     arrivals=[(25, (0.5, 0.5))])
+        assert update.topology is dynamic.topology
+        assert update.topology is not before and validated == [update.topology]
+        assert set(update.topology.ids) == set(dynamic.graph.nodes)
+        assert set(update.topology.positions) == set(dynamic.graph.nodes)
+        assert update.topology.positions[25] == (0.5, 0.5)
+        assert 3 in before.positions and 3 not in update.topology.positions
+
     def test_churn_maintains_everything(self):
         rng = np.random.default_rng(11)
         positions = rng.uniform(0, 1, size=(30, 2))
@@ -283,6 +364,33 @@ class TestDynamicTopology:
         self.assert_matches_scratch(dynamic)
         # Node order stays ascending (the simulators' determinism rides it).
         assert dynamic.graph.nodes == sorted(dynamic.graph.nodes)
+
+
+class TestPositionMap:
+    def window(self):
+        x = np.array([0.25, -0.0, 1.0])
+        y = np.array([0.5, 0.125, 0.0])
+        return PositionMap([7, 2, 4], x, y), {7: (0.25, 0.5),
+                                              2: (-0.0, 0.125),
+                                              4: (1.0, 0.0)}
+
+    def test_lookups_equality_and_iteration(self):
+        positions, expected = self.window()
+        assert positions == expected and expected == positions
+        assert list(positions) == [7, 2, 4] and len(positions) == 3
+        assert all(type(value) is float
+                   for point in positions.values() for value in point)
+        assert str(positions[2][0]) == "-0.0"
+        with pytest.raises(KeyError):
+            positions[3]
+        assert positions != {7: (0.25, 0.5)}
+
+    def test_pickling_and_read_only(self):
+        positions, expected = self.window()
+        clone = pickle.loads(pickle.dumps(positions))
+        assert isinstance(clone, PositionMap) and clone == expected
+        with pytest.raises(TypeError):
+            positions[7] = (0.0, 0.0)
 
 
 class TestDensityMap:

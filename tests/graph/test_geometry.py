@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.graph.geometry as geometry
 from repro.graph.geometry import (
     _sorted_rows,
     chunk_pairs,
@@ -240,6 +241,40 @@ class TestSubsetPairColumns:
         lo, hi = pair_columns(points[:, 0].copy(), points[:, 1].copy(), 0.2)
         assert np.array_equal(np.column_stack((lo, hi)),
                               pairs_within_range(points, 0.2))
+
+
+class TestBlockedJoin:
+    """The one-shot join expands its candidates one block of points at a
+    time.  Budgets of 1, 7 and 64 candidates cut the cells' runs of
+    points across blocks and leave single points whose runs hold more
+    candidates than a block; every budget must give the brute-force
+    pairs in lexicographic order."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_blocks_equal_brute_force(self, monkeypatch, block, seed):
+        monkeypatch.setattr(geometry, "_JOIN_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 1, size=(160, 2))
+        # Coincident points crowd one cell: runs far longer than a block.
+        points[:12] = points[12]
+        radius = float(rng.choice([0.05, 0.12, 0.3]))
+        expected = sorted(exact_pairs(points, radius))
+        pairs = pairs_within_range(points, radius)
+        assert list(map(tuple, pairs.tolist())) == expected
+        lo, hi = pair_columns(points[:, 0].copy(), points[:, 1].copy(),
+                              radius)
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_on_a_lattice(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "_JOIN_BLOCK", block)
+        radius = 0.125
+        points = [(col * radius, row * radius)
+                  for row in range(7) for col in range(7)]
+        expected = sorted(exact_pairs(points, radius))
+        assert list(map(tuple, pairs_within_range(points, radius).tolist())) \
+            == expected
 
 
 class TestNonFiniteInputs:

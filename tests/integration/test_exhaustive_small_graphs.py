@@ -16,9 +16,10 @@ protocol stack on each:
   :data:`repro.experiments.stabilization_time.FAULTS` is recovered from.
 
 Tier-1 injects the fault classes on the DAG configuration for every 8th
-graph.  With ``REPRO_EXHAUSTIVE=1`` (read by this module only) every
-graph gets every fault class under every configuration, as CI's
-``exhaustive-small-graphs`` job runs it.
+graph.  With ``REPRO_EXHAUSTIVE=1`` (read by this module and
+``test_exhaustive_elections.py``) every graph gets every fault class
+under every configuration, as CI's ``exhaustive-small-graphs`` job runs
+it.
 
 The step bounds are the maxima measured over the full sweep: Lemma 2
 bounds stabilization by the height of ``DAG≺``, which five nodes keep

@@ -180,3 +180,17 @@ def test_routing_family_stdout_is_frozen(args, digest, capsys):
     assert main([*args, "--seed", "2024"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("figure2", "d3abc5ca94b25f1c84fac1a84875ea155e8db1002c1958df84944b187c06c2e7"),
+    ("figure3", "b1bbb25f40465d73b5ba30bb02acc624f14cd48b3e16e5614a0bc0ccd1c35cb3"),
+])
+def test_grid_figure_stdout_is_frozen(family, digest, capsys):
+    """sha256 of ``repro <family> --seed 2024`` stdout, for the two
+    grid figures: both build their grid through the one-shot cell join
+    (``pairs_within_range``).  ``figure2`` elects without DAG names, so
+    its output does not depend on the seed."""
+    assert main([family, "--seed", "2024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

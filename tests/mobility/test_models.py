@@ -115,6 +115,68 @@ class TestRandomWaypoint:
             RandomWaypointModel(5, speed_range=(0, 0.1), pause=-1.0)
 
 
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+MODEL_CLASSES = [RandomDirectionModel, RandomWaypointModel]
+
+
+class TestNonFiniteAndLongInputs:
+    """Every non-finite time, speed bound or side is a configuration
+    error, so no advance can loop forever or return unmoved; a valid
+    advance completes however many legs it spans."""
+
+    @pytest.mark.parametrize("factory", ALL_MODELS,
+                             ids=["direction", "waypoint"])
+    @pytest.mark.parametrize("dt", NON_FINITE)
+    def test_non_finite_dt_is_rejected(self, factory, dt):
+        model = factory(count=5, rng=1)
+        with pytest.raises(ConfigurationError, match="dt must be finite"):
+            model.advance(dt)
+
+    @pytest.mark.parametrize("cls", MODEL_CLASSES)
+    @pytest.mark.parametrize("speed_range", [(0.1, float("nan")),
+                                             (float("nan"), 1.0),
+                                             (0.1, float("inf")),
+                                             (float("-inf"), 0.1)])
+    def test_non_finite_speed_bounds_are_rejected(self, cls, speed_range):
+        with pytest.raises(ConfigurationError, match="speed_range"):
+            cls(10, speed_range, rng=1)
+
+    @pytest.mark.parametrize("cls", MODEL_CLASSES)
+    @pytest.mark.parametrize("side", NON_FINITE)
+    def test_non_finite_side_is_rejected(self, cls, side):
+        with pytest.raises(ConfigurationError, match="side"):
+            cls(10, (0.1, 0.2), side=side, rng=1)
+
+    def test_nan_leg_duration_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="mean_leg_duration"):
+            RandomDirectionModel(10, (0.1, 0.2), mean_leg_duration=float("nan"))
+
+    def test_nan_pause_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="pause"):
+            RandomWaypointModel(10, (0.1, 0.2), pause=float("nan"))
+
+    def test_long_waypoint_advance_completes(self):
+        """About 30,000 legs, one pass each: the loop has no pass cap."""
+        model = RandomWaypointModel(10, (0.5, 1.0), rng=1)
+        positions = model.advance(20000.0)
+        assert np.all(positions >= 0.0) and np.all(positions <= 1.0)
+
+    def test_infinite_legs_and_pauses_stay_valid(self):
+        direction = RandomDirectionModel(5, (0.1, 0.2),
+                                         mean_leg_duration=float("inf"),
+                                         rng=2)
+        velocities = direction._velocities.copy()
+        direction.advance(50.0)
+        assert np.array_equal(np.abs(direction._velocities),
+                              np.abs(velocities))  # reflected, never redrawn
+        waypoint = RandomWaypointModel(5, (10.0, 10.0), pause=float("inf"),
+                                       rng=2)
+        waypoint.advance(5.0)
+        paused_at = waypoint.positions.copy()
+        waypoint.advance(5.0)
+        assert np.array_equal(waypoint.positions, paused_at)
+
+
 class TestRandomDirectionMatchesOracle:
     """The in-place sub-step loop equals the fresh-array oracle bit for
     bit: positions, velocities, speeds, leg timers and the RNG stream."""

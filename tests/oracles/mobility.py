@@ -168,6 +168,9 @@ def advance(model, dt):
 
     The definition the in-place library loop must equal bit for bit:
     positions, reflections, velocities, leg timers and every RNG draw.
+    Every sub-step folds and reflects every coordinate; the library
+    reflects only in the sub-steps that leave a coordinate outside the
+    square.
     """
     remaining = float(dt)
     while remaining > 1e-12:

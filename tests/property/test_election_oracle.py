@@ -8,10 +8,11 @@ sorted exclusions; ``tests/oracles/namespace.py`` scans the name space.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.clustering.incremental as incremental
@@ -139,6 +140,47 @@ def test_distinct_fractions_sharing_a_float_equal_oracle(monkeypatch):
     assert_same_election(got, election.compute_clustering(
         graph, densities=densities))
     assert got.parent(0) == 1
+
+
+@st.composite
+def shared_neighbor_keys(draw):
+    """A unit-disk graph and distinct keys under which two local maxima
+    share a neighbor.
+
+    ``a`` and ``b`` are two non-adjacent neighbors of one row; they take
+    the two greatest keys, so both are local maxima two hops apart, and
+    the other rows take a random permutation of the rest.
+    """
+    n = draw(st.integers(6, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    radius = draw(st.floats(0.1, 0.45))
+    positions = np.random.default_rng(seed).uniform(0, 1, size=(n, 2))
+    graph, _ = unit_disk_graph(positions, radius)
+    apart = [(a, b) for v in graph
+             for a, b in combinations(sorted(graph.neighbors(v)), 2)
+             if b not in graph.neighbors(a)]
+    assume(apart)
+    a, b = draw(st.sampled_from(apart))
+    rest = [node for node in graph if node not in (a, b)]
+    keys = dict(zip(rest, draw(st.permutations(range(len(rest))))))
+    top = draw(st.permutations([n - 2, n - 1]))
+    keys[a], keys[b] = top
+    return graph, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shared_neighbor_keys())
+def test_fusion_deposes_maxima_that_share_a_neighbor(case):
+    """The fusion rule on maxima two hops apart: the election equals
+    the oracle's, and a maximum is deposed in every case, so each one
+    joins through a common neighbor of its dominator."""
+    graph, keys = case
+    got = clustering_from_keys(graph, keys, fusion=True)
+    assert_same_election(got, election.clustering_from_keys(graph, keys,
+                                                            fusion=True))
+    maxima = {node for node in graph
+              if all(keys[q] < keys[node] for q in graph.neighbors(node))}
+    assert maxima - got.heads
 
 
 @settings(max_examples=100, deadline=None)
