@@ -6,11 +6,12 @@ the repo's churn-adjacent workload shape) two ways at 1000 and 5000
 nodes:
 
 * **rebuild** -- every window pays a full ``topology_at`` join plus a
-  scratch clustering (the pre-engine pipeline).
+  scratch clustering, which is a fresh engine's first window (the
+  engine's seed: its array kernels over the whole graph).
 * **delta** -- a ``DynamicTopology`` maintains the unit-disk graph
   incrementally (no density tracking: the baselines never read it) and
-  the registered :class:`~repro.clustering.engine.ClusteringEngine`
-  repairs its clustering from the edge delta.
+  one engine of :data:`repro.clustering.engine.ENGINES` repairs its
+  clustering from the edge delta.
 
 Both report ``windows_per_sec`` in ``extra_info``; the CI gate
 (``benchmarks/regression_gate.py``) requires the greedy engines' delta
@@ -18,36 +19,46 @@ path to stay >= 3x faster per window than the rebuild path at 5000
 nodes.  (Under 100% movers the dirty set blows the scratch-fallback
 budget and the engines intentionally rebuild -- that shape is covered
 by ``test_bench_dynamic.py``.)  The delta bench asserts its final
-window equals the scratch clustering of the final frame before
-reporting, so the ratio is only recorded for bit-identical work.
+window equals the per-node oracle (``tests/oracles/baselines.py``) on
+the final frame before reporting, so the ratio is only recorded for
+bit-identical work.
 """
 
 import numpy as np
 import pytest
 
-from repro.clustering.baselines.degree import degree_clustering
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
+from repro.clustering.baselines import (
+    degree_clustering,
+    lowest_id_clustering,
+    maxmin_clustering,
+)
 from repro.clustering.engine import engine_for
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.mobility.trace import topology_at
+from tests.oracles import baselines
 
 SCALES = (1000, 5000)
 RADIUS = 0.05
 WINDOWS = 6
 
+#: metric -> (engine factory, scratch clusterer, per-node oracle)
 METRICS = {
     "lowest-id": (
         lambda: engine_for("lowest-id"),
         lambda topo: lowest_id_clustering(topo.graph, tie_ids=topo.ids),
+        lambda topo: baselines.lowest_id_clustering(topo.graph, tie_ids=topo.ids),
     ),
     "degree": (
         lambda: engine_for("degree"),
         lambda topo: degree_clustering(topo.graph, tie_ids=topo.ids),
+        lambda topo: baselines.degree_clustering(topo.graph, tie_ids=topo.ids),
     ),
     "max-min": (
         lambda: engine_for("max-min", d=2),
         lambda topo: maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids),
+        lambda topo: baselines.maxmin_clustering(
+            topo.graph, d=2, tie_ids=topo.ids
+        ),
     ),
 }
 
@@ -80,7 +91,7 @@ def _windows_per_sec(benchmark):
 @pytest.mark.parametrize("count", SCALES)
 def test_bench_baseline_windows_rebuild(benchmark, traces, count, metric):
     """Scratch pipeline: full join + scratch clustering per window."""
-    _factory, scratch = METRICS[metric]
+    _factory, scratch, _oracle = METRICS[metric]
     frames = traces[count]
 
     def run():
@@ -99,7 +110,7 @@ def test_bench_baseline_windows_rebuild(benchmark, traces, count, metric):
 def test_bench_baseline_windows_delta(benchmark, traces, count, metric):
     """Engine pipeline over the same windows (>= 3x at 5000 nodes for
     the greedy engines)."""
-    factory, scratch = METRICS[metric]
+    factory, _scratch, oracle = METRICS[metric]
     frames = traces[count]
     dynamic = DynamicTopology(frames[0], RADIUS, track_densities=False)
     engine = factory()
@@ -114,6 +125,6 @@ def test_bench_baseline_windows_delta(benchmark, traces, count, metric):
 
     clustering = benchmark.pedantic(run, rounds=1, iterations=1)
     _windows_per_sec(benchmark)
-    reference = scratch(topology_at(frames[-1], RADIUS))
+    reference = oracle(topology_at(frames[-1], RADIUS))
     assert clustering.heads == reference.heads
     assert clustering.parents == reference.parents

@@ -1,4 +1,4 @@
-"""Density-driven clustering: metric, orders, head rules, oracle, baselines."""
+"""Density-driven clustering: metric, orders, election, baselines."""
 
 from repro.clustering.baselines import (
     degree_clustering,
@@ -11,13 +11,6 @@ from repro.clustering.density import (
     density,
     density_bounds,
     edges_among,
-)
-from repro.clustering.heads import (
-    best_neighbor,
-    choose_parent,
-    dominates_two_hop_heads,
-    is_local_max,
-    wants_headship,
 )
 from repro.clustering.incremental import IncrementalElection
 from repro.clustering.oracle import compute_clustering
@@ -32,17 +25,12 @@ __all__ = [
     "IncumbentOrder",
     "NodeView",
     "all_densities",
-    "best_neighbor",
-    "choose_parent",
     "compute_clustering",
     "degree_clustering",
     "density",
     "density_bounds",
-    "dominates_two_hop_heads",
     "edges_among",
-    "is_local_max",
     "lowest_id_clustering",
     "make_order",
     "maxmin_clustering",
-    "wants_headship",
 ]

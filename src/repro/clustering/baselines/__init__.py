@@ -4,9 +4,9 @@ from repro.clustering.baselines.degree import degree_clustering
 from repro.clustering.baselines.incremental import (
     GreedyDominatingEngine,
     MaxMinEngine,
+    maxmin_clustering,
 )
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
 
 __all__ = [
     "GreedyDominatingEngine",

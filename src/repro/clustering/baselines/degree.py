@@ -7,14 +7,15 @@ the "degree" metric the paper's Section 3 reports the density heuristic to
 be more stable than, and the comparator used in the stability benches.
 """
 
-from repro.clustering.baselines.common import (
-    checked_tie_ids,
-    greedy_dominating_clustering,
-)
+from repro.clustering.baselines.incremental import GreedyDominatingEngine
+from repro.clustering.order import id_column
 
 
 def degree_clustering(graph, tie_ids=None):
-    """1-hop clusters headed by local degree maxima."""
-    tie_ids = checked_tie_ids(graph, tie_ids)
-    priority = {node: (graph.degree(node), -tie_ids[node]) for node in graph}
-    return greedy_dominating_clustering(graph, priority)
+    """1-hop clusters headed by local degree maxima.
+
+    ``tie_ids`` maps node -> unique integer identifier; defaults to the
+    nodes themselves.  A fresh highest-degree engine's first window.
+    """
+    engine = GreedyDominatingEngine("degree")
+    return engine.seed(graph, id_column(graph.to_csr().ids, tie_ids))

@@ -1,7 +1,11 @@
-"""Incremental engines for the baseline clusterers.
+"""The baseline clusterers as engines maintained across windows.
 
 The greedy 1-hop rule (lowest-ID, highest-degree) and max-min d-cluster
-formation both admit exact incremental maintenance under edge deltas:
+formation each have one implementation, an engine.  A scratch baseline
+clustering is a fresh engine's first window: :meth:`EngineBase.seed`
+on the graph and its int64 tie column, which ``init(topology)`` calls
+too.  Both engines admit exact incremental maintenance under edge
+deltas:
 
 * **Greedy dominating** -- a node is a head iff no higher-priority
   neighbor is a head, a recursion on the total priority order.  A delta
@@ -21,13 +25,13 @@ formation both admit exact incremental maintenance under edge deltas:
   normalization, and re-sweeps parents only inside clusters that gained
   a member, lost a member, or contain a delta endpoint.
 
-Both engines fall back to the vectorized scratch pipeline of
-:mod:`~repro.clustering.baselines.common` /
-:mod:`~repro.clustering.baselines.maxmin` when the dirty region exceeds
+Both engines re-run their seed's array kernels (``common.py``,
+``maxmin.py``) when the dirty region exceeds
 ``1 / SCRATCH_FALLBACK_FRACTION`` of the population -- at that size one
 array pass over everything beats bookkeeping per dirty row.  Either way
-every window's result is bit-identical to the scratch clusterer on the
-same topology, which the property suite asserts window by window.
+every window equals a fresh engine's first window on the same topology,
+and the property suite holds both to the per-node oracles of
+``tests/oracles/baselines.py`` window by window.
 """
 
 import heapq
@@ -41,13 +45,23 @@ from repro.clustering.baselines.maxmin import (
     rows_of_ids,
     select_head_ids,
 )
-from repro.clustering.engine import EngineBase, register_engine
+from repro.clustering.order import id_column
 from repro.clustering.result import Clustering
 from repro.util.errors import ConfigurationError
 
 #: Past ``n / SCRATCH_FALLBACK_FRACTION`` dirty rows the engines re-run
 #: the scratch array pipeline instead of repairing row by row.
 SCRATCH_FALLBACK_FRACTION = 8
+
+
+def maxmin_clustering(graph, d=2, tie_ids=None):
+    """Max-Min d-cluster heads and membership over ``graph``.
+
+    ``tie_ids`` maps node -> unique integer identifier; defaults to the
+    nodes themselves.  A fresh :class:`MaxMinEngine`'s first window.
+    """
+    engine = MaxMinEngine(d)
+    return engine.seed(graph, id_column(graph.to_csr().ids, tie_ids))
 
 
 def _closed_reduce_rows(indptr, indices, values, rows, ufunc):
@@ -68,24 +82,76 @@ def _closed_reduce_rows(indptr, indices, values, rows, ufunc):
     return result
 
 
-def _endpoint_rows(index_of, delta):
-    """Unique rows incident to the delta, as an index array.
+class EngineBase:
+    """Shared engine bookkeeping over ``_reseed`` / ``_apply`` hooks.
 
-    ``index_of`` is the seed snapshot's identifier -> row map: a window
-    only runs over the node set the engine seeded on, so its snapshot
-    never needs a map of its own.
+    Subclasses implement ``_reseed(csr, tie)`` (the full state) and
+    ``_apply(csr, delta)`` (one window; only called with a non-empty
+    delta over an unchanged node set), both leaving the parent rows in
+    ``_parent``.  :meth:`apply_delta` re-seeds whenever the node set
+    changed (a churn epoch) or the update carries no delta (the stream's
+    first window), and keeps the previous clustering for an empty delta
+    or an unchanged parent array.
     """
-    touched = np.concatenate((delta.added.reshape(-1), delta.removed.reshape(-1)))
-    rows = np.fromiter((index_of[int(x)] for x in touched), dtype=np.int64)
-    return np.unique(rows)
 
+    def __init__(self):
+        self._clustering = None
+        self._seed_csr = None
+        self._parent = None
 
-def _checked_tie_column(csr, tie_ids):
-    n = len(csr)
-    tie = np.fromiter((tie_ids[node] for node in csr.ids), dtype=np.int64, count=n)
-    if len(np.unique(tie)) != n:
-        raise ConfigurationError("tie identifiers must be unique")
-    return tie
+    def init(self, topology, densities=None):
+        """Seed from a full topology (``densities`` is never read)."""
+        graph = topology.graph
+        return self.seed(graph, id_column(graph.to_csr().ids, topology.ids))
+
+    def seed(self, graph, tie):
+        """The clustering of ``graph`` from scratch; ``tie`` holds the
+        tie identifier per CSR row (:func:`~repro.clustering.order.id_column`)."""
+        csr = graph.to_csr()
+        self._seed_csr = csr
+        self._reseed(csr, tie)
+        self._clustering = self._to_clustering(graph)
+        return self._clustering
+
+    def apply_delta(self, update):
+        """Advance one :class:`~repro.graph.dynamic.WindowUpdate`."""
+        topology = update.topology
+        csr = topology.graph.to_csr()
+        if (
+            self._clustering is None
+            or update.delta is None
+            or csr.ids != self._seed_csr.ids
+        ):
+            return self.init(topology)
+        if not update.delta:
+            return self._clustering
+        old_parent = self._parent.copy()
+        self._apply(csr, update.delta)
+        if not np.array_equal(self._parent, old_parent):
+            self._clustering = self._to_clustering(topology.graph)
+        return self._clustering
+
+    def result(self):
+        """The clustering of the last window."""
+        if self._clustering is None:
+            raise ConfigurationError("engine holds no clustering; call init first")
+        return self._clustering
+
+    def _endpoint_rows(self, delta):
+        """Unique rows incident to the delta, as an index array.
+
+        Rows come from the seed snapshot's identifier -> row map: a
+        window only runs over the node set the engine seeded on, so its
+        snapshot never needs a map of its own.
+        """
+        index_of = self._seed_csr.index_of
+        touched = np.concatenate((delta.added.reshape(-1), delta.removed.reshape(-1)))
+        rows = np.fromiter((index_of[int(x)] for x in touched), dtype=np.int64)
+        return np.unique(rows)
+
+    def _to_clustering(self, graph):
+        # The repairs keep writing ``_parent``: hand over a copy.
+        return Clustering.from_rows(graph, self._parent.copy())
 
 
 class GreedyDominatingEngine(EngineBase):
@@ -106,36 +172,25 @@ class GreedyDominatingEngine(EngineBase):
                 f"unknown greedy metric {metric!r}; expected 'lowest-id' or 'degree'"
             )
         self.metric = metric
-        self._csr = None
-        self._index_of = None
         self._tie_rank = None
         self._prio = None
         self._heads = None
-        self._parent = None
 
     # ------------------------------------------------------------------
     # seeding and the scratch fallback
     # ------------------------------------------------------------------
 
-    def _seed(self, topology, densities):
-        graph = topology.graph
-        csr = graph.to_csr()
-        self._csr = csr
-        self._index_of = csr.index_of
+    def _reseed(self, csr, tie):
         n = len(csr)
-        tie = _checked_tie_column(csr, topology.ids)
         self._tie_rank = np.empty(n, dtype=np.int64)
         self._tie_rank[np.argsort(tie)] = np.arange(n, dtype=np.int64)
-        self._prio = self._priorities(csr)
         self._rebuild(csr)
-        return self._to_clustering(graph)
-
-    def _priorities(self, csr):
-        if self.metric == "degree":
-            return (csr.degrees() << 32) - self._tie_rank
-        return -self._tie_rank
 
     def _rebuild(self, csr):
+        if self.metric == "degree":
+            self._prio = (csr.degrees() << 32) - self._tie_rank
+        else:
+            self._prio = -self._tie_rank
         order = np.argsort(-self._prio, kind="stable")
         self._heads = greedy_heads(csr, order)
         self._parent = affiliate(csr, self._heads, scan_rank(order))
@@ -144,28 +199,20 @@ class GreedyDominatingEngine(EngineBase):
     # the incremental window
     # ------------------------------------------------------------------
 
-    def _apply(self, update):
-        graph = update.topology.graph
-        csr = graph.to_csr()
-        self._csr = csr
-        old_parent = self._parent.copy()
-        seeds = self._seed_rows(csr, update.delta)
+    def _apply(self, csr, delta):
+        seeds = self._seed_rows(csr, delta)
         if seeds.size * SCRATCH_FALLBACK_FRACTION > len(csr):
-            self._prio = self._priorities(csr)
             self._rebuild(csr)
         else:
             changed = self._repair(csr, seeds)
             self._reaffiliate(csr, self._affiliation_scope(csr, seeds, changed))
-        if np.array_equal(self._parent, old_parent):
-            return self._clustering
-        return self._to_clustering(graph)
 
     def _seed_rows(self, csr, delta):
         """Rows whose head status could flip: the delta endpoints, plus
         their neighbors for the degree metric (the endpoint degrees
         changed, so comparisons against every neighbor may flip).
         Refreshes the stored priorities of the endpoint rows."""
-        endpoints = _endpoint_rows(self._index_of, delta)
+        endpoints = self._endpoint_rows(delta)
         if self.metric == "lowest-id":
             return endpoints
         degrees = csr.degrees()
@@ -237,10 +284,6 @@ class GreedyDominatingEngine(EngineBase):
             # Every non-head is dominated by construction.
             parent[row] = adjacent[np.argmax(prio[adjacent])]
 
-    def _to_clustering(self, graph):
-        # ``_reaffiliate`` writes ``_parent`` in place: hand over a copy.
-        return Clustering.from_rows(graph, self._parent.copy())
-
 
 class MaxMinEngine(EngineBase):
     """Incremental max-min d-cluster engine (see module docstring)."""
@@ -250,8 +293,6 @@ class MaxMinEngine(EngineBase):
         if d < 1:
             raise ConfigurationError(f"d must be >= 1, got {d}")
         self.d = int(d)
-        self._csr = None
-        self._index_of = None
         self._tie = None
         self._max_log = None
         self._min_log = None
@@ -259,42 +300,30 @@ class MaxMinEngine(EngineBase):
         self._chosen = None
         self._counts = None
         self._labels = None
-        self._parent = None
 
-    def _seed(self, topology, densities):
-        graph = topology.graph
-        csr = graph.to_csr()
-        self._csr = csr
-        self._index_of = csr.index_of
-        self._tie = _checked_tie_column(csr, topology.ids)
+    def _reseed(self, csr, tie):
+        self._tie = tie
         self._recompute(csr)
-        return self._to_clustering(graph)
 
     def _recompute(self, csr):
         n = len(csr)
         self._max_log, self._min_log = flood_logs(csr, self._tie, self.d)
         self._head_id = select_head_ids(self._tie, self._max_log, self._min_log)
         self._chosen = rows_of_ids(self._tie, self._head_id)
+        # A node selected as head by anyone heads its own cluster.
         self._counts = np.bincount(self._chosen, minlength=n)
         rows = np.arange(n, dtype=np.int64)
         self._labels = np.where(self._counts > 0, rows, self._chosen)
         self._parent = cluster_parent_rows(csr, self._tie, self._labels)
 
-    def _apply(self, update):
-        graph = update.topology.graph
-        csr = graph.to_csr()
-        self._csr = csr
+    def _apply(self, csr, delta):
         endpoint_mask = np.zeros(len(csr), dtype=bool)
-        endpoint_mask[_endpoint_rows(self._index_of, update.delta)] = True
-        old_parent = self._parent
+        endpoint_mask[self._endpoint_rows(delta)] = True
         log_dirty = self._repair_floods(csr, endpoint_mask)
         if log_dirty is None:
             self._recompute(csr)
         else:
             self._update_membership(csr, endpoint_mask, log_dirty)
-        if np.array_equal(self._parent, old_parent):
-            return self._clustering
-        return self._to_clustering(graph)
 
     def _repair_floods(self, csr, endpoint_mask):
         """Re-reduce both flood logs inside the growing dirty ball.
@@ -396,12 +425,3 @@ class MaxMinEngine(EngineBase):
             self._parent = cluster_parent_rows(
                 csr, tie, labels, parent_rows=self._parent, active=active
             )
-
-    def _to_clustering(self, graph):
-        # ``_parent`` seeds the next repair: hand over a copy.
-        return Clustering.from_rows(graph, self._parent.copy())
-
-
-register_engine("lowest-id")(lambda: GreedyDominatingEngine("lowest-id"))
-register_engine("degree")(lambda: GreedyDominatingEngine("degree"))
-register_engine("max-min")(MaxMinEngine)

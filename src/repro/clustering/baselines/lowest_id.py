@@ -7,19 +7,15 @@ head.  Referenced by the paper's state of the art ([2], [12]) and one of
 the comparators of [16].
 """
 
-from repro.clustering.baselines.common import (
-    checked_tie_ids,
-    greedy_dominating_clustering,
-)
+from repro.clustering.baselines.incremental import GreedyDominatingEngine
+from repro.clustering.order import id_column
 
 
 def lowest_id_clustering(graph, tie_ids=None):
     """1-hop clusters headed by local identifier minima.
 
     ``tie_ids`` maps node -> unique integer identifier; defaults to the
-    nodes themselves.
+    nodes themselves.  A fresh lowest-ID engine's first window.
     """
-    tie_ids = checked_tie_ids(graph, tie_ids)
-    # Lower identifier wins, so priority is the negated identifier.
-    priority = {node: -tie_ids[node] for node in graph}
-    return greedy_dominating_clustering(graph, priority)
+    engine = GreedyDominatingEngine("lowest-id")
+    return engine.seed(graph, id_column(graph.to_csr().ids, tie_ids))

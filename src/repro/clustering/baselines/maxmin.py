@@ -24,41 +24,24 @@ selected head is unreachable through same-cluster nodes (a known max-min
 artifact on sparse graphs) falls back to electing itself; this keeps the
 result a valid connected clustering and is called out in DESIGN.md.
 
-The hot path runs on the CSR snapshot: the flood logs are ``(d, n)``
-arrays filled by per-round ``maximum``/``minimum`` reductions over
-closed neighborhoods (:func:`flood_logs`), head selection is one array
-pass over the logs (:func:`select_head_ids`), and the per-cluster
-joining trees come from one label-constrained multi-source BFS
-(:func:`cluster_parent_rows`).  The incremental engine
-(``clustering/baselines/incremental.py``) repairs the same logs and
-reruns the same selection on the rows a delta dirties.
+This module holds the array kernels on the CSR snapshot: the flood logs
+are ``(d, n)`` arrays filled by per-round ``maximum``/``minimum``
+reductions over closed neighborhoods (:func:`flood_logs`), head
+selection is one array pass over the logs (:func:`select_head_ids`),
+and the per-cluster joining trees come from one label-constrained
+multi-source BFS (:func:`cluster_parent_rows`).  The engine
+(``clustering/baselines/incremental.py``) seeds with them, repairs the
+same logs and reruns the same selection on the rows a delta dirties;
+:func:`~repro.clustering.baselines.maxmin_clustering` is its first
+window.
 """
 
 import numpy as np
 
-from repro.clustering.baselines.common import checked_tie_ids
-from repro.clustering.result import Clustering
 from repro.graph.traversal import csr_multi_source_distances
-from repro.util.errors import ConfigurationError
 
-#: Sentinel above every identifier (identifiers are int64 and unique).
+#: Sentinel at or above every identifier (identifiers are int64).
 NO_ID = np.iinfo(np.int64).max
-
-
-def maxmin_clustering(graph, d=2, tie_ids=None):
-    """Max-Min d-cluster heads and membership over ``graph``."""
-    if d < 1:
-        raise ConfigurationError(f"d must be >= 1, got {d}")
-    tie_ids = checked_tie_ids(graph, tie_ids)
-    csr = graph.to_csr()
-    n = len(csr)
-    if n == 0:
-        return Clustering(graph, {})
-    tie = np.fromiter((tie_ids[node] for node in csr.ids), dtype=np.int64, count=n)
-    max_log, min_log = flood_logs(csr, tie, d)
-    head_id = select_head_ids(tie, max_log, min_log)
-    labels = normalize_membership(tie, head_id)
-    return Clustering.from_rows(graph, cluster_parent_rows(csr, tie, labels))
 
 
 def flood_logs(csr, tie, d):
@@ -111,14 +94,6 @@ def rows_of_ids(tie, id_values):
     return order[np.searchsorted(tie[order], id_values)]
 
 
-def normalize_membership(tie, head_id):
-    """Cluster label (head row) per row, with the standard normalization:
-    a node selected as head by anyone heads its own cluster."""
-    chosen = rows_of_ids(tie, head_id)
-    counts = np.bincount(chosen, minlength=len(tie))
-    return np.where(counts > 0, np.arange(len(tie), dtype=np.int64), chosen)
-
-
 def cluster_parent_rows(csr, tie, labels, parent_rows=None, active=None):
     """Joining-forest parent rows from the per-row cluster labels.
 
@@ -164,6 +139,6 @@ def cluster_parent_rows(csr, tie, labels, parent_rows=None, active=None):
     nonempty = deg > 0
     row_best = np.full(n, NO_ID, dtype=np.int64)
     row_best[nonempty] = np.minimum.reduceat(nbr_tie, indptr[:-1][nonempty])
-    hits = np.flatnonzero((nbr_tie == row_best[repeated]) & join[repeated])
+    hits = np.flatnonzero(closer & (nbr_tie == row_best[repeated]) & join[repeated])
     parent_rows[join] = indices[hits].astype(np.int64)
     return parent_rows

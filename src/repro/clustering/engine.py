@@ -1,136 +1,43 @@
-"""The :class:`ClusteringEngine` protocol and the per-metric registry.
+"""The clustering engines, one per metric, in one literal table.
 
-Every clusterer in this package can be driven two ways: a *scratch* call
-on a finished topology (the oracle path), or an *engine* kept alive
-across the windows of a dynamic workload and fed the exact
-:class:`~repro.graph.dynamic.EdgeDelta` stream the topology layer
-already maintains.  This module defines the seam between the two:
-
-* :class:`ClusteringEngine` -- the three-method protocol
-  (``init(topology)`` / ``apply_delta(update)`` / ``result()``) the
-  experiment families speak.  ``update`` is the
-  :class:`~repro.graph.dynamic.WindowUpdate` a
-  :func:`~repro.mobility.trace.window_stream` yields: the live
-  topology, the exact edge delta, and (when maintained) the exact
-  density map.
-* :class:`EngineBase` -- shared bookkeeping: re-seeding whenever the
-  node set changes or no delta is attached, the empty-delta
-  short-circuit, and ``result()``.
-* :func:`engine_for` / :func:`register_engine` -- the metric registry
-  (``"density"``, ``"degree"``, ``"lowest-id"``, ``"max-min"``), the
-  extension point every future clusterer plugs into.
-
-Engines are *exact*: after any window sequence, ``result()`` equals the
-scratch clusterer on the same topology, bit for bit.  The property
-suite (``tests/property/test_engine_properties.py``) drives randomized
-move/join/leave traces through every registered engine and asserts
-equality against the scratch oracles window by window.
+An engine is a clusterer kept alive across the windows of a dynamic
+workload.  Every engine speaks ``init(topology)`` (seed and return the
+clustering), ``apply_delta(update)`` (advance one
+:class:`~repro.graph.dynamic.WindowUpdate`: the live topology, the
+exact edge delta and, when maintained, the exact densities) and
+``result()``.  A scratch clustering of any metric is a fresh engine's
+first window, so each metric has one implementation; the property
+suite (``tests/property/test_engine_properties.py``) holds every engine
+to the per-node oracles of ``tests/oracles/`` window by window.
 """
 
+from repro.clustering.baselines.incremental import (
+    GreedyDominatingEngine,
+    MaxMinEngine,
+)
+from repro.clustering.incremental import IncrementalElection
 from repro.util.errors import ConfigurationError
 
-_ENGINE_FACTORIES = {}
-_BUILTINS_LOADED = False
-
-
-def register_engine(name):
-    """Decorator registering an engine factory under metric ``name``."""
-
-    def decorate(factory):
-        _ENGINE_FACTORIES[name] = factory
-        return factory
-
-    return decorate
+#: Engine factory per metric name.
+ENGINES = {
+    "degree": lambda: GreedyDominatingEngine("degree"),
+    "density": IncrementalElection,
+    "lowest-id": lambda: GreedyDominatingEngine("lowest-id"),
+    "max-min": MaxMinEngine,
+}
 
 
 def engine_for(metric, **options):
-    """A fresh :class:`ClusteringEngine` for ``metric``.
+    """A fresh engine for ``metric``.
 
     ``options`` are forwarded to the engine factory (e.g. ``d=2`` for
     ``"max-min"``, ``order=`` / ``fusion=`` for ``"density"``).
     """
-    _load_builtins()
     try:
-        factory = _ENGINE_FACTORIES[metric]
+        factory = ENGINES[metric]
     except KeyError:
-        known = ", ".join(sorted(_ENGINE_FACTORIES))
+        known = ", ".join(ENGINES)
         raise ConfigurationError(
-            f"unknown clustering metric {metric!r}; registered engines: {known}"
+            f"unknown clustering metric {metric!r}; known engines: {known}"
         ) from None
     return factory(**options)
-
-
-def registered_engines():
-    """Sorted metric names with a registered engine factory."""
-    _load_builtins()
-    return sorted(_ENGINE_FACTORIES)
-
-
-def _load_builtins():
-    """Import the modules whose import registers the built-in engines."""
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        import repro.clustering.baselines.incremental  # noqa: F401
-        import repro.clustering.incremental  # noqa: F401
-
-        _BUILTINS_LOADED = True
-
-
-class ClusteringEngine:
-    """Protocol: a clusterer maintained across topology windows.
-
-    ``init(topology, densities=None)`` seeds from a full topology and
-    returns its clustering; ``apply_delta(update)`` advances one window
-    from a :class:`~repro.graph.dynamic.WindowUpdate` and returns that
-    window's clustering; ``result()`` returns the current clustering.
-    Implementations must be exact: every returned clustering equals the
-    scratch clusterer on the same topology.
-    """
-
-    def init(self, topology, densities=None):
-        raise NotImplementedError
-
-    def apply_delta(self, update):
-        raise NotImplementedError
-
-    def result(self):
-        raise NotImplementedError
-
-
-class EngineBase(ClusteringEngine):
-    """Shared engine bookkeeping over ``_seed`` / ``_apply`` hooks.
-
-    Subclasses implement ``_seed(topology, densities)`` (full scratch
-    state build) and ``_apply(update)`` (one incremental window; only
-    called with a non-empty delta over an unchanged node set).
-    ``apply_delta`` re-seeds whenever the node set changed (a churn
-    epoch) or the update carries no delta (the stream's first window),
-    and returns the previous clustering unchanged for an empty delta.
-    """
-
-    def __init__(self):
-        self._clustering = None
-        self._engine_ids = None
-
-    def init(self, topology, densities=None):
-        self._clustering = self._seed(topology, densities)
-        self._engine_ids = topology.graph.to_csr().ids
-        return self._clustering
-
-    def apply_delta(self, update):
-        topology = update.topology
-        if (
-            self._clustering is None
-            or update.delta is None
-            or topology.graph.to_csr().ids != self._engine_ids
-        ):
-            return self.init(topology, densities=update.densities)
-        if not update.delta:
-            return self._clustering
-        self._clustering = self._apply(update)
-        return self._clustering
-
-    def result(self):
-        if self._clustering is None:
-            raise ConfigurationError("engine holds no clustering; call init first")
-        return self._clustering

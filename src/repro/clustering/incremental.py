@@ -21,8 +21,9 @@ every window, re-seeding only what changed:
   inside groups of float-tied rows (float rounding is monotone, so the
   exact order can only disagree within such a group).  Every election
   stays exact at any scale, and Fractions are touched only where float
-  ties are possible.  Custom orders rank their key tuples with one sort
-  instead (:func:`~repro.clustering.oracle.clustering_from_keys`);
+  ties are possible.  The engine ranks the paper's two orders only; any
+  other order ranks its key tuples with one sort
+  (:func:`~repro.clustering.oracle.clustering_from_keys`);
 * the Section 4.2 parent choice is a vectorized per-row argmax over
   neighbor ranks on the CSR snapshot (:func:`_basic_parents`); the
   Section 4.3 fusion greedy runs in Python but only over the (few)
@@ -49,8 +50,7 @@ identical heads, parents, and densities.
 import numpy as np
 
 from repro.clustering.density import all_densities
-from repro.clustering.engine import ClusteringEngine, register_engine
-from repro.clustering.order import BasicOrder, IncumbentOrder, make_order
+from repro.clustering.order import BasicOrder, IncumbentOrder, id_column, make_order
 from repro.clustering.result import Clustering
 from repro.util.errors import ConfigurationError
 
@@ -81,26 +81,30 @@ def _incumbent_mask(previous, ids):
     return previous.head_mask(ids)
 
 
-class IncrementalElection(ClusteringEngine):
+class IncrementalElection:
     """Per-configuration election engine reused across windows.
 
-    One instance per (order, fusion) configuration; :meth:`update` is
+    One instance per (order, fusion) configuration, for the paper's two
+    orders (``"basic"``, ``"incumbent"`` or their order objects); any
+    other order raises :class:`ConfigurationError`.  :meth:`update` is
     called once per window with the maintained graph and exact densities
     and returns the same :class:`Clustering` a scratch election on that
-    window's graph would.
-    The :class:`~repro.clustering.engine.ClusteringEngine` protocol
-    (``init`` / ``apply_delta`` / ``result``) rides on top of it for
-    callers that speak :class:`~repro.graph.dynamic.WindowUpdate`
-    streams; richer callers (per-window DAG renames, incumbent
-    threading) keep calling :meth:`update` directly.
+    window's graph would.  The engine interface of
+    :mod:`repro.clustering.engine` (``init`` / ``apply_delta`` /
+    ``result``) rides on top of it for callers that speak
+    :class:`~repro.graph.dynamic.WindowUpdate` streams; richer callers
+    (per-window DAG renames, incumbent threading) keep calling
+    :meth:`update` directly.
     """
 
     def __init__(self, order="basic", fusion=False):
         self.order = make_order(order) if isinstance(order, str) else order
+        if type(self.order) not in (BasicOrder, IncumbentOrder):
+            raise ConfigurationError(
+                f"the election engine ranks the basic and incumbent orders "
+                f"only, not {self.order!r}; compute_clustering ranks any "
+                f"other order")
         self.fusion = bool(fusion)
-        # The vectorized key layout mirrors BasicOrder/IncumbentOrder
-        # exactly; anything else is ranked by its key tuples each window.
-        self._vectorizable = type(self.order) in (BasicOrder, IncumbentOrder)
         self._incumbent = isinstance(self.order, IncumbentOrder)
         self._ids = None
         self._tie = None
@@ -134,27 +138,18 @@ class IncrementalElection(ClusteringEngine):
         (and every pipeline here, where ``Topology.ids`` never changes
         for a live node).  Re-mapping tie identifiers mid-sequence
         requires a fresh engine.  Tie identifiers and DAG names must be
-        integers that fit int64 columns; :func:`compute_clustering`
-        ranks any other identifiers by their key tuples.
+        integers in ``(-2**63, 2**63)`` (checked by
+        :func:`~repro.clustering.order.id_column` when they are read);
+        :func:`compute_clustering` ranks larger integers by their key
+        tuples.
         """
-        if not self._vectorizable:
-            # The scratch election itself runs on this engine, hence
-            # the function-level import.
-            from repro.clustering.oracle import compute_clustering
-
-            self._last = compute_clustering(
-                graph, tie_ids=tie_ids, dag_ids=dag_ids, order=self.order,
-                fusion=self.fusion, previous=previous, densities=densities)
-            return self._last
-
         csr = graph.to_csr()
         ids = csr.ids
         n = len(ids)
         reseed = ids != self._ids
         if reseed:
+            self._tie = id_column(ids, tie_ids)
             self._ids = ids
-            self._tie = np.fromiter((tie_ids[node] for node in ids),
-                                    dtype=np.int64, count=n)
             density_changed = None
             dag_changed = True
 
@@ -177,8 +172,8 @@ class IncrementalElection(ClusteringEngine):
             self._refine = None
 
         if dag_changed:
-            self._dag = None if dag_ids is None else np.fromiter(
-                (dag_ids[node] for node in ids), dtype=np.int64, count=n)
+            self._dag = None if dag_ids is None else id_column(
+                ids, dag_ids, name="dag_ids", unique=False)
 
         is_head = _incumbent_mask(previous, ids)
         was_head = self._is_head
@@ -208,11 +203,11 @@ class IncrementalElection(ClusteringEngine):
         return self._last
 
     # ------------------------------------------------------------------
-    # ClusteringEngine protocol
+    # the engine interface of repro.clustering.engine
     # ------------------------------------------------------------------
 
     def init(self, topology, densities=None):
-        """Seed from a full topology (the ClusteringEngine protocol).
+        """Seed from a full topology and return its clustering.
 
         ``densities`` is the exact density map when the caller already
         maintains one (a density-tracking window stream); computed from
@@ -225,7 +220,7 @@ class IncrementalElection(ClusteringEngine):
                            previous=previous)
 
     def apply_delta(self, update):
-        """Advance one window from a ``WindowUpdate`` (protocol method).
+        """Advance one window from a ``WindowUpdate``.
 
         Requires the stream to maintain densities (``window_stream`` with
         ``track_densities=True``, the default); an update without them
@@ -241,7 +236,7 @@ class IncrementalElection(ClusteringEngine):
                            dag_changed=False)
 
     def result(self):
-        """The clustering of the last window (protocol method)."""
+        """The clustering of the last window."""
         if self._last is None:
             raise ConfigurationError(
                 "engine holds no clustering; call init first")
@@ -355,8 +350,10 @@ def _basic_parents(csr, ranks):
 
     Returns ``(parent_idx, self_wins)``: per-row parent row indices and
     the local-maximum mask: a node points at itself iff its rank beats
-    every neighbor's (``repro.clustering.heads.choose_parent``), else at
-    its unique maximum-rank neighbor.
+    every neighbor's (the ``clusterHead`` rule of Section 4.2, stated
+    per node as ``choose_parent`` in ``tests/oracles/election.py``),
+    else at its unique maximum-rank neighbor.  An isolated node beats
+    its empty neighborhood and elects itself (DESIGN.md, deviation 2).
     """
     n = len(csr)
     indptr = csr.indptr
@@ -420,6 +417,3 @@ def _fusion_adjust(csr, ranks, parent_idx, self_wins):
         else:
             common = nbrs[held == dominator]
             parent_idx[row] = common[np.argmax(ranks[common])]
-
-
-register_engine("density")(IncrementalElection)

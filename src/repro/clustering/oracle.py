@@ -9,13 +9,15 @@ simulations measure in Tables 4 and 5 -- only the final structure matters
 there, not the message schedule.
 
 It runs on the array rules of :mod:`repro.clustering.incremental`, the
-library's one election.  With the paper's orders and integer
-identifiers, :func:`compute_clustering` is a fresh
+library's one election.  With the paper's orders and identifiers that
+fit int64, :func:`compute_clustering` is a fresh
 :class:`~repro.clustering.incremental.IncrementalElection`'s first
 window: one ``lexsort`` ranks the key columns, then a CSR row argmax
 picks parents and the fusion greedy visits the local maxima.  Custom
-orders, other identifiers and :func:`clustering_from_keys` rank the
-per-node key tuples with one sort and run the same two rules.
+orders, other real-number identifiers (integers beyond int64, floats)
+and :func:`clustering_from_keys` rank the per-node key tuples with one
+sort and run the same two rules; any other identifier raises
+:class:`ConfigurationError`.
 
 The per-node fixpoint these replace (one ``max`` over neighbor key
 tuples per node) is the reference in ``tests/oracles/election.py``;
@@ -23,6 +25,8 @@ hypothesis suites assert equality with it, and integration tests assert
 that the protocol's stable state equals this module's output on the same
 topology.
 """
+
+from numbers import Real
 
 import numpy as np
 
@@ -50,7 +54,7 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
     tie_ids:
         ``dict[node, int]`` of globally unique "normal" identifiers used as
         the final tie-break; defaults to the nodes themselves (which must
-        then be unique integers or otherwise totally ordered ints).
+        then be unique numbers).
     dag_ids:
         Optional ``dict[node, int]`` of locally unique DAG names
         (Section 4.1).  When given, these dominate ``tie_ids`` in the order.
@@ -78,15 +82,16 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
         densities = all_densities(graph, exact=True)
     if tie_ids is None:
         tie_ids = {node: node for node in graph}
-    _check_ids(graph, tie_ids, dag_ids)
 
     if (type(order_obj) in (BasicOrder, IncumbentOrder)
             and _int64_ids(tie_ids)
             and (dag_ids is None or _int64_ids(dag_ids))):
+        # The engine checks coverage and uniqueness (id_column).
         election = IncrementalElection(order=order_obj, fusion=fusion)
         return election.update(graph, densities, tie_ids, dag_ids=dag_ids,
                                previous=previous)
 
+    _check_ids(graph, tie_ids, dag_ids)
     heads = _previous_heads(previous)
     keys = {
         node: order_obj.key(NodeView(
@@ -130,13 +135,20 @@ def clustering_from_keys(graph, keys, fusion=False, densities=None,
 
 
 def _check_ids(graph, tie_ids, dag_ids):
+    """The identifier rules of the key-tuple path: real numbers (such as
+    integers beyond int64) covering the graph's nodes, tie identifiers
+    globally unique."""
     nodes = set(graph.nodes)
-    if set(tie_ids) != nodes:
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
+    for name, ids in (("tie_ids", tie_ids), ("dag_ids", dag_ids)):
+        if ids is None:
+            continue
+        if set(ids) != nodes:
+            raise ConfigurationError(
+                f"{name} must cover exactly the graph's nodes")
+        if not all(isinstance(value, Real) for value in ids.values()):
+            raise ConfigurationError(f"{name} must be real numbers")
     if len(set(tie_ids.values())) != len(tie_ids):
         raise ConfigurationError("tie_ids must be globally unique")
-    if dag_ids is not None and set(dag_ids) != nodes:
-        raise ConfigurationError("dag_ids must cover exactly the graph's nodes")
 
 
 def _int64_ids(ids):

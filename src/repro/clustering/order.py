@@ -20,12 +20,18 @@ Implementation notes
 * The refined order of Section 4.3 leaves two equal-density incumbent heads
   incomparable; :class:`IncumbentOrder` falls back to identifiers in that
   case (DESIGN.md, deviation 1).
+* The array engines hold identifiers as int64 columns; :func:`id_column`
+  is their one identifier check.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.util.errors import ConfigurationError
+
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -98,3 +104,36 @@ def make_order(name):
         raise ConfigurationError(
             f"unknown order {name!r}; expected one of {sorted(orders)}")
     return orders[name]()
+
+
+def id_column(ids, values=None, name="tie_ids", unique=True):
+    """``values[node]`` for every node of ``ids``, as an int64 column.
+
+    The identifier check of every array engine.  Raises
+    :class:`ConfigurationError` unless ``values`` (default: the nodes
+    themselves) maps exactly the nodes of ``ids`` to integers in
+    ``(-2**63, 2**63)`` (int64 without its minimum, which the engines
+    could not negate), globally unique when ``unique`` (tie identifiers;
+    DAG names are only locally unique).
+    """
+    if values is None:
+        values = dict(zip(ids, ids))
+    n = len(ids)
+    if len(values) != n:
+        raise ConfigurationError(f"{name} must cover exactly the graph's nodes")
+    column = None
+    kinds = set(map(type, values.values()))
+    if all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        try:
+            column = np.fromiter(map(values.__getitem__, ids), dtype=np.int64,
+                                 count=n)
+        except KeyError:
+            raise ConfigurationError(
+                f"{name} must cover exactly the graph's nodes") from None
+        except OverflowError:
+            pass
+    if column is None or (n and column.min() == _INT64_MIN):
+        raise ConfigurationError(f"{name} must be integers in (-2**63, 2**63)")
+    if unique and len(set(values.values())) != n:
+        raise ConfigurationError(f"{name} must be globally unique")
+    return column

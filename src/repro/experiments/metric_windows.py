@@ -5,39 +5,28 @@ The comparison and overhead experiments walk the same four metrics
 and differ only in what they record per window.  This module owns the
 shared walk: :func:`metric_windows` yields one ``{metric name:
 Clustering}`` dict per position snapshot from the exact delta stream
-through the incremental engines.  The engines are exact, so every
-window's clusterings equal a scratch rebuild of that snapshot
-(:func:`~repro.mobility.trace.topology_at` plus :data:`METRIC_SCRATCH`).
+through the engines of :mod:`repro.clustering.engine`.  A static or
+resampled topology is clustered by :data:`METRIC_SCRATCH`, a fresh
+engine's first window, so both paths run one implementation per
+metric.
 """
 
-from repro.clustering.baselines.degree import degree_clustering
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.clustering.engine import engine_for
-from repro.experiments.common import clustered
 from repro.mobility.trace import window_stream
 
-
-def _density_scratch(topology):
-    clustering, _dag_ids = clustered(topology, use_dag=False)
-    return clustering
-
-
-#: Scratch builder per metric: static and resampled topologies, and the
-#: clustering every engine window must equal.
-METRIC_SCRATCH = {
-    "density": _density_scratch,
-    "degree": lambda topo: degree_clustering(topo.graph, tie_ids=topo.ids),
-    "lowest-id": lambda topo: lowest_id_clustering(topo.graph, tie_ids=topo.ids),
-    "max-min (d=2)": lambda topo: maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids),
-}
-
-#: Incremental engine factory per metric (the delta path).
+#: Engine factory per metric (the delta path).
 METRIC_ENGINES = {
     "density": lambda: engine_for("density"),
     "degree": lambda: engine_for("degree"),
     "lowest-id": lambda: engine_for("lowest-id"),
     "max-min (d=2)": lambda: engine_for("max-min", d=2),
+}
+
+#: Scratch clusterer per metric, for static and resampled topologies: a
+#: fresh engine's ``init(topology)``.
+METRIC_SCRATCH = {
+    name: lambda topology, factory=factory: factory().init(topology)
+    for name, factory in METRIC_ENGINES.items()
 }
 
 

@@ -32,8 +32,13 @@ class RandomWaypointModel(MobilityModel):
         # Nodes consume pause time first, then move leg by leg: one pass
         # per leg, so a long advance takes as many passes as it has legs.
         while np.any(remaining > 1e-12):
+            before = remaining.copy()
             self._consume_pause(remaining)
             self._move_legs(remaining)
+            if np.array_equal(remaining, before):
+                raise ConfigurationError(
+                    f"dt={dt} is too large to advance: every leg is shorter "
+                    f"than the rounding step of the time left")
         return self.positions
 
     def _consume_pause(self, remaining):

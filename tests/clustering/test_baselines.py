@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.clustering.baselines.common import (
-    greedy_dominating_clustering,
-    priority_columns,
+from repro.clustering.baselines import (
+    degree_clustering,
+    lowest_id_clustering,
+    maxmin_clustering,
 )
-from repro.clustering.baselines.degree import degree_clustering
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.graph.generators import (
     complete_topology,
     line_topology,
@@ -21,24 +19,22 @@ from tests.oracles import baselines as oracle
 
 
 class TestGreedyDominating:
+    """The greedy rule, through its lowest-ID instance."""
+
     def test_heads_form_dominating_set(self, random50):
         graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = lowest_id_clustering(graph)
         for node in graph:
             assert clustering.is_head(node) or any(
                 clustering.is_head(q) for q in graph.neighbors(node))
 
     def test_heads_are_independent_set(self, random50):
-        graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = lowest_id_clustering(random50.graph)
         clustering.check_invariants()  # includes heads-non-adjacent
 
     def test_one_hop_clusters(self, random50):
         graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = lowest_id_clustering(graph)
         assert all(clustering.depth(node) <= 1 for node in graph)
 
 
@@ -140,28 +136,26 @@ class TestMaxMin:
 
 
 class TestVectorizedAgainstReference:
-    """The CSR fast paths reproduce the per-node oracles bit for bit."""
+    """The engines' first windows reproduce the per-node oracles bit for
+    bit."""
 
     def test_greedy_matches_reference_on_random_graphs(self):
         for seed in range(6):
             topo = uniform_topology(60, 0.18, rng=seed)
-            graph = topo.graph
-            for priority in (
-                {node: -node for node in graph},
-                {node: (graph.degree(node), -node) for node in graph},
-            ):
-                fast = greedy_dominating_clustering(graph, priority)
-                slow = oracle.greedy_dominating_clustering(graph, priority)
-                assert fast.heads == slow.heads
-                assert fast.parents == slow.parents
+            for fast, slow in (
+                    (lowest_id_clustering, oracle.lowest_id_clustering),
+                    (degree_clustering, oracle.degree_clustering)):
+                got = fast(topo.graph, tie_ids=topo.ids)
+                want = slow(topo.graph, tie_ids=topo.ids)
+                assert got.heads == want.heads
+                assert got.parents == want.parents
 
     def test_greedy_matches_reference_on_shapes(self):
         for topo in (line_topology(7), star_topology(6),
                      complete_topology(5)):
             graph = topo.graph
-            priority = {node: -node for node in graph}
-            fast = greedy_dominating_clustering(graph, priority)
-            slow = oracle.greedy_dominating_clustering(graph, priority)
+            fast = lowest_id_clustering(graph)
+            slow = oracle.lowest_id_clustering(graph)
             assert fast.parents == slow.parents
 
     def test_maxmin_matches_reference_on_random_graphs(self):
@@ -182,16 +176,6 @@ class TestVectorizedAgainstReference:
         slow = oracle.maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids)
         assert fast.parents == slow.parents
 
-    def test_non_unique_priorities_rejected(self):
-        # Equal keys would make the parent choice depend on set
-        # iteration order, which no array layout can reproduce.
-        graph = Graph(edges=[(0, 2), (1, 2)])
-        priority = {0: 1, 1: 1, 2: 0}
-        ids = graph.to_csr().ids
-        assert priority_columns(ids, priority) is None
-        with pytest.raises(ConfigurationError, match="priorities must be unique"):
-            greedy_dominating_clustering(graph, priority)
-
     @pytest.mark.parametrize("clusterer", [degree_clustering,
                                            lowest_id_clustering])
     def test_non_unique_tie_ids_rejected(self, clusterer):
@@ -202,21 +186,7 @@ class TestVectorizedAgainstReference:
                            match="tie_ids must be globally unique"):
             clusterer(graph, tie_ids={0: 1, 1: 1, 2: 5, 3: 5})
 
-    def test_priority_columns_rejects_exotic_keys(self):
-        ids = (0, 1, 2)
-        # Mixed scalar/tuple and ragged tuple widths.
-        assert priority_columns(ids, {0: (1, 2), 1: 3, 2: (4, 5)}) is None
-        assert priority_columns(ids, {0: (1, 2), 1: (3,), 2: (4, 5)}) is None
-        # Non-numeric keys.
-        assert priority_columns(ids, {0: "a", 1: "b", 2: "c"}) is None
-        # Over-int64 unsigned values cannot be laid out losslessly.
-        assert priority_columns(ids, {0: 2**64, 1: 1, 2: 2}) is None
-        # Plain ints lay out as one int64 column.
-        columns = priority_columns(ids, {0: 5, 1: 3, 2: 4})
-        assert len(columns) == 1
-        assert columns[0].tolist() == [5, 3, 4]
-
     def test_empty_graph(self):
-        clustering = greedy_dominating_clustering(Graph(), {})
-        assert clustering.parents == {}
+        assert lowest_id_clustering(Graph()).parents == {}
+        assert degree_clustering(Graph()).parents == {}
         assert maxmin_clustering(Graph(), d=2).parents == {}

@@ -1,18 +1,16 @@
-"""Unit tests for the ClusteringEngine protocol and the baseline engines."""
+"""Unit tests for the engine table and the baseline engines."""
 
 import numpy as np
 import pytest
 
 from repro.clustering.baselines import GreedyDominatingEngine, MaxMinEngine
-from repro.clustering.baselines.degree import degree_clustering
 from repro.clustering.baselines.incremental import SCRATCH_FALLBACK_FRACTION
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
-from repro.clustering.engine import engine_for, registered_engines
+from repro.clustering.engine import ENGINES, engine_for
 from repro.clustering.incremental import IncrementalElection
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
+from tests.oracles import baselines
 from tests.oracles.election import compute_clustering
 
 
@@ -29,8 +27,8 @@ def _dynamic_from(topo, radius):
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert registered_engines() == ["degree", "density", "lowest-id",
-                                        "max-min"]
+        assert sorted(ENGINES) == ["degree", "density", "lowest-id",
+                                   "max-min"]
 
     def test_factories_build_the_right_types(self):
         assert isinstance(engine_for("lowest-id"), GreedyDominatingEngine)
@@ -53,9 +51,12 @@ class TestProtocol:
     def test_init_matches_scratch(self):
         topo = uniform_topology(50, 0.2, rng=3)
         cases = {
-            "lowest-id": lowest_id_clustering(topo.graph, tie_ids=topo.ids),
-            "degree": degree_clustering(topo.graph, tie_ids=topo.ids),
-            "max-min": maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids),
+            "lowest-id": baselines.lowest_id_clustering(topo.graph,
+                                                        tie_ids=topo.ids),
+            "degree": baselines.degree_clustering(topo.graph,
+                                                  tie_ids=topo.ids),
+            "max-min": baselines.maxmin_clustering(topo.graph, d=2,
+                                                   tie_ids=topo.ids),
             "density": compute_clustering(topo.graph, tie_ids=topo.ids),
         }
         for metric, want in cases.items():
@@ -65,14 +66,14 @@ class TestProtocol:
             assert engine.result() is got
 
     def test_result_before_init_raises(self):
-        for metric in registered_engines():
+        for metric in ENGINES:
             with pytest.raises(ConfigurationError):
                 engine_for(metric).result()
 
     def test_apply_delta_before_init_seeds(self):
         topo = uniform_topology(20, 0.2, rng=1)
         _positions, dynamic = _dynamic_from(topo, 0.2)
-        for metric in registered_engines():
+        for metric in ENGINES:
             engine = engine_for(metric)
             got = engine.apply_delta(_seed_update(dynamic))
             assert engine.result() is got
@@ -80,7 +81,7 @@ class TestProtocol:
     def test_empty_delta_returns_previous_object(self):
         topo = uniform_topology(25, 0.2, rng=2)
         positions, dynamic = _dynamic_from(topo, 0.2)
-        engines = [engine_for(m) for m in registered_engines()]
+        engines = [engine_for(m) for m in ENGINES]
         seeded = [e.apply_delta(_seed_update(dynamic)) for e in engines]
         update = dynamic.move(positions)  # nothing moved
         assert not update.delta
@@ -90,7 +91,7 @@ class TestProtocol:
     def test_node_set_change_reseeds(self):
         topo = uniform_topology(20, 0.25, rng=4)
         _positions, dynamic = _dynamic_from(topo, 0.25)
-        engines = [engine_for(m) for m in registered_engines()]
+        engines = [engine_for(m) for m in ENGINES]
         for engine in engines:
             engine.apply_delta(_seed_update(dynamic))
         update = dynamic.apply_churn(departed=[0],
@@ -143,11 +144,14 @@ class TestRepairPaths:
             got = engine.apply_delta(update)
             topo = update.topology
             if metric == "max-min":
-                want = maxmin_clustering(topo.graph, d=2, tie_ids=topo.ids)
+                want = baselines.maxmin_clustering(topo.graph, d=2,
+                                                   tie_ids=topo.ids)
             elif metric == "degree":
-                want = degree_clustering(topo.graph, tie_ids=topo.ids)
+                want = baselines.degree_clustering(topo.graph,
+                                                   tie_ids=topo.ids)
             else:
-                want = lowest_id_clustering(topo.graph, tie_ids=topo.ids)
+                want = baselines.lowest_id_clustering(topo.graph,
+                                                      tie_ids=topo.ids)
             assert got.parents == want.parents, metric
 
     @pytest.mark.parametrize("metric", ["lowest-id", "degree", "max-min"])

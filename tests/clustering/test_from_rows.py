@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.baselines import GreedyDominatingEngine, MaxMinEngine
-from repro.clustering.baselines.degree import degree_clustering
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
+from repro.clustering.baselines import (
+    GreedyDominatingEngine,
+    MaxMinEngine,
+    degree_clustering,
+    lowest_id_clustering,
+    maxmin_clustering,
+)
 from repro.clustering.engine import engine_for
 from repro.clustering.oracle import compute_clustering
 from repro.clustering.result import Clustering
@@ -175,11 +178,8 @@ class TestEngineParity:
         graph = backed(graph, backing)
         tie_ids = _tie_ids(data, graph)
         topology = Topology(graph, ids=tie_ids)
-        lowest = baseline_oracles.greedy_dominating_clustering(
-            graph, {node: -tie_ids[node] for node in graph})
-        degree = baseline_oracles.greedy_dominating_clustering(
-            graph, {node: (graph.degree(node), -tie_ids[node])
-                    for node in graph})
+        lowest = baseline_oracles.lowest_id_clustering(graph, tie_ids=tie_ids)
+        degree = baseline_oracles.degree_clustering(graph, tie_ids=tie_ids)
         maxmin = baseline_oracles.maxmin_clustering(graph, d=2,
                                                     tie_ids=tie_ids)
         assert_same(lowest_id_clustering(graph, tie_ids=tie_ids), lowest)

@@ -1,6 +1,6 @@
-"""Tests for the per-node clusterHead choice rules."""
+"""Tests for the per-node clusterHead choice rules of the election oracle."""
 
-from repro.clustering.heads import (
+from tests.oracles.election import (
     best_neighbor,
     choose_parent,
     dominates_two_hop_heads,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.clustering.incremental import IncrementalElection
+from repro.clustering.oracle import compute_clustering as scratch_clustering
 from repro.clustering.order import BasicOrder
 from repro.graph.dynamic import DynamicTopology
 from repro.graph.generators import star_topology, uniform_topology
+from repro.util.errors import ConfigurationError
 from tests.oracles.election import compute_clustering
 
 
@@ -184,19 +186,27 @@ def test_population_change_reseeds():
     assert_same_clustering(fast, oracle)
 
 
-def test_custom_order_falls_back_to_oracle():
-    class ShiftedOrder(BasicOrder):
-        name = "shifted"
+class ShiftedOrder(BasicOrder):
+    """A custom order: the engine ranks only the paper's two."""
 
-        def key(self, view):
-            return (view.density, -view.tie_id)
+    name = "shifted"
 
+    def key(self, view):
+        return (view.density, -view.tie_id)
+
+
+def test_custom_order_rejected_by_engine():
+    with pytest.raises(ConfigurationError, match="basic and incumbent"):
+        IncrementalElection(order=ShiftedOrder())
+
+
+def test_custom_order_compute_clustering_equals_oracle():
+    """``compute_clustering`` ranks a custom order's key tuples."""
     topo = uniform_topology(25, 0.3, rng=19)
     from repro.clustering.density import all_densities
     densities = all_densities(topo.graph, exact=True)
-    engine = IncrementalElection(order=ShiftedOrder())
-    fast = engine.update(topo.graph, densities, tie_ids=topo.ids,
-                         previous=None)
+    fast = scratch_clustering(topo.graph, tie_ids=topo.ids,
+                              order=ShiftedOrder(), densities=densities)
     oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
                                 order=ShiftedOrder(), densities=densities)
     assert_same_clustering(fast, oracle)

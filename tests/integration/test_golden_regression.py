@@ -141,6 +141,23 @@ def test_simulator_family_stdout_is_frozen(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest", [
+    (["comparison", "--topology", "distance_rule", "--topology", "erdos_renyi",
+      "--topology", "nw_small_world", "--topology", "scale_free"],
+     "1f304e9735997572ee6b05179f51aa928a842cf1451262607a6d3312188e89dd"),
+    (["churn", "--topology", "erdos_renyi"],
+     "4349cc25dbec926f3df9bf3180519686c15820b6b1a520becd92dcc0ee783041"),
+], ids=["comparison-robustness", "churn-resampled"])
+def test_non_udg_baseline_stdout_is_frozen(args, digest, capsys):
+    """sha256 of ``repro <args> --preset smoke --seed 2024`` stdout, for
+    the two outputs that run the scratch baselines on graphs that are
+    not unit-disk graphs: the robustness table across topology models
+    and the churn table on resampled Erdos-Renyi graphs."""
+    assert main([*args, "--preset", "smoke", "--seed", "2024"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("family,digest", [
     ("energy", "b918815facc531e19819951116c1a6b9b68b8dfbab3e278be53a57b163129d61"),
     ("intensity", "3c9dee5b5fe70544b384aad0abc378afea7414477357d0f8a904159abef9a116"),

@@ -161,6 +161,14 @@ class TestNonFiniteAndLongInputs:
         positions = model.advance(20000.0)
         assert np.all(positions >= 0.0) and np.all(positions <= 1.0)
 
+    def test_waypoint_advance_past_float_resolution_is_rejected(self):
+        """A leg of about a second is below half an ulp of 1e17 s, so no
+        pass would reduce the time left: the advance raises at once
+        instead of spinning."""
+        model = RandomWaypointModel(1, (1.0, 1.0), rng=1)
+        with pytest.raises(ConfigurationError, match="dt=1e"):
+            model.advance(1e17)
+
     def test_infinite_legs_and_pauses_stay_valid(self):
         direction = RandomDirectionModel(5, (0.1, 0.2),
                                          mean_leg_duration=float("inf"),

@@ -1,21 +1,50 @@
 """Baseline clustering oracles: the per-node greedy and max-min loops.
 
-:func:`repro.clustering.baselines.common.greedy_dominating_clustering`
-scans in one ``lexsort`` order with a covered bitmask and affiliates by
-one masked max-reduction over the CSR rows;
-:func:`repro.clustering.baselines.maxmin.maxmin_clustering` floods with
+Each baseline metric has one implementation in ``src/``, an engine
+(``repro.clustering.baselines.incremental``): the greedy engine scans
+in one ``argsort`` order with a covered bitmask and affiliates by one
+masked max-reduction over the CSR rows; the max-min engine floods with
 per-round ``reduceat`` reductions over ``(d, n)`` log arrays and picks
-every parent in one masked min-reduction.  These are the loops they
-replaced, kept as the definitions they and the incremental baseline
-engines must equal: node by node over Python sets and dicts.
+every parent in one masked min-reduction.  A scratch clustering
+(``lowest_id_clustering``, ``degree_clustering``,
+``maxmin_clustering``) is a fresh engine's first window.  These are the
+loops the engines replaced, kept as the definitions every engine window
+and every scratch clustering must equal: node by node over Python sets
+and dicts.  The greedy loop takes any comparable priority.
 """
 
 import numpy as np
 
-from repro.clustering.baselines.common import checked_tie_ids
 from repro.clustering.result import Clustering
 from repro.graph.traversal import csr_multi_source_distances
 from repro.util.errors import ConfigurationError
+
+
+def lowest_id_clustering(graph, tie_ids=None):
+    """Lowest-ID clustering: the greedy rule, smaller identifier first."""
+    tie_ids = checked_tie_ids(graph, tie_ids)
+    return greedy_dominating_clustering(
+        graph, {node: -tie_ids[node] for node in graph})
+
+
+def degree_clustering(graph, tie_ids=None):
+    """Highest-degree clustering: the greedy rule by (degree, smaller
+    identifier)."""
+    tie_ids = checked_tie_ids(graph, tie_ids)
+    return greedy_dominating_clustering(
+        graph, {node: (graph.degree(node), -tie_ids[node]) for node in graph})
+
+
+def checked_tie_ids(graph, tie_ids):
+    """``tie_ids`` (default: the nodes themselves), checked to cover
+    exactly the graph's nodes with globally unique identifiers."""
+    if tie_ids is None:
+        tie_ids = {node: node for node in graph}
+    if set(tie_ids) != set(graph.nodes):
+        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
+    if len(set(tie_ids.values())) != len(tie_ids):
+        raise ConfigurationError("tie_ids must be globally unique")
+    return tie_ids
 
 
 def greedy_dominating_clustering(graph, priority, densities=None):
@@ -44,7 +73,15 @@ def maxmin_clustering(graph, d=2, tie_ids=None):
     if d < 1:
         raise ConfigurationError(f"d must be >= 1, got {d}")
     tie_ids = checked_tie_ids(graph, tie_ids)
+    chosen_head = maxmin_chosen_heads(graph, d, tie_ids)
+    parents = parents_from_membership(graph, chosen_head, tie_ids)
+    return Clustering(graph, parents)
 
+
+def maxmin_chosen_heads(graph, d, tie_ids):
+    """Per-node head after rules 1-3 and the normalization: the clusters
+    before the singleton fallback (DESIGN.md, deviation 3) splits off
+    members that cannot reach their head inside the cluster."""
     max_log = flood(
         graph,
         rounds=d,
@@ -68,8 +105,7 @@ def maxmin_clustering(graph, d=2, tie_ids=None):
     # membership map would be ambiguous (standard max-min normalization).
     for head in set(chosen_head.values()):
         chosen_head[head] = head
-    parents = parents_from_membership(graph, chosen_head, tie_ids)
-    return Clustering(graph, parents)
+    return chosen_head
 
 
 def flood(graph, rounds, combine, start):

@@ -5,14 +5,27 @@ rules of :mod:`repro.clustering.incremental` (one lexsort of the key
 columns, a CSR row argmax, the fusion greedy over local maxima).  This
 is the definition those rules must equal: every node builds its ``≺``
 key tuple (:mod:`repro.clustering.order`) and takes one ``max`` over its
-neighbors' keys through the per-node rules of
-:mod:`repro.clustering.heads`, with exact Fraction densities throughout.
+neighbors' keys through the per-node head rules below, with exact
+Fraction densities throughout.
+
+The head rules are the *local* ``clusterHead`` functions of Section 4,
+stated per node over a node's view of its neighborhood::
+
+    clusterHead = Id_p                     if  forall q in Np:  q ≺ p
+                  H(max≺ {q in Np})        otherwise
+
+The fusion rule (Section 4.3) strengthens the self-election condition:
+``p`` must also dominate every node in its 2-neighborhood that currently
+claims to be a cluster-head.  Only local maxima claim headship and no
+two of them are adjacent, so ``_fusion_adjust`` in
+:mod:`repro.clustering.incremental` checks the condition against the
+maxima that share a neighbor with ``p``; the rules here take the whole
+2-neighborhood, as the paper states them.
 """
 
 import numpy as np
 
 from repro.clustering.density import all_densities
-from repro.clustering.heads import choose_parent, is_local_max
 from repro.clustering.oracle import _check_ids
 from repro.clustering.order import NodeView, make_order
 from repro.clustering.result import Clustering
@@ -37,6 +50,54 @@ def compute_clustering(graph, tie_ids=None, dag_ids=None, order="basic",
     return clustering_from_keys(graph, keys, fusion=fusion,
                                 densities=densities, dag_ids=dag_ids,
                                 order_name=order_obj.name)
+
+
+def is_local_max(key_p, neighbor_keys):
+    """True iff every neighbor precedes ``p`` (``forall q in Np: q ≺ p``).
+
+    A node with no neighbors is vacuously a local maximum (isolated nodes
+    elect themselves, DESIGN.md deviation 2).
+    """
+    return all(key_q < key_p for key_q in neighbor_keys)
+
+
+def best_neighbor(neighbor_keys_by_node):
+    """``max≺ {q in Np}``: the neighbor with the greatest key.
+
+    ``neighbor_keys_by_node`` maps neighbor -> key and must be non-empty.
+    """
+    return max(neighbor_keys_by_node, key=neighbor_keys_by_node.get)
+
+
+def choose_parent(node, key_p, neighbor_keys_by_node):
+    """``F(p)``: the node itself when locally maximal, else its best neighbor."""
+    if is_local_max(key_p, neighbor_keys_by_node.values()):
+        return node
+    return best_neighbor(neighbor_keys_by_node)
+
+
+def dominates_two_hop_heads(key_p, claimed_head_keys):
+    """The extra fusion condition of Section 4.3.
+
+    ``claimed_head_keys`` are the keys of every node ``q`` in ``N2_p`` (the
+    2-neighborhood, ``p`` excluded) with ``H(q) = Id_q``, i.e. nodes that
+    currently claim cluster-head status.  ``p`` may elect itself only if it
+    dominates all of them.
+    """
+    return all(key_q < key_p for key_q in claimed_head_keys)
+
+
+def wants_headship(key_p, neighbor_keys, claimed_two_hop_head_keys=None):
+    """Full self-election test: local maximality plus (optionally) fusion.
+
+    Pass ``claimed_two_hop_head_keys=None`` for the basic rule of §4.2 and a
+    (possibly empty) iterable for the fusion rule of §4.3.
+    """
+    if not is_local_max(key_p, neighbor_keys):
+        return False
+    if claimed_two_hop_head_keys is None:
+        return True
+    return dominates_two_hop_heads(key_p, claimed_two_hop_head_keys)
 
 
 def int64_ids(ids):

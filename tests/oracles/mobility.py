@@ -14,15 +14,17 @@ The other window sources get the same treatment: :func:`metric_windows`
 (comparison and re-affiliation churn), :func:`window_hierarchies` (the
 workload's mobility shape) and :func:`run_churn_epochs` (node churn)
 rebuild each window's topology from scratch where the library walks one
-edge-delta stream.  Each takes the arguments the experiments pass to
-the library function, so a test substitutes it for the module attribute
-and runs the experiment in-process at ``jobs=1``.
+edge-delta stream, and cluster it with the per-node oracles of
+``tests/oracles/baselines.py`` and ``tests/oracles/election.py``
+(:data:`METRIC_ORACLES`), never with the library's engines.  Each takes
+the arguments the experiments pass to the library function, so a test
+substitutes it for the module attribute and runs the experiment
+in-process at ``jobs=1``.
 """
 
 import numpy as np
 
 from repro.experiments.common import get_preset
-from repro.experiments.metric_windows import METRIC_SCRATCH
 from repro.experiments.mobility import (
     CONFIGURATIONS,
     SPEED_REGIMES,
@@ -41,7 +43,19 @@ from repro.runtime.simulator import StepSimulator
 from repro.stabilization.monitor import steps_to_legitimacy
 from repro.stabilization.predicates import make_stack_predicate
 from repro.util.rng import as_rng
+from tests.oracles import baselines
 from tests.oracles.election import compute_clustering
+
+#: Per-node oracle per metric of ``repro.experiments.metric_windows``.
+METRIC_ORACLES = {
+    "density": lambda topo: compute_clustering(topo.graph, tie_ids=topo.ids),
+    "degree": lambda topo: baselines.degree_clustering(topo.graph,
+                                                       tie_ids=topo.ids),
+    "lowest-id": lambda topo: baselines.lowest_id_clustering(
+        topo.graph, tie_ids=topo.ids),
+    "max-min (d=2)": lambda topo: baselines.maxmin_clustering(
+        topo.graph, d=2, tie_ids=topo.ids),
+}
 
 
 class RebuildTraceEvaluator:
@@ -116,25 +130,32 @@ def run_mobility_trace(regime, preset, radius=0.1, rng=None,
 
 def metric_windows(snapshots, radius):
     """:func:`repro.experiments.metric_windows.metric_windows` with every
-    window rebuilt: ``topology_at`` plus ``METRIC_SCRATCH`` per snapshot."""
+    window rebuilt: ``topology_at`` plus :data:`METRIC_ORACLES` per
+    snapshot."""
     for positions in snapshots:
         topology = topology_at(positions, radius)
-        yield {name: scratch(topology)
-               for name, scratch in METRIC_SCRATCH.items()}
+        yield {name: oracle(topology)
+               for name, oracle in METRIC_ORACLES.items()}
 
 
 def window_hierarchies(snapshots, params, rng):
     """The workload's ``_window_hierarchies`` as one scratch
-    :func:`build_hierarchy` per snapshot (names, election, overlay)."""
+    :func:`build_hierarchy` per snapshot (names, election, overlay).
+
+    The physical level comes from the per-node oracles: the density
+    election draws its DAG names first, as a full build would."""
     metric = params.get("metric", "density")
     for positions in snapshots:
         topology = topology_at(positions, params["radius"])
         if metric == "density":
-            yield build_hierarchy(topology, rng=rng)
+            dag_ids = None
+            if topology.graph.edge_count() > 0:
+                dag_ids, _rounds = assign_dag_ids(topology, rng)
+            physical = compute_clustering(topology.graph, tie_ids=topology.ids,
+                                          dag_ids=dag_ids)
         else:
-            scratch = METRIC_SCRATCH[WORKLOAD_METRICS[metric]]
-            yield build_hierarchy(topology, rng=rng,
-                                  physical_clustering=scratch(topology))
+            physical = METRIC_ORACLES[WORKLOAD_METRICS[metric]](topology)
+        yield build_hierarchy(topology, rng=rng, physical_clustering=physical)
 
 
 def run_churn_epochs(initial_count, radius, leave_probability, arrival_rate,

@@ -1,16 +1,16 @@
 """Engine-vs-oracle equivalence under randomized dynamics.
 
-Every registered :class:`~repro.clustering.engine.ClusteringEngine` must
-be observationally identical to its scratch oracle after *any* sequence
+Every engine of :data:`repro.clustering.engine.ENGINES` must be
+observationally identical to its per-node oracle after *any* sequence
 of moves, joins, and leaves: same head sets, same parents, same cluster
 counts, window for window.  Hypothesis drives small adversarial traces
--- including the all-nodes-moved and empty-delta windows -- through the
-:class:`~repro.graph.dynamic.WindowUpdate` protocol, and seeded walks
+-- including the all-nodes-moved and empty-delta windows -- through
+:class:`~repro.graph.dynamic.WindowUpdate` streams, and seeded walks
 cover churn re-seeds and the max-min disconnected-member singleton
 fallback.  The oracles are the per-node loops of
-``tests/oracles/baselines.py`` and ``tests/oracles/election.py``, not
-the vectorized scratch paths, so this suite also re-validates those end
-to end.
+``tests/oracles/baselines.py`` and ``tests/oracles/election.py``; a
+scratch clustering is an engine's first window, so this suite checks
+the scratch clusterers end to end too.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.engine import engine_for, registered_engines
+from repro.clustering.engine import ENGINES, engine_for
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
@@ -27,15 +27,12 @@ from tests.oracles.election import compute_clustering
 
 
 def _lowest_id_oracle(topology):
-    priority = {node: -topology.ids[node] for node in topology.graph}
-    return baselines.greedy_dominating_clustering(topology.graph, priority)
+    return baselines.lowest_id_clustering(topology.graph,
+                                          tie_ids=topology.ids)
 
 
 def _degree_oracle(topology):
-    graph = topology.graph
-    priority = {node: (graph.degree(node), -topology.ids[node])
-                for node in graph}
-    return baselines.greedy_dominating_clustering(graph, priority)
+    return baselines.degree_clustering(topology.graph, tie_ids=topology.ids)
 
 
 def _maxmin_oracle(d):
@@ -191,17 +188,8 @@ def test_maxmin_singleton_fallback_survives_deltas():
 
 def _selected_heads(topo):
     """Heads by rule 1-3 selection alone (before the fallback)."""
-    g = topo.graph
-    tie = topo.ids
-    max_log = baselines.flood(g, rounds=2, combine=max,
-                              start={v: tie[v] for v in g})
-    final_max = {v: max_log[v][-1] for v in g}
-    min_log = baselines.flood(g, rounds=2, combine=min, start=final_max)
-    id_to_node = {tie[v]: v for v in g}
-    chosen = {v: id_to_node[baselines.select_head_id(tie[v], max_log[v],
-                                                     min_log[v])]
-              for v in g}
-    return {chosen[v] for v in g} | {v for v in g if chosen[v] == v}
+    chosen = baselines.maxmin_chosen_heads(topo.graph, 2, topo.ids)
+    return {node for node, head in chosen.items() if head == node}
 
 
 def test_empty_and_single_node_streams():
@@ -215,7 +203,7 @@ def test_empty_and_single_node_streams():
 
 
 def test_result_before_init_raises():
-    for name in registered_engines():
+    for name in ENGINES:
         with pytest.raises(ConfigurationError):
             engine_for(name).result()
 

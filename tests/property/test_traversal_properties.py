@@ -15,8 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import maxmin_clustering
+from repro.clustering.baselines import lowest_id_clustering, maxmin_clustering
 from repro.graph.generators import uniform_topology
 from repro.graph.paths import bfs_distances, connected_components, \
     hop_distance
