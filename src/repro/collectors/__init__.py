@@ -13,19 +13,13 @@ experiment family fan chunks out over any
 byte-identical tables.
 """
 
-from repro.collectors.base import (
-    REGISTRY,
-    CollectorProxy,
-    DataCollector,
-    register_collector,
-)
+from repro.collectors.base import CollectorProxy, DataCollector
 from repro.collectors.latency import LatencyCollector
 from repro.collectors.load import HeadLoadCollector, LinkLoadCollector
 from repro.collectors.stretch import StretchCollector
 from repro.collectors.summary import StreamingQuantile
 
 __all__ = [
-    "REGISTRY",
     "CollectorProxy",
     "DataCollector",
     "HeadLoadCollector",
@@ -33,5 +27,4 @@ __all__ = [
     "LinkLoadCollector",
     "StreamingQuantile",
     "StretchCollector",
-    "register_collector",
 ]

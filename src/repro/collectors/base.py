@@ -10,17 +10,6 @@ state to a flat ``dict`` of plain scalars for table building.
 
 from repro.util.errors import ConfigurationError
 
-#: Registered collector classes by name (``register_collector``).
-REGISTRY = {}
-
-
-def register_collector(cls):
-    """Class decorator: make a collector discoverable by ``name``."""
-    if not getattr(cls, "name", None):
-        raise ConfigurationError(f"{cls.__name__} needs a non-empty name")
-    REGISTRY[cls.name] = cls
-    return cls
-
 
 class DataCollector:
     """One measurement over a served request stream.

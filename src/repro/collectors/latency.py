@@ -10,12 +10,11 @@ read/write and unroutable counters.
 
 from collections import Counter
 
-from repro.collectors.base import DataCollector, register_collector
+from repro.collectors.base import DataCollector
 from repro.collectors.summary import StreamingQuantile
 from repro.workload.generators import WRITE
 
 
-@register_collector
 class LatencyCollector(DataCollector):
     """p50/p99/mean latency in hops, plus op and unroutable counts."""
 

@@ -11,10 +11,9 @@ import math
 from collections import Counter
 from itertools import chain, pairwise
 
-from repro.collectors.base import DataCollector, register_collector
+from repro.collectors.base import DataCollector
 
 
-@register_collector
 class LinkLoadCollector(DataCollector):
     """Traversal count per physical link (undirected, canonicalized).
 
@@ -82,7 +81,6 @@ class LinkLoadCollector(DataCollector):
         }
 
 
-@register_collector
 class HeadLoadCollector(DataCollector):
     """Requests handled per cluster-head (hot-spotting under skew).
 

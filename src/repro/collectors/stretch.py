@@ -12,10 +12,9 @@ only formed at query time, in sorted key order.
 
 import math
 
-from repro.collectors.base import DataCollector, register_collector
+from repro.collectors.base import DataCollector
 
 
-@register_collector
 class StretchCollector(DataCollector):
     """Mean/p99 stretch over the stretch-sampled requests."""
 

@@ -120,8 +120,8 @@ class PoolExecutor(Executor):
     submission (or ``jobs=1``) stays in-process.
 
     Tasks reach the workers by plain pickling; a graph inside a task
-    travels as its compact pair arrays (CSR-only graphs) or its dict
-    adjacency (see :meth:`repro.graph.graph.Graph.__getstate__`).
+    travels as its compact pair arrays (see
+    :meth:`repro.graph.graph.Graph.__getstate__`).
     """
 
     def __init__(self, jobs=None):

@@ -1,29 +1,24 @@
 """Frozen compressed-sparse-row adjacency snapshots.
 
-The mutable :class:`~repro.graph.graph.Graph` stores adjacency as
-``dict[node, set[node]]``, which is the right shape for the incremental
-edge churn of the protocol simulations but the wrong shape for the bulk
-analytics the evaluation workloads run (Definition-1 densities over every
-node, degree vectors, whole-edge sweeps).  :class:`CSRAdjacency` is the
-read-only array view used by those paths:
+A :class:`~repro.graph.graph.Graph` is one :class:`CSRAdjacency` plus
+the identifier-world queries of the paper's model over it; the bulk
+analytics of the evaluation workloads (Definition-1 densities over every
+node, degree vectors, whole-edge sweeps) read the arrays directly:
 
 * ``indptr`` / ``indices`` are the standard CSR arrays (``int32``), with
   each row's neighbor indices **sorted ascending** -- the invariant the
   vectorized ``searchsorted`` intersections rely on;
-* ``ids`` maps row index -> node identifier (graph insertion order) and
-  ``index_of`` is the inverse, so callers can move between the array
-  world and the identifier world without per-edge Python loops;
+* ``ids`` maps row index -> node identifier and ``index_of`` is the
+  inverse, so callers can move between the array world and the
+  identifier world without per-edge Python loops;
 * the snapshot is frozen: the arrays are marked non-writeable and derived
   quantities (the triangle counts) are memoized on it,
   so repeated analytics over an unchanged graph cost O(1) after the first
   call.
 
-Snapshots are built either from the dict backend
-(:meth:`CSRAdjacency.from_dict`, used by ``Graph.to_csr``) or directly
-from a canonical undirected pair array
-(:meth:`CSRAdjacency.from_pairs`, used by the bulk constructors
-``Graph.from_pair_array`` / ``from_pair_chunks``, whose graphs carry
-nothing but the snapshot until a caller asks for dict semantics).
+Every snapshot is built from a canonical undirected pair array
+(:meth:`CSRAdjacency.from_pairs`), by each ``Graph`` constructor and by
+the dynamic subsystem for every mobility window.
 
 The triangle counts (Definition 1's numerator) are one array pass with
 no Python loop over nodes or edges: edges point up a degree ranking,
@@ -92,28 +87,6 @@ class CSRAdjacency:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, adj):
-        """Snapshot a ``dict[node, set[node]]`` adjacency.
-
-        One generator pass translates identifiers to indices; the per-row
-        ascending sort is a single vectorized ``lexsort``.
-        """
-        ids = list(adj)
-        index_of = {node: i for i, node in enumerate(ids)}
-        n = len(ids)
-        degrees = np.fromiter((len(adj[u]) for u in ids),
-                              dtype=np.int64, count=n)
-        total = int(degrees.sum())
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        flat = np.fromiter((index_of[v] for u in ids for v in adj[u]),
-                           dtype=np.int32, count=total)
-        if total:
-            rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            flat = flat[np.lexsort((flat, rows))]
-        return cls(indptr, flat, ids)
 
     @classmethod
     def from_pairs(cls, lo, hi, ids):
@@ -192,8 +165,8 @@ class CSRAdjacency:
     def edge_arrays(self):
         """Undirected edges as index arrays ``(u, v)`` with ``u < v``.
 
-        Rows come out in CSR order (by ``u``, then ascending ``v``), which
-        is generally *not* the insertion order of ``Graph.edges``.
+        Rows come out in CSR order (by ``u``, then ascending ``v``), the
+        order of ``Graph.edges``.
         """
         n = len(self.ids)
         degrees = self.degrees()

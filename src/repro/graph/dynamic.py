@@ -34,10 +34,10 @@ proportional to the *delta*:
 
 * :class:`DynamicTopology` rebases one live
   :class:`~repro.graph.graph.Graph` onto each window's snapshot
-  (:meth:`~repro.graph.graph.Graph.adopt_csr`): no per-edge dict updates,
-  and the dict adjacency, when a consumer needs one, is rebuilt lazily in
-  the order a fresh build fills it.  Per-row triangle counts live in an
-  ``int64`` array and move by one batched delta over the changed edges
+  (:meth:`~repro.graph.graph.Graph.adopt_csr`): no per-edge updates, and
+  the rebased graph equals a fresh build of the window.  Per-row
+  triangle counts live in an ``int64`` array and move by one batched
+  delta over the changed edges
   (:func:`triangle_credits`): triangles through removed edges are counted
   on the old snapshot, those through added edges on the new one, each
   credited once -- through its smallest-key changed edge -- to its three
@@ -234,7 +234,7 @@ class DynamicUnitDisk:
 
     @property
     def ids(self):
-        """Node identifiers in index order (the graph's insertion order)."""
+        """Node identifiers in index order (the graph's row order)."""
         return list(self._ids_list)
 
     @property
@@ -393,8 +393,8 @@ class DynamicUnitDisk:
 
         ``arrivals`` is a sequence of ``(id, (x, y))`` pairs.  Surviving
         nodes keep their index order and arrivals append after them, which
-        is exactly the insertion order a maintained :class:`Graph`
-        produces -- and, for monotonically increasing identifiers (the
+        is the row order of the rebased :class:`Graph` -- and, for
+        monotonically increasing identifiers (the
         :class:`~repro.mobility.churn.ChurnProcess` discipline), also the
         sorted order the scratch path uses.  Churn moves no survivor, so
         the delta is every edge incident to a departure or an arrival.

@@ -363,9 +363,8 @@ def unit_disk_graph(positions, radius, node_ids=None, max_pairs=None):
     it skips the dedup sort); above it -- or whenever ``max_pairs`` is
     passed -- the :func:`chunk_pairs` stream feeds
     ``Graph.from_pair_chunks`` so peak memory stays bounded by the chunk
-    budget.  Both paths produce the same CSR-only graph: it carries the
-    snapshot that densities, elections and traversals read, and
-    materializes its dict adjacency lazily on first dict-shaped access.
+    budget.  Both paths produce the same graph: the snapshot that
+    densities, elections and traversals read.
     """
     positions = _validated_positions(positions)
     n = len(positions)

@@ -106,9 +106,11 @@ def file_topology(path=None, format=None, rng=None):
 
 
 def _node_token(node):
-    """A whitespace-free token for a node identifier (int or str)."""
+    """A whitespace-free token for a node identifier that
+    :func:`_parse_node` reads back equal to it (ints, and strings that do
+    not read as ints)."""
     token = str(node)
-    if not token or any(ch.isspace() for ch in token):
+    if not token or any(ch.isspace() for ch in token) or _parse_node(token) != node:
         raise ConfigurationError(
             f"node identifier {node!r} cannot be written to a graph file"
         )
@@ -123,12 +125,32 @@ def _parse_node(token):
         return token
 
 
+def _tie_token(node, tie):
+    """The token of ``node``'s tie identifier, which must read back as an
+    equal int."""
+    token = str(tie)
+    value = _parse_node(token)
+    if not isinstance(value, int) or value != tie:
+        raise ConfigurationError(
+            f"tie identifier {tie!r} of node {node!r} cannot be written to a "
+            "graph file"
+        )
+    return token
+
+
 def _topology_rows(topology):
-    """``(node, tie_id, position-or-None)`` per node, in CSR id order."""
+    """``(token, tie token, position-or-None)`` per node, in CSR id order.
+
+    Every token is checked here, before a file is opened.
+    """
     csr = topology.graph.to_csr()
     positions = topology.positions or None
     return [
-        (node, topology.ids[node], positions[node] if positions else None)
+        (
+            _node_token(node),
+            _tie_token(node, topology.ids[node]),
+            positions[node] if positions else None,
+        )
         for node in csr.ids
     ]
 
@@ -202,8 +224,8 @@ def save_edge_list(topology, path):
         if topology.radius is not None:
             handle.write(f"# radius {topology.radius!r}\n")
         handle.write(f"# nodes {len(rows)}\n")
-        for node, tie, position in rows:
-            line = f"{_node_token(node)} {tie}"
+        for token, tie, position in rows:
+            line = f"{token} {tie}"
             if position is not None:
                 line += f" {position[0]!r} {position[1]!r}"
             handle.write(line + "\n")
@@ -289,16 +311,21 @@ def save_gml(topology, path):
     order.
     """
     rows = _topology_rows(topology)
+    for token, _tie, _position in rows:
+        if '"' in token:
+            raise ConfigurationError(
+                f"node identifier {token!r} cannot be written to a GML file"
+            )
     csr = topology.graph.to_csr()
     row_idx, col_idx = csr.edge_arrays()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("graph [\n  directed 0\n")
         if topology.radius is not None:
             handle.write(f"  radius {topology.radius!r}\n")
-        for index, (node, tie, position) in enumerate(rows):
+        for index, (token, tie, position) in enumerate(rows):
             handle.write("  node [\n")
             handle.write(f"    id {index}\n")
-            handle.write(f'    label "{_node_token(node)}"\n')
+            handle.write(f'    label "{token}"\n')
             handle.write(f"    tie {tie}\n")
             if position is not None:
                 handle.write(f"    graphics [ x {position[0]!r} y {position[1]!r} ]\n")

@@ -2,7 +2,7 @@
 
 Every generator in :mod:`repro.graph.models` emits the same vectorized
 lexicographic pair-array format the geometry kernel produces, so graphs
-arrive CSR-first through ``Graph.from_pair_array`` and -- above
+arrive through ``Graph.from_pair_array`` and -- above
 ``STREAM_NODE_THRESHOLD`` or whenever a chunk budget is forced --
 through the streaming ``Graph.from_pair_chunks`` path with its bounded
 memory envelope.
@@ -58,7 +58,8 @@ def graph_from_pairs(pairs, count, max_pairs=None):
     ``max_pairs`` forces a chunk budget -- the rows stream through
     ``Graph.from_pair_chunks`` in bounded slices, the same contract the
     geometry kernel's ``chunk_pairs`` satisfies, so million-node
-    combinatorial graphs stay CSR-only and lazily materialized.
+    combinatorial graphs never hold more than their compact pair arrays
+    and the snapshot.
     """
     if max_pairs is None and count < STREAM_NODE_THRESHOLD:
         return Graph.from_pair_array(pairs, count)

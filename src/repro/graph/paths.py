@@ -5,12 +5,11 @@ and ``e(H(u)/C) = max_{v in C(u)} d(H(u), v)`` is the eccentricity of a
 cluster-head inside its cluster.  All functions here operate on
 :class:`~repro.graph.graph.Graph` instances.
 
-Since the traversal-kernel refactor these functions ride the graph's
-cached CSR snapshot (:mod:`repro.graph.traversal`): frontiers are numpy
-index arrays, so a BFS is a handful of vectorized gathers per level
-instead of a Python loop per edge.  Distances and component partitions
-are tie-break-free, so results are identical to a deque BFS over the
-dict adjacency.
+These functions ride the graph's CSR snapshot
+(:mod:`repro.graph.traversal`): frontiers are numpy index arrays, so a
+BFS is a handful of vectorized gathers per level instead of a Python
+loop per edge.  Distances and component partitions are tie-break-free,
+so results are identical to a deque BFS over neighbor sets.
 """
 
 import numpy as np
@@ -101,7 +100,7 @@ def diameter(graph):
 def connected_components(graph):
     """List of node sets, one per connected component.
 
-    Components are ordered by their first node in graph insertion order.
+    Components are ordered by their first node in graph row order.
     """
     n = len(graph)
     if n == 0:

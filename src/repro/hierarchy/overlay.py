@@ -21,7 +21,7 @@ neither depends on how the graph was built or how it was pickled:
 The whole overlay is one array pass: border edges are the CSR entries
 whose endpoint labels differ, overlay edges the ``np.unique`` head-row
 pairs, and ``return_index`` picks each pair's first -- lowest -- border
-edge.  The physical dict adjacency is never built.
+edge.
 
 This is the substrate for the paper's announced future work ("we also
 plan to study hierarchical self-stabilization algorithms") and for the

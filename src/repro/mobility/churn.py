@@ -28,7 +28,7 @@ class ChurnProcess:
     maintenance downstream of the resulting edge delta stays
     proportional to the edges the departures and arrivals touched.
     Identifiers are monotonically increasing and never reused, so the
-    maintained graph's insertion order stays the sorted order the scratch
+    maintained graph's row order stays the sorted order the scratch
     path produces -- the property the simulators' determinism rides on.
     """
 

@@ -45,16 +45,13 @@ def is_locally_unique(graph, ids):
     """True iff no two neighbors share a DAG name (the legitimacy predicate
     of the naming layer).
 
-    Checked on the graph's CSR snapshot when available: one vectorized
-    name comparison over the edge arrays instead of the per-edge Python
-    scan of :func:`conflicting_edges` -- the per-window mobility repair
-    evaluates this on every (re)named topology, so it sits on the hot
-    path.  Graphs without a snapshot take the reference scan.
+    Checked on the graph's CSR snapshot: one vectorized name comparison
+    over the edge arrays instead of the per-edge Python scan of
+    :func:`conflicting_edges` -- the per-window mobility repair evaluates
+    this on every (re)named topology, so it sits on the hot path.
     """
-    if hasattr(graph, "to_csr"):
-        eu, _ev, _names = _colliding_rows(graph.to_csr(), ids)
-        return not eu.size
-    return not conflicting_edges(graph, ids)
+    eu, _ev, _names = _colliding_rows(graph.to_csr(), ids)
+    return not eu.size
 
 
 def _colliding_rows(csr, ids):

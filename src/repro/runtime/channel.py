@@ -37,13 +37,12 @@ class Channel:
 class IdealChannel(Channel):
     """Lossless broadcast: τ = 1.
 
-    The per-step delivery scan rides the graph's cached CSR snapshot when
-    the senders are exactly the graph's nodes in insertion order (the
-    shape every :meth:`StepSimulator.step` produces): a receiver's inbox
-    is its CSR row read off the shared ``indices`` array, which lists
-    neighbor rows ascending -- the same sender order the dict-backend
-    scan appends in.  Partial sender sets and non-``Graph`` topologies
-    fall back to the original scan.
+    The per-step delivery scan rides the graph's CSR snapshot when the
+    senders are exactly the graph's nodes in row order (the shape every
+    :meth:`StepSimulator.step` produces): a receiver's inbox is its CSR
+    row read off the shared ``indices`` array, which lists neighbor rows
+    ascending.  A partial sender set takes a scan over the senders'
+    neighbors.
     """
 
     def __init__(self):
@@ -55,24 +54,22 @@ class IdealChannel(Channel):
         return {"_scan_cache": None}
 
     def deliver(self, frames, graph, rng):
-        to_csr = getattr(graph, "to_csr", None)
-        if to_csr is not None:
-            csr = to_csr()
-            if tuple(frames) == csr.ids:
-                cached = self._scan_cache
-                if cached is None or cached[0] is not csr:
-                    # Memoized per snapshot: steps over an unchanged graph
-                    # (the common regime between mobility windows) reuse
-                    # the flattened row lists.
-                    cached = (csr, csr.ids, csr.indptr.tolist(),
-                              csr.indices.tolist())
-                    self._scan_cache = cached
-                _csr, ids, bounds, neighbor_rows = cached
-                frame_list = list(frames.values())
-                return {ids[row]: [frame_list[j]
-                                   for j in neighbor_rows[bounds[row]:
-                                                          bounds[row + 1]]]
-                        for row in range(len(ids))}
+        csr = graph.to_csr()
+        if tuple(frames) == csr.ids:
+            cached = self._scan_cache
+            if cached is None or cached[0] is not csr:
+                # Memoized per snapshot: steps over an unchanged graph
+                # (the common regime between mobility windows) reuse the
+                # flattened row lists.
+                cached = (csr, csr.ids, csr.indptr.tolist(),
+                          csr.indices.tolist())
+                self._scan_cache = cached
+            _csr, ids, bounds, neighbor_rows = cached
+            frame_list = list(frames.values())
+            return {ids[row]: [frame_list[j]
+                               for j in neighbor_rows[bounds[row]:
+                                                      bounds[row + 1]]]
+                    for row in range(len(ids))}
         inboxes = {node: [] for node in graph}
         for sender, frame in frames.items():
             for receiver in graph.neighbors(sender):
@@ -88,12 +85,11 @@ class _NeighborScanChannel(Channel):
 
     Their RNG draws follow neighbor-set iteration order, so the scan
     must keep iterating the sets ``graph.neighbors`` returns.  Building
-    those sets costs a few microseconds a node on a CSR-only graph, so
-    they are memoized per (graph, CSR snapshot) -- keyed by identity,
-    like :class:`IdealChannel`'s scan cache -- and every step over an
-    unchanged graph iterates the very same set objects.  Any mutation
+    those sets costs a few microseconds a node, so they are memoized per
+    (graph, CSR snapshot) -- keyed by identity, like
+    :class:`IdealChannel`'s scan cache -- and every step over an
+    unchanged graph iterates the very same set objects.  A rebase
     replaces the snapshot, and the next step rebuilds the memo.
-    Topologies without a snapshot are scanned afresh every step.
     """
 
     _neighbor_memo = None
@@ -107,10 +103,7 @@ class _NeighborScanChannel(Channel):
 
     def _neighbor_sets(self, graph):
         """``{node: graph.neighbors(node)}`` in graph order."""
-        to_csr = getattr(graph, "to_csr", None)
-        if to_csr is None:
-            return {node: graph.neighbors(node) for node in graph}
-        csr = to_csr()
+        csr = graph.to_csr()
         memo = self._neighbor_memo
         if memo is None or memo[0] is not graph or memo[1] is not csr:
             memo = (graph, csr,

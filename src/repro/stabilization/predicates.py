@@ -14,8 +14,8 @@ oracle clustering -- depends on the graph alone, so a predicate made by
 :func:`make_stack_predicate` computes it once per CSR snapshot
 (:class:`GroundTruth`) and reuses it for every step over that snapshot.
 It is held by snapshot identity, as
-:class:`~repro.runtime.channel.IdealChannel`'s scan cache is: a mutated
-or rebased graph has a new snapshot.  It lives in the predicate's
+:class:`~repro.runtime.channel.IdealChannel`'s scan cache is: a rebased
+graph has a new snapshot.  It lives in the predicate's
 closure, which is never pickled.  Every predicate that reads the truth
 takes it as ``truth``, and computes it afresh when none is given.
 :func:`two_hop_accurate` judges each cache entry once per call and
@@ -39,7 +39,7 @@ class GroundTruth:
     """
 
     def __init__(self, graph):
-        self.snapshot = _snapshot(graph)
+        self.snapshot = graph.to_csr()
         self.neighbors = neighbors = {node: graph.neighbors(node)
                                       for node in graph}
         # Graph.k_neighborhood(node, 2), from the sets above: the node's
@@ -57,9 +57,8 @@ class GroundTruth:
         self._oracles = {}
 
     def describes(self, graph):
-        """True while ``graph`` still has the snapshot this was built on
-        (never for graphs without CSR snapshots)."""
-        return self.snapshot is not None and self.snapshot is _snapshot(graph)
+        """True while ``graph`` still has the snapshot this was built on."""
+        return self.snapshot is graph.to_csr()
 
     def oracle(self, graph, tie_ids, dag_ids, order, fusion, previous):
         """``(parents, heads)`` of the oracle clustering."""
@@ -76,11 +75,6 @@ class GroundTruth:
                   {node: clustering.head(node) for node in graph})
         self._oracles[config] = (inputs, result)
         return result
-
-
-def _snapshot(graph):
-    to_csr = getattr(graph, "to_csr", None)
-    return None if to_csr is None else to_csr()
 
 
 def neighborhood_accurate(simulator, truth=None):

@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.collectors.base import DataCollector, register_collector
+from repro.collectors.base import DataCollector
 from repro.graph import kernels
 from repro.graph.traversal import DistanceSweep
 from repro.hierarchy.overlay import gateway_for
@@ -501,7 +501,6 @@ class CachedRouter:
         return (hops, flat, hops / flat)
 
 
-@register_collector
 class RouterStatsCollector(DataCollector):
     """Router cache effectiveness: flat-BFS LRU hits over lookups.
 

@@ -188,7 +188,6 @@ class TestRepairPaths:
                 continue
             windows += 1
             csr = update.topology.graph.to_csr()
-            assert update.topology.graph._adj_map is None
             assert csr._index_of is None
             engine.apply_delta(update)
             assert csr._index_of is None

@@ -19,18 +19,14 @@ from tests.oracles.election import compute_clustering
 
 
 def complete_graph(n):
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            graph.add_edge(u, v)
-    return graph
+    return Graph(nodes=range(n),
+                 edges=[(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def sweep_graphs():
     lone = Graph(nodes=[0])
     isolates = Graph(nodes=range(5))
-    mixed = Graph(nodes=range(6))
-    mixed.add_edges_from([(0, 1), (1, 2), (0, 2)])  # 3, 4, 5 isolated
+    mixed = Graph(nodes=range(6), edges=[(0, 1), (1, 2), (0, 2)])  # 3-5 isolated
     return [lone, isolates, mixed, complete_graph(5), Graph()]
 
 
@@ -100,8 +96,7 @@ class TestTieRefinement:
         # Engineered tie: both densities round to float 1.0 but the exact
         # values differ, so only the refinement column can order them.
         monkeypatch.setattr(incremental, "FLOAT_RANK_LIMIT", 2)
-        graph = Graph(nodes=range(4))
-        graph.add_edges_from([(0, 1), (1, 2), (2, 3)])
+        graph = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (2, 3)])
         densities = {
             0: Fraction(1),
             1: Fraction(2**53 + 1, 2**53),  # float(...) == 1.0 exactly

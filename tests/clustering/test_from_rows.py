@@ -57,8 +57,9 @@ def assert_same(fast, reference):
 
 
 def backed(graph, backing):
-    """``graph`` as a dict-backed graph, a CSR-only graph over the same
-    ids, or a CSR-only graph whose ids are strings."""
+    """``graph`` itself (``dict``: as ``Graph(nodes, edges)`` built it), a
+    ``from_pair_array`` rebuild over the same ids, or one whose ids are
+    strings."""
     if backing == "dict":
         return graph
     csr = graph.to_csr()
@@ -109,9 +110,7 @@ class TestRowParity:
 
     @pytest.mark.parametrize("backing", ["dict", "csr", "csr-named"])
     def test_isolated_nodes(self, backing):
-        graph = Graph(nodes=[7, 3, 5])
-        graph.add_edge(3, 5)
-        graph = backed(graph, backing)
+        graph = backed(Graph(nodes=[7, 3, 5], edges=[(3, 5)]), backing)
         ids = graph.to_csr().ids
         rows = np.array([0, 1, 1], dtype=np.int64)  # 5 joins 3
         fast = Clustering.from_rows(graph, rows)

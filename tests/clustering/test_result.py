@@ -149,12 +149,14 @@ class TestInvariants:
 
 
 class TestStaleClustering:
-    """A clustering whose graph was mutated after construction."""
+    """A clustering whose graph was rebased after construction."""
 
     @pytest.mark.parametrize("mutate,message", [
-        (lambda graph: graph.remove_edge(1, 2),
+        (lambda graph: graph.adopt_csr(
+            Graph(nodes=range(3), edges=[(0, 1)]).to_csr(), removed=1),
          "cluster of 0 is not connected; joining forest invalid"),
-        (lambda graph: graph.remove_node(2),
+        (lambda graph: graph.adopt_csr(
+            Graph(nodes=range(2), edges=[(0, 1)]).to_csr(), removed=1, left=1),
          "nodes not in graph: [2]"),
     ], ids=["edge-removed", "node-removed"])
     def test_eccentricity_and_invariants_raise(self, mutate, message):

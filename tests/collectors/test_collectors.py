@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.collectors import (
-    REGISTRY,
     CollectorProxy,
     DataCollector,
     HeadLoadCollector,
@@ -32,11 +31,6 @@ def served(route, head_path=None, flat_hops=None, op=READ):
 
 
 class TestRegistry:
-    def test_builtin_collectors_registered(self):
-        assert {"latency", "link_load", "head_load", "stretch"} <= \
-            set(REGISTRY)
-        assert REGISTRY["latency"] is LatencyCollector
-
     def test_base_protocol_is_abstract(self):
         collector = DataCollector()
         with pytest.raises(NotImplementedError):

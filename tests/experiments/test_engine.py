@@ -49,9 +49,7 @@ def _toy_reduce(preset, tasks, results, options):
 
 def _degree_of(task):
     graph, node = task
-    # Degree reads stay on the CSR snapshot, so a graph that arrived
-    # CSR-only is still lazy afterwards.
-    return graph.degree(node), graph._adj_map is None
+    return graph.degree(node), graph.edge_count()
 
 
 TOY_SPEC = ExperimentSpec(name="toy", build=_toy_build, run=_toy_run,
@@ -97,7 +95,8 @@ class TestPoolExecutor:
         nodes = (0, 100, 2000)
         results = PoolExecutor(jobs=2).submit_all(
             [(graph, node) for node in nodes], _degree_of)
-        assert results == [(graph.degree(node), True) for node in nodes]
+        assert results == [(graph.degree(node), graph.edge_count())
+                           for node in nodes]
 
     def test_start_method_from_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")

@@ -90,10 +90,10 @@ class TestTriangleCounts:
     def test_chunked_path_matches_unchunked(self, monkeypatch):
         import repro.graph.csr as csrmod
 
-        graph = complete_topology(12).graph
-        baseline = graph.to_csr().triangle_counts()
+        csr = complete_topology(12).graph.to_csr()
+        baseline = csr.triangle_counts()
         monkeypatch.setattr(csrmod, "_TRIANGLE_CHUNK", 7)
-        fresh = CSRAdjacency.from_dict(graph._adj)
+        fresh = CSRAdjacency(csr.indptr, csr.indices, csr.ids)
         assert (fresh.triangle_counts() == baseline).all()
 
     def test_temporaries_stay_within_the_two_budgets(self, monkeypatch):

@@ -13,6 +13,7 @@ from repro.graph.geometry import (
     unit_disk_graph,
 )
 from repro.util.errors import ConfigurationError
+from tests.oracles.graph import assert_symmetric
 
 
 def brute_force_pairs(positions, radius):
@@ -171,7 +172,7 @@ class TestUnitDiskGraph:
         rng = np.random.default_rng(3)
         points = rng.uniform(0, 1, size=(80, 2))
         graph, _ = unit_disk_graph(points, 0.2)
-        graph.check_symmetry()
+        assert_symmetric(graph)
 
 
 def exact_pairs(points, radius):

@@ -1,10 +1,15 @@
 """Unit tests for the core Graph structure."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
+from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.util.errors import TopologyError
+from tests.oracles.graph import adjacency_of, assert_symmetric, reference_adjacency
 
 
 def make_path(n):
@@ -30,56 +35,25 @@ class TestConstruction:
         assert graph.edge_count() == 2
 
     def test_duplicate_node_add_is_idempotent(self):
-        graph = Graph(nodes=[1])
-        graph.add_node(1)
-        assert len(graph) == 1
+        graph = Graph(nodes=[1, 1], edges=[(1, 2)])
+        assert graph.nodes == [1, 2]
 
     def test_duplicate_edge_add_is_idempotent(self):
-        graph = Graph(edges=[(1, 2)])
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 1)
+        graph = Graph(edges=[(1, 2), (1, 2), (2, 1)])
         assert graph.edge_count() == 1
 
     def test_self_loop_rejected(self):
-        graph = Graph()
-        with pytest.raises(TopologyError):
-            graph.add_edge(5, 5)
+        with pytest.raises(TopologyError, match="self-loop on node 5"):
+            Graph(edges=[(1, 2), (5, 5)])
+
+    def test_node_order_is_first_seen(self):
+        graph = Graph(nodes=[3, 1], edges=[(2, 1), (4, 3), (5, 2)])
+        assert graph.nodes == [3, 1, 2, 4, 5]
+        assert list(graph.to_csr().ids) == graph.nodes
 
     def test_string_nodes(self):
         graph = Graph(edges=[("a", "b")])
         assert graph.has_edge("a", "b")
-
-
-class TestMutation:
-    def test_remove_edge(self):
-        graph = Graph(edges=[(1, 2), (2, 3)])
-        graph.remove_edge(1, 2)
-        assert not graph.has_edge(1, 2)
-        assert not graph.has_edge(2, 1)
-        assert 1 in graph
-
-    def test_remove_missing_edge_raises(self):
-        graph = Graph(nodes=[1, 2])
-        with pytest.raises(TopologyError):
-            graph.remove_edge(1, 2)
-
-    def test_remove_node_removes_incident_edges(self):
-        graph = Graph(edges=[(1, 2), (2, 3), (1, 3)])
-        graph.remove_node(2)
-        assert 2 not in graph
-        assert graph.neighbors(1) == {3}
-        graph.check_symmetry()
-
-    def test_remove_missing_node_raises(self):
-        with pytest.raises(TopologyError):
-            Graph().remove_node(9)
-
-    def test_copy_is_independent(self):
-        graph = Graph(edges=[(1, 2)])
-        clone = graph.copy()
-        clone.add_edge(2, 3)
-        assert 3 not in graph
-        assert clone.has_edge(2, 3)
 
 
 class TestNeighborhoods:
@@ -142,6 +116,10 @@ class TestQueries:
         assert len(edges) == 3
         assert len({frozenset(e) for e in edges}) == 3
 
+    def test_edges_come_in_csr_order(self):
+        graph = Graph(nodes=["c", "a", "b"], edges=[("b", "a"), ("c", "b")])
+        assert graph.edges == [("c", "b"), ("a", "b")]
+
     def test_edge_count(self):
         graph = make_path(5)
         assert graph.edge_count() == 4
@@ -161,65 +139,39 @@ class TestQueries:
         assert not sub.has_edge(3, 4)
         assert sub.edge_count() == 2
 
+    def test_induced_subgraph_node_order_is_set_order(self):
+        nodes = ["x", "d", "q", "a"]
+        graph = Graph(nodes=nodes, edges=[("x", "d"), ("q", "a")])
+        assert graph.induced_subgraph(nodes).nodes == list(set(nodes))
+
     def test_induced_subgraph_unknown_node_raises(self):
         graph = make_path(3)
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=re.escape("[99]")):
             graph.induced_subgraph({0, 99})
+
+    def test_check_symmetry_detects_corruption(self):
+        one_way = CSRAdjacency([0, 1, 1], [1], [0, 1])  # 0 -> 1 only
+        with pytest.raises(AssertionError, match="asymmetric"):
+            assert_symmetric(Graph._from_csr(one_way))
 
     def test_induced_subgraph_is_independent(self):
         graph = make_path(3)
         sub = graph.induced_subgraph({0, 1})
-        sub.add_edge(0, 99)
-        assert 99 not in graph
-
-    def test_check_symmetry_detects_corruption(self):
-        graph = make_path(3)
-        graph._adj[0].add(2)  # corrupt internal state on purpose
-        with pytest.raises(TopologyError):
-            graph.check_symmetry()
+        graph.adopt_csr(Graph(nodes=range(3)).to_csr(), removed=2)
+        assert sub.has_edge(0, 1)
+        assert not graph.has_edge(0, 1)
 
     def test_repr_mentions_size(self):
         assert "n=3" in repr(make_path(3))
 
 
 class TestBulkConstruction:
-    def test_add_edges_from_iterable(self):
-        graph = Graph()
-        graph.add_edges_from([(1, 2), (2, 3)])
-        assert graph.edge_count() == 2
-        graph.check_symmetry()
-
-    def test_add_edges_from_array(self):
-        graph = Graph()
-        graph.add_edges_from(np.array([[1, 2], [2, 3], [3, 1]]))
-        assert graph.edge_count() == 3
-        assert graph.has_edge(1, 2) and graph.has_edge(3, 1)
-        graph.check_symmetry()
-
-    def test_add_edges_from_array_merges_into_existing(self):
-        graph = Graph(edges=[(0, 1)])
-        graph.add_edges_from(np.array([[1, 2], [0, 1]]))
-        assert graph.edge_count() == 2
-
-    def test_add_edges_from_array_rejects_self_loop(self):
-        with pytest.raises(TopologyError):
-            Graph().add_edges_from(np.array([[1, 2], [3, 3]]))
-
-    def test_add_edges_from_array_duplicates_idempotent(self):
-        graph = Graph()
-        graph.add_edges_from(np.array([[1, 2], [2, 1], [1, 2]]))
-        assert graph.edge_count() == 1
-
-    def test_add_edges_from_bad_shape_raises(self):
-        with pytest.raises(TopologyError):
-            Graph().add_edges_from(np.array([1, 2, 3]))
-
     def test_from_pair_array_with_count(self):
         graph = Graph.from_pair_array(np.array([[0, 1], [1, 2]]), 5)
         assert graph.nodes == [0, 1, 2, 3, 4]
         assert graph.edge_count() == 2
         assert graph.degree(4) == 0  # isolated nodes preserved
-        graph.check_symmetry()
+        assert_symmetric(graph)
 
     def test_from_pair_array_with_identifiers(self):
         graph = Graph.from_pair_array(np.array([[0, 2]]), ["a", "b", "c"])
@@ -244,12 +196,12 @@ class TestBulkConstruction:
             Graph.from_pair_array(np.array([[0, 1]]), ["a", "a"])
 
     def test_from_pair_array_is_csr_first(self):
-        graph = Graph.from_pair_array(np.array([[0, 1], [1, 2]]), 4)
-        assert graph._adj_map is None
+        graph = Graph.from_pair_array(np.array([[1, 2], [0, 1]]), 4)
+        csr = graph.to_csr()
+        assert csr.indptr.tolist() == [0, 1, 3, 4, 4]
+        assert csr.indices.tolist() == [1, 0, 2, 1]
         assert graph.degree(1) == 2 and graph.neighbors(1) == {0, 2}
-        assert graph._adj_map is None  # CSR-shaped reads stay lazy
-        assert graph.edges == [(0, 1), (1, 2)]  # dict-shaped read builds it
-        assert graph._adj_map == {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
+        assert adjacency_of(graph) == {0: {1}, 1: {0, 2}, 2: {1}, 3: set()}
 
     def test_from_pair_array_canonicalizes_arbitrary_rows(self):
         canonical = Graph.from_pair_array(
@@ -262,12 +214,10 @@ class TestBulkConstruction:
 
     def test_from_pair_array_matches_add_edge_loop(self):
         pairs = np.array([[0, 1], [0, 3], [1, 2], [2, 3]])
-        loop = Graph(nodes=range(4))
-        for i, j in pairs.tolist():
-            loop.add_edge(i, j)
         bulk = Graph.from_pair_array(pairs, 4)
-        assert loop._adj == bulk._adj
-        assert loop.edges == bulk.edges
+        assert adjacency_of(bulk) == reference_adjacency(range(4),
+                                                         pairs.tolist())
+        assert bulk.edges == Graph(nodes=range(4), edges=pairs.tolist()).edges
 
 
 class TestCSRSnapshot:
@@ -276,41 +226,25 @@ class TestCSRSnapshot:
         assert graph.to_csr() is graph.to_csr()
 
     def test_mutations_invalidate_snapshot(self):
+        # A rebase is the only structural change a graph takes.
         graph = make_path(4)
-        before = graph.to_csr()
-        graph.add_edge(0, 3)
-        after = graph.to_csr()
-        assert after is not before
-        assert after.edge_count() == before.edge_count() + 1
-        graph.remove_edge(0, 3)
-        assert graph.to_csr() is not after
-        graph.add_node(99)
-        assert len(graph.to_csr()) == 5
-        graph.remove_node(99)
-        assert len(graph.to_csr()) == 4
+        ring = Graph(nodes=range(4), edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+        graph.adopt_csr(ring.to_csr(), added=1)
+        assert graph.to_csr() is ring.to_csr()
+        assert graph.has_edge(0, 3) and graph.edge_count() == 4
+        with pytest.raises(TopologyError, match="shape"):
+            graph.adopt_csr(make_path(4).to_csr())
 
     def test_from_pair_array_prebuilds_snapshot(self):
         graph = Graph.from_pair_array(np.array([[0, 1]]), 2)
-        assert graph._csr is not None
-
-    def test_copy_shares_snapshot_until_mutation(self):
-        graph = make_path(4)
-        snapshot = graph.to_csr()
-        clone = graph.copy()
-        assert clone.to_csr() is snapshot
-        clone.add_edge(0, 3)
-        assert clone.to_csr() is not snapshot
-        assert graph.to_csr() is snapshot  # original untouched
+        assert graph.to_csr().edge_count() == 1
 
     def test_pickle_drops_snapshot(self):
-        import pickle
-
-        graph = make_path(4)
-        graph.to_csr()
+        graph = Graph(edges=[("b", "a"), ("a", "c")])
         restored = pickle.loads(pickle.dumps(graph))
-        assert restored._csr is None
-        assert restored._adj == graph._adj
-        assert restored.to_csr().edge_count() == 3
+        assert restored.to_csr() is not graph.to_csr()
+        assert restored.nodes == graph.nodes
+        assert adjacency_of(restored) == adjacency_of(graph)
 
     def test_snapshot_reflects_structure(self):
         graph = Graph(edges=[("b", "a"), ("a", "c")])

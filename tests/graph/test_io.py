@@ -1,5 +1,7 @@
 """Round-trip tests for graph I/O (edge list and GML)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -74,6 +76,66 @@ class TestRoundTrip:
         loaded = assert_round_trip(topology, path)
         assert loaded.positions == {}
         assert loaded.radius is None
+
+
+def numbered(nodes, edges=()):
+    """A position-free topology with tie ids ``0..n-1`` in node order."""
+    return Topology(Graph(nodes=nodes, edges=edges),
+                    ids={node: tie for tie, node in enumerate(nodes)})
+
+
+@pytest.mark.parametrize("format", FORMATS)
+class TestIdentifierTokens:
+    """An identifier is written only if its token reads back equal to it,
+    and every token is checked before the file is opened."""
+
+    @pytest.mark.parametrize("nodes", [
+        ["7", "a"], ["a", "07"], [1.5, 2.5], [True, 3], ["a b", "c"],
+    ], ids=["int-looking-string", "zero-padded", "float", "bool", "space"])
+    def test_identifier_that_reads_back_differently_is_refused(
+            self, tmp_path, format, nodes):
+        path = tmp_path / f"ids.{format}"
+        with pytest.raises(ConfigurationError, match="cannot be written"):
+            save_graph(numbered(nodes, [tuple(nodes)]), path, format=format)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tie", [1.5, 2.0, True, "3"])
+    def test_tie_identifier_that_reads_back_differently_is_refused(
+            self, tmp_path, format, tie):
+        topology = Topology(Graph(edges=[(1, 2)]), ids={1: tie, 2: 0})
+        path = tmp_path / f"ties.{format}"
+        with pytest.raises(ConfigurationError, match="tie identifier"):
+            save_graph(topology, path, format=format)
+        assert not path.exists()
+
+    def test_string_nodes_need_integer_tie_identifiers(self, tmp_path, format):
+        # Topology's default tie identifiers are the node identifiers.
+        with pytest.raises(ConfigurationError, match="tie identifier 'a'"):
+            save_graph(Topology(Graph(edges=[("a", "b")])),
+                       tmp_path / f"t.{format}", format=format)
+
+    def test_refusal_names_the_identifier(self, tmp_path, format):
+        with pytest.raises(ConfigurationError, match=re.escape("'07'")):
+            save_graph(numbered(["a", 7, "07"]), tmp_path / f"x.{format}",
+                       format=format)
+
+    def test_ints_strings_and_numpy_ints_round_trip(self, tmp_path, format):
+        nodes = [np.int64(4), "a", 9, "b7", -2, "x-1"]
+        topology = numbered(nodes, [(np.int64(4), "a"), ("a", 9), (-2, "x-1")])
+        path = tmp_path / f"mixed.{format}"
+        save_graph(topology, path, format=format)
+        loaded = assert_round_trip(topology, path)
+        assert [type(node) for node in loaded.graph.nodes] == \
+            [int, str, int, str, int, str]
+
+
+def test_gml_refuses_a_quote_in_a_label(tmp_path):
+    topology = numbered(['a"b', "c"], [('a"b', "c")])
+    with pytest.raises(ConfigurationError, match="GML"):
+        save_graph(topology, tmp_path / "q.gml")
+    assert not (tmp_path / "q.gml").exists()
+    save_graph(topology, tmp_path / "q.edges")
+    assert_round_trip(topology, tmp_path / "q.edges")
 
 
 class TestFormatInference:

@@ -7,6 +7,7 @@ from repro.graph.geometry import unit_disk_graph
 from repro.graph.quasi_udg import quasi_uniform_topology, \
     quasi_unit_disk_graph
 from repro.util.errors import ConfigurationError
+from tests.oracles.graph import assert_symmetric
 
 
 class TestQuasiUnitDiskGraph:
@@ -59,7 +60,7 @@ class TestQuasiUnitDiskGraph:
         rng = np.random.default_rng(4)
         points = rng.uniform(0, 1, size=(80, 2))
         graph, _ = quasi_unit_disk_graph(points, 0.05, 0.15, rng=rng)
-        graph.check_symmetry()
+        assert_symmetric(graph)
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ConfigurationError):

@@ -67,12 +67,10 @@ class TestFromPairChunks:
     def test_csr_paths_answer_without_materializing(self):
         points = random_points(22, 150)
         graph = Graph.from_pair_chunks(chunk_pairs(points, 0.15), len(points))
-        assert graph._adj_map is None
         assert len(graph) == 150
         assert 3 in graph
         assert graph.degree(3) == len(graph.neighbors(3))
         assert graph.edge_count() == len(pairs_within_range(points, 0.15))
-        assert graph._adj_map is None  # still lazy after CSR-shaped queries
 
     def test_rejects_non_canonical_streams(self):
         with pytest.raises(TopologyError):
@@ -88,13 +86,14 @@ class TestFromPairChunks:
         points = random_points(23, 400)
         graph = Graph.from_pair_chunks(chunk_pairs(points, 0.1), len(points))
         clone = pickle.loads(pickle.dumps(graph))
-        assert clone._adj_map is None
         assert clone.nodes == graph.nodes
         assert set(clone.edges) == set(graph.edges)
 
     def test_mutation_after_streaming_build(self):
+        # A rebase is the only structural change a graph takes.
         graph = Graph.from_pair_chunks([np.array([[0, 1], [1, 2]])], 4)
-        graph.add_edge(0, 3)
+        wider = Graph.from_pair_array(np.array([[0, 1], [1, 2], [0, 3]]), 4)
+        graph.adopt_csr(wider.to_csr(), added=1)
         assert graph.has_edge(0, 3)
         assert graph.neighbors(1) == {0, 2}
 

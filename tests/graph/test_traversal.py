@@ -223,11 +223,9 @@ class TestBfsParents:
         # the serving router's leg cache rests on.
         rng = np.random.default_rng(5)
         n = 24
-        graph = Graph(nodes=range(n))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.15:
-                    graph.add_edge(u, v)
+        graph = Graph(nodes=range(n), edges=[
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < 0.15])
         csr = rows(graph)
         for source in range(0, n, 5):
             parent, _dist = csr_bfs_parents(csr, source)

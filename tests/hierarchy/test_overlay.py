@@ -85,10 +85,8 @@ class TestOverlayTopology:
 def _two_clusters(nodes):
     """Heads 0 and 4, each a star over three members, joined by four
     border edges inserted highest-row first."""
-    graph = Graph(nodes=nodes)
-    for u, v in [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7),
-                 (3, 5), (2, 6), (1, 7), (1, 6)]:
-        graph.add_edge(u, v)
+    graph = Graph(nodes=nodes, edges=[(0, 1), (0, 2), (0, 3), (4, 5), (4, 6),
+                                      (4, 7), (3, 5), (2, 6), (1, 7), (1, 6)])
     parents = {0: 0, 1: 0, 2: 0, 3: 0, 4: 4, 5: 4, 6: 4, 7: 4}
     topo = Topology(graph)
     return overlay_topology(topo, Clustering(graph, parents))
@@ -112,18 +110,14 @@ class TestLowestRowGateway:
 
 
 def _relabeled(graph, name):
-    """``graph`` with node ``k`` renamed ``name(k)``, insertion order kept."""
-    renamed = Graph(nodes=[name(node) for node in graph.nodes])
-    for u, v in graph.edges:
-        renamed.add_edge(name(u), name(v))
+    """``graph`` with node ``k`` renamed ``name(k)``, row order kept."""
+    renamed = Graph(nodes=[name(node) for node in graph.nodes],
+                    edges=[(name(u), name(v)) for u, v in graph.edges])
     return Topology(renamed, ids={name(node): node for node in graph.nodes})
 
 
 def _reordered(graph, order):
-    reordered = Graph(nodes=order)
-    for u, v in graph.edges:
-        reordered.add_edge(u, v)
-    return reordered
+    return Graph(nodes=order, edges=graph.edges)
 
 
 def _check_against_oracle(topo, clustering):
@@ -196,11 +190,9 @@ class TestBuildPathInvariance:
         n = len(graph)
         edges = sorted(tuple(sorted(edge)) for edge in graph.edges)
         shuffled = data.draw(st.permutations(edges))
-        incremental = Graph(nodes=range(n))
-        for u, v in shuffled:
-            if data.draw(st.booleans()):
-                u, v = v, u
-            incremental.add_edge(u, v)
+        incremental = Graph(nodes=range(n), edges=[
+            (v, u) if data.draw(st.booleans()) else (u, v)
+            for u, v in shuffled])
         pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
         bulk = Graph.from_pair_array(pairs, n)
         rebased = Graph(nodes=range(n))

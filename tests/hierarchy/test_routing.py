@@ -122,10 +122,8 @@ def _diamond(nodes):
     """Clusters S={0,1}, A={2,3}, B={4,5}, T={6,7} (heads 0, 2, 4, 6):
     S-A, S-B, A-T and B-T are joined, so S reaches T over two equally
     long head paths, through A or through B."""
-    graph = Graph(nodes=nodes)
-    for u, v in [(0, 1), (2, 3), (4, 5), (6, 7),
-                 (4, 7), (1, 5), (2, 7), (1, 3)]:
-        graph.add_edge(u, v)
+    graph = Graph(nodes=nodes, edges=[(0, 1), (2, 3), (4, 5), (6, 7),
+                                      (4, 7), (1, 5), (2, 7), (1, 3)])
     topology = Topology(graph)
     clustering = Clustering(graph, {0: 0, 1: 0, 2: 2, 3: 2,
                                     4: 4, 5: 4, 6: 6, 7: 6})

@@ -8,6 +8,7 @@ from repro.runtime.simulator import StepSimulator
 from repro.stabilization.monitor import steps_to_legitimacy
 from repro.stabilization.predicates import make_stack_predicate
 from repro.util.errors import ConfigurationError
+from tests.oracles.graph import assert_symmetric
 
 
 class TestChurnProcess:
@@ -41,7 +42,7 @@ class TestChurnProcess:
         process = ChurnProcess(25, 0.3, 0.1, 2.0, rng=5)
         topo = process.topology()
         assert set(topo.graph.nodes) == set(process.population)
-        topo.graph.check_symmetry()
+        assert_symmetric(topo.graph)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):

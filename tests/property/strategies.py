@@ -12,30 +12,22 @@ from repro.graph.graph import Graph
 def graphs(draw, min_nodes=1, max_nodes=16, edge_bias=0.35):
     """A random undirected graph over integer nodes ``0..n-1``."""
     n = draw(st.integers(min_nodes, max_nodes))
-    graph = Graph(nodes=range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()) and draw(
-                    st.floats(0, 1, allow_nan=False)) < edge_bias:
-                graph.add_edge(u, v)
-    return graph
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())
+             and draw(st.floats(0, 1, allow_nan=False)) < edge_bias]
+    return Graph(nodes=range(n), edges=edges)
 
 
 @st.composite
 def connected_graphs(draw, min_nodes=2, max_nodes=14):
     """A random connected graph: a random spanning tree plus extra edges."""
     n = draw(st.integers(min_nodes, max_nodes))
-    graph = Graph(nodes=range(n))
-    for v in range(1, n):
-        u = draw(st.integers(0, v - 1))
-        graph.add_edge(u, v)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     extras = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
         max_size=n))
-    for u, v in extras:
-        if u != v:
-            graph.add_edge(u, v)
-    return graph
+    edges += [(u, v) for u, v in extras if u != v]
+    return Graph(nodes=range(n), edges=edges)
 
 
 @st.composite

@@ -1,11 +1,12 @@
-"""CSR vs dict-backend equivalence on random and geometric graphs.
+"""CSR snapshot vs the dict-of-sets oracle on random and geometric graphs.
 
-The CSR fast path must be observationally identical to the dict backend:
-same edge sets, same degrees, and bit-identical densities on both the
-float and the exact ``Fraction`` path.  Geometric cases (UDG and
-quasi-UDG at several radii) exercise the bulk ``from_pair_array``
-construction; hypothesis cases exercise snapshots of incrementally built
-graphs, including isolated nodes and the 1-node collapse.
+A graph's snapshot must be observationally identical to the adjacency an
+add-edge loop builds (``tests/oracles/graph.py``): same edge sets, same
+degrees, and bit-identical densities on both the float and the exact
+``Fraction`` path.  Geometric cases (UDG and quasi-UDG at several radii)
+exercise the bulk ``from_pair_array`` construction; hypothesis cases
+exercise ``Graph(nodes, edges)``, including isolated nodes and the
+1-node collapse.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.graph.graph import Graph
 from repro.graph.quasi_udg import quasi_uniform_topology
 
 from tests.oracles import triangles as triangles_oracle
+from tests.oracles.graph import adjacency_of, reference_adjacency
 from tests.property.strategies import graphs
 
 
@@ -31,6 +33,9 @@ def assert_csr_matches_dict(graph):
     degrees = csr.degrees()
     for node, index in csr.index_of.items():
         assert degrees[index] == graph.degree(node)
+    # Neighbor sets against the add-edge loop over the same edges.
+    assert adjacency_of(graph) == reference_adjacency(graph.nodes,
+                                                      graph.edges)
     # Edge sets (identifier space vs index space).
     eu, ev = csr.edge_arrays()
     csr_edges = {frozenset((csr.ids[int(u)], csr.ids[int(v)]))
@@ -92,20 +97,18 @@ def test_csr_empty_graph():
 
 
 def test_bulk_equals_incremental_udg_construction():
-    """from_pair_array must yield the same adjacency (and the same set
-    iteration order, hence the same ``edges`` list) as an add_edge loop
-    over the sorted pair array."""
+    """from_pair_array must yield the adjacency an add-edge loop over the
+    sorted pair array builds, and the graph ``Graph(nodes, edges)``
+    builds from the same pairs."""
     from repro.graph.geometry import pairs_within_range
 
     rng = np.random.default_rng(99)
     positions = rng.uniform(0.0, 1.0, size=(300, 2))
     pairs = pairs_within_range(positions, 0.1)
-    incremental = Graph(nodes=range(300))
-    for i, j in pairs.tolist():
-        incremental.add_edge(i, j)
     bulk = Graph.from_pair_array(pairs, 300)
-    assert incremental._adj == bulk._adj
-    assert incremental.edges == bulk.edges
+    assert adjacency_of(bulk) == reference_adjacency(range(300),
+                                                     pairs.tolist())
+    assert bulk.edges == Graph(nodes=range(300), edges=pairs.tolist()).edges
 
 
 @settings(max_examples=40)

@@ -55,14 +55,11 @@ def complete_graph(n):
 
 def grid_graph(rows, cols, diagonals):
     """A rows x cols grid, 4-neighbour or (with diagonals) 8-neighbour."""
-    graph = Graph(nodes=range(rows * cols))
     steps = [(0, 1), (1, 0)] + ([(1, 1), (1, -1)] if diagonals else [])
-    for r in range(rows):
-        for c in range(cols):
-            for dr, dc in steps:
-                if 0 <= r + dr < rows and 0 <= c + dc < cols:
-                    graph.add_edge(r * cols + c, (r + dr) * cols + c + dc)
-    return graph
+    return Graph(nodes=range(rows * cols), edges=[
+        (r * cols + c, (r + dr) * cols + c + dc)
+        for r in range(rows) for c in range(cols) for dr, dc in steps
+        if 0 <= r + dr < rows and 0 <= c + dc < cols])
 
 
 shaped_graphs = st.one_of(

@@ -18,6 +18,7 @@ from repro.graph.models import (
     nw_small_world_topology,
     scale_free_topology,
 )
+from tests.oracles.graph import assert_symmetric
 
 GENERATORS = {
     "distance_rule": distance_rule_topology,
@@ -86,7 +87,7 @@ def test_degree_sanity(case):
     name, count, degree, seed = case
     graph = build(name, count, degree, seed).graph
     assert len(graph) == count
-    graph.check_symmetry()
+    assert_symmetric(graph)
     degrees = [graph.degree(node) for node in graph]
     assert all(0 <= d < count for d in degrees)
     assert sum(degrees) == 2 * graph.edge_count()

@@ -159,7 +159,6 @@ class TestLossyNeighborMemo:
     def test_trace_equals_fresh_neighbor_oracle(self, kind):
         place = np.random.default_rng(7)
         dynamics = DynamicTopology(place.uniform(0, 1, size=(40, 2)), 0.3)
-        assert dynamics.topology.graph._adj_map is None  # CSR-only
         sims = [StepSimulator(dynamics.topology, standard_stack(namespace=160),
                               channel=make(), rng=11, cache_timeout=4)
                 for make in LOSSY[kind]]
