@@ -21,27 +21,26 @@ that rule.
 import numpy as np
 
 
-def _expand_frontier(indptr, indices, frontier):
-    """Concatenated neighbor rows of ``frontier`` plus their source rows.
+def _expand_frontier(indptr, indices, frontier, with_sources=False):
+    """Concatenated neighbor rows of ``frontier``, plus their source rows.
 
     Returns ``(neighbors, sources)`` where ``neighbors[k]`` is adjacent
     to ``sources[k]``; rows appear grouped by frontier order, each group
-    in CSR (ascending) neighbor order.
+    in CSR (ascending) neighbor order.  ``sources`` is built only with
+    ``with_sources`` (``None`` otherwise): unlabeled distance waves never
+    read it.
     """
     starts = indptr[frontier].astype(np.int64)
     counts = indptr[frontier + 1].astype(np.int64) - starts
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    cum = np.zeros(len(frontier) + 1, dtype=np.int64)
-    np.cumsum(counts, out=cum[1:])
-    take = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum[:-1], counts)
-        + np.repeat(starts, counts)
-    )
-    return indices[take].astype(np.int64), np.repeat(frontier, counts)
+        return empty, empty if with_sources else None
+    # Entry k of row i's block sits at starts[i] + (k - first k of i).
+    take = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    take += np.arange(total, dtype=np.int64)
+    sources = np.repeat(frontier, counts) if with_sources else None
+    return indices[take].astype(np.int64), sources
 
 
 def expand_distances(indptr, indices, dist, frontier, level, labels=None):
@@ -54,7 +53,9 @@ def expand_distances(indptr, indices, dist, frontier, level, labels=None):
     ``level + 1``, from which the next call resumes.  ``labels``
     constrains expansion exactly as in :func:`multi_source_distances`.
     """
-    neigh, src = _expand_frontier(indptr, indices, frontier)
+    neigh, src = _expand_frontier(
+        indptr, indices, frontier, with_sources=labels is not None
+    )
     keep = dist[neigh] < 0
     if labels is not None:
         keep &= labels[neigh] == labels[src]
@@ -150,7 +151,7 @@ def bfs_parents(indptr, indices, source, labels=None):
     level = 0
     while frontier.size:
         level += 1
-        neigh, src = _expand_frontier(indptr, indices, frontier)
+        neigh, src = _expand_frontier(indptr, indices, frontier, with_sources=True)
         keep = dist[neigh] < 0
         if labels is not None:
             keep &= labels[neigh] == labels[src]

@@ -13,12 +13,13 @@ exploits that: it memoizes
   :meth:`~repro.hierarchy.overlay.Overlay.head_path` unwinds, so a
   head's parent is the smallest-row head at the previous BFS level
   exactly as in the uncached routine);
-* a compact **per-cluster sub-CSR** (member rows ascending, neighbor
-  blocks filtered to the cluster) so intra-cluster parent fan-outs are
-  sweeps over cluster-sized arrays instead of graph-sized ones.  The
-  renumbering is monotonic and the kernel parent rule is "smallest row
-  at the previous BFS level", so every unwound leg is bit-identical to
-  the label-constrained full-graph search of
+* one **cluster table** per router: every cluster's sub-CSR (member
+  rows ascending, neighbor blocks filtered to the cluster), built in one
+  blocked pass over the CSR on the first leg and sliced per cluster, so
+  intra-cluster parent fan-outs are sweeps over cluster-sized arrays.
+  The renumbering is monotonic and the kernel parent rule is "smallest
+  row at the previous BFS level", so every unwound leg is bit-identical
+  to the label-constrained full-graph search of
   :func:`~repro.hierarchy.routing._intra_cluster_path`;
 * a dense all-pairs distance matrix per cluster of at most
   :data:`DENSE_MAX_MEMBERS` members -- one level-synchronous
@@ -26,13 +27,14 @@ exploits that: it memoizes
   cluster will ever serve; larger clusters serve their legs from
   per-source kernel BFS parents over the sub-CSR instead (same parent
   rule, same legs, memory linear in the cluster);
-* the gateway orientation per ordered head pair;
+* the gateway orientation per ordered head pair, and each **transit
+  leg** under its overlay hop ``(previous, here, next)`` head triple;
 * one **plan** per (source head, destination head) pair: the head
-  path, the source cluster's exit gateway, the transit-cluster legs
-  (references to the cached leg tuples) and the destination cluster's
-  entry gateway, or ``None`` when the pair is unroutable -- so a warm
-  inter-cluster request costs one plan read, two cached endpoint legs
-  and one list build;
+  path, the source cluster's exit gateway, the transit legs (read from
+  the hop-keyed cache, one reference per transit cluster) and the
+  destination cluster's entry gateway, or ``None`` when the pair is
+  unroutable -- so a warm inter-cluster request costs one plan read,
+  two cached endpoint legs and one list build;
 * flat BFS sweeps per *destination* (distances are symmetric, and
   skewed workloads concentrate destinations) in a bounded **LRU**
   cache -- hits move to the back of the eviction queue, so Zipf-skewed
@@ -79,8 +81,12 @@ BATCH_REQUESTS = 4096
 #: build holds four m x m arrays (about 11 bytes per member pair).
 DENSE_MAX_MEMBERS = 1024
 
-#: Per-source BFS parent arrays of over-cap clusters kept (LRU).
-SPARSE_TREES = 64
+#: Bytes of over-cap clusters' int32 BFS parent arrays kept (LRU); a
+#: tree larger than this alone is used once and not kept.
+SPARSE_BYTES = 64 << 20
+
+#: Rows per block of the cluster table's CSR walk (bounds its temporaries).
+TABLE_BLOCK_ROWS = 1 << 13
 
 
 class ServedRequest(NamedTuple):
@@ -122,13 +128,14 @@ class CachedRouter:
         self.csr, self.labels = level.clustering.cluster_rows()
         self.index_of = self.csr.index_of
         self.ids = self.csr.ids
-        self._subs = {}           # head row -> (indptr, indices, members)
-        self._sub_lists = {}      # head row -> (indptr list, indices list)
+        self._table = None        # (spans, member rows, indptr, indices)
+        self._local = None        # row -> its position among its members
+        self._subs = {}           # head row -> sub-CSR arrays and lists
         self._dense = {}          # head row -> all-pairs distance matrix
         self._sparse = OrderedDict()  # (head row, local source) -> parents
+        self._sparse_bytes = 0    # bytes of the parent arrays in _sparse
         self._leg_paths = {}      # (head, source, target) -> node tuple
-        self._member_slices = None  # head row -> member row array
-        self._local_rows = None   # row -> its position among its members
+        self._transit = {}        # (previous, here, next head) -> leg
         self._overlay_trees = {}  # head -> overlay BFS parent ranks
         self._overlay_paths = {}  # (src head, dst head) -> head tuple|None
         self._gateways = {}       # (here, there) -> (exit node, entry node)
@@ -164,176 +171,149 @@ class CachedRouter:
 
     # -- intra-cluster legs -------------------------------------------
 
-    def _member_rows(self, head_row):
-        """Member rows of every cluster, grouped once via one argsort.
+    def _cluster_table(self):
+        """Every cluster's sub-CSR in one table, built on the first leg.
 
-        The stable argsort keeps each group ascending, so a row's local
-        row -- its position in its group, what ``searchsorted`` over the
-        group would return -- is recorded in :attr:`_local_rows` in the
-        same pass.
+        One sort of ``(label, row)`` keys lists the rows cluster-major,
+        so a cluster is a span of table rows and a row's local row is
+        its offset in its span.  One walk over the rows' CSR blocks,
+        :data:`TABLE_BLOCK_ROWS` rows at a time, keeps the neighbors
+        whose offset falls inside the row's own span.
         """
-        slices = self._member_slices
-        if slices is None:
-            labels = self.labels
-            order = np.argsort(labels, kind="stable").astype(np.int64)
-            grouped = labels[order]
-            starts = np.flatnonzero(
-                np.r_[True, grouped[1:] != grouped[:-1]]
-            )
-            bounds = np.r_[starts, len(order)]
-            slices = {
-                int(grouped[lo]): order[lo:hi]
-                for lo, hi in zip(bounds, bounds[1:])
-            }
-            local = np.empty(len(order), dtype=np.int64)
-            local[order] = np.arange(len(order)) - np.repeat(
-                starts, np.diff(bounds))
-            self._local_rows = local
-            self._member_slices = slices
-        return slices[head_row]
+        csr, n = self.csr, len(self.labels)
+        key = self.labels * n + np.arange(n)
+        key.sort()
+        order = (key % n).astype(np.int32)
+        grouped = key // n
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        sizes = np.diff(np.r_[starts, n])
+        spans = dict(zip(grouped[starts].tolist(),
+                         zip(starts.tolist(), (starts + sizes).tolist())))
+        del key, grouped
+        span_start = np.repeat(starts.astype(np.int32), sizes)
+        span_len = np.repeat(sizes.astype(np.uint32), sizes)
+        position = np.empty(n, dtype=np.int32)
+        position[order] = np.arange(n, dtype=np.int32)
+        table_ptr = np.zeros(n + 1, dtype=np.int32)
+        # Sized for every entry; pages past the kept ones stay untouched.
+        table = np.empty(len(csr.indices), dtype=np.int32)
+        kept = 0
+        for lo in range(0, n, TABLE_BLOCK_ROWS):
+            hi = min(lo + TABLE_BLOCK_ROWS, n)
+            first = csr.indptr[order[lo:hi]]
+            counts = csr.indptr[order[lo:hi] + 1] - first
+            ends = np.cumsum(counts)
+            take = np.repeat(first - ends + counts, counts)
+            take += np.arange(len(take))
+            offset = position[csr.indices[take]]
+            offset -= np.repeat(span_start[lo:hi], counts)
+            inside = offset.view(np.uint32) < np.repeat(span_len[lo:hi], counts)
+            found = np.zeros(len(inside) + 1, dtype=np.int32)
+            np.cumsum(inside, out=found[1:])
+            table[kept:kept + int(found[-1])] = offset[inside]
+            table_ptr[lo + 1:hi + 1] = kept + found[ends]
+            kept += int(found[-1])
+        self._table = (spans, order, table_ptr, table[:kept])
+        self._local = (position - span_start[position]).tolist()
+        return self._table
 
-    def _sub(self, head):
-        """``(indptr, indices, members)`` of the cluster-induced sub-CSR.
-
-        ``members`` are the cluster's rows ascending; local row ``k``
-        is ``members[k]``.  Neighbor blocks keep their ascending order,
-        so the kernels' smallest-previous-level-row parent rule picks
-        the same physical nodes as the label-constrained full-graph
-        sweep.
-        """
-        head_row = self.index_of[head]
+    def _sub(self, head_row):
+        """``(indptr, indices, members, indptr list, indices list)``: the
+        cluster's slice of :meth:`_cluster_table`, whose local row ``k``
+        is the node ``members[k]``, the ``k``-th member row ascending."""
         sub = self._subs.get(head_row)
         if sub is None:
-            members = self._member_rows(head_row)
-            csr = self.csr
-            starts = csr.indptr[members].astype(np.int64)
-            counts = csr.indptr[members + 1].astype(np.int64) - starts
-            take = (
-                np.arange(int(counts.sum()), dtype=np.int64)
-                - np.repeat(np.cumsum(counts) - counts, counts)
-                + np.repeat(starts, counts)
-            )
-            neigh = csr.indices[take].astype(np.int64)
-            keep = self.labels[neigh] == head_row
-            local = self._local_rows[neigh[keep]].astype(np.int32)
-            row_of = np.repeat(np.arange(len(members)), counts)
-            kept_per_row = np.bincount(
-                row_of[keep], minlength=len(members)
-            ).astype(np.int32)
-            indptr = np.zeros(len(members) + 1, dtype=np.int32)
-            np.cumsum(kept_per_row, out=indptr[1:])
-            sub = (indptr, local, members)
+            spans, order, ptr, table = self._table or self._cluster_table()
+            lo, hi = spans[head_row]
+            base = int(ptr[lo])
+            indptr = ptr[lo:hi + 1] - base
+            indices = table[base:int(ptr[hi])]
+            members = list(map(self.ids.__getitem__, order[lo:hi].tolist()))
+            sub = (indptr, indices, members, indptr.tolist(), indices.tolist())
             self._subs[head_row] = sub
-            self._sub_lists[head_row] = (indptr.tolist(), local.tolist())
         return sub
 
-    def _cluster_distances(self, head):
+    def _cluster_distances(self, head_row):
         """Dense all-pairs hop distances of one cluster, lazily built.
 
-        One level-synchronous **multi-source sweep** over the cluster's
-        sub-CSR: every member is a source at once, frontiers advance as
-        a boolean matrix product (BLAS) per level.  ``D[s, t]`` is the
-        intra-cluster hop distance (``-1`` disconnected).  Distances
-        are tie-break-free, so the matrix is exact; one build serves
-        every leg that ever touches the cluster, replacing a BFS per
-        (cluster, leg source).  ``None`` for clusters of more
-        than :data:`DENSE_MAX_MEMBERS` members, whose legs
-        :meth:`_leg` takes from per-source BFS parents instead.
+        One level-synchronous **multi-source sweep** over the sub-CSR,
+        every member a source: the 0/1 matrix of pairs within ``k`` hops
+        grows by one BLAS matrix product per level, and each pair farther
+        apart adds one to ``D[s, t]``, the intra-cluster hop distance
+        (``-1`` disconnected; exact, as distances are tie-break-free).
+        One build serves every leg of the cluster; ``None`` over
+        :data:`DENSE_MAX_MEMBERS` members (:meth:`_leg` uses BFS parents).
         """
-        head_row = self.index_of[head]
         dense = self._dense.get(head_row)
         if dense is None:
-            indptr, indices, _members = self._sub(head)
+            indptr, indices = self._sub(head_row)[:2]
             n = len(indptr) - 1
             if n > DENSE_MAX_MEMBERS:
                 return None
-            adjacency = np.zeros((n, n), dtype=np.float32)
-            adjacency[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
-            dense = np.full((n, n), -1, dtype=np.int16)
+            step = np.eye(n, dtype=np.float32)
+            step[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+            far = step == 0.0
+            dense = far + np.int16(1)
             np.fill_diagonal(dense, 0)
-            visited = np.eye(n, dtype=bool)
-            frontier = np.eye(n, dtype=np.float32)
-            level = 0
-            while True:
-                level += 1
-                fresh = (frontier @ adjacency > 0.0) & ~visited
-                if not fresh.any():
+            within, left = step, np.count_nonzero(far)
+            while left:
+                within = within @ step
+                np.minimum(within, 1.0, out=within)  # walk counts overflow
+                far = within == 0.0
+                before, left = left, np.count_nonzero(far)
+                if left == before:  # the pairs left are disconnected
+                    dense[far] = -1
                     break
-                dense[fresh] = level
-                visited |= fresh
-                frontier = fresh.astype(np.float32)
+                dense += far
             self._dense[head_row] = dense
         return dense
 
     def _leg(self, head, source, target):
         """Shortest same-cluster path, = ``_intra_cluster_path`` exactly.
 
-        The deterministic parent rule ("first discoverer in
-        (sorted-frontier row, ascending CSR neighbor) order") is
-        equivalent to "smallest-row neighbor at the previous BFS
-        level", so given the cluster's dense distance matrix the path
-        unwinds target -> source by scanning each row's ascending CSR
-        block for the first neighbor one level closer to the source.
-        Over-cap clusters unwind the kernel's own BFS parents from the
-        source instead.  The member renumbering is monotonic, hence
-        either way the local rule picks exactly the nodes the
-        full-graph label-constrained search picks.
+        The parent rule ("first discoverer in (sorted-frontier row,
+        ascending CSR neighbor) order") is "smallest-row neighbor at the
+        previous BFS level", so the path unwinds target -> source by
+        scanning each row's ascending block for the first neighbor one
+        level closer in the cluster's dense distance matrix (over-cap
+        clusters: the kernel's BFS parents).  The member renumbering is
+        monotonic, so the local rule picks the full-graph search's nodes.
         """
         key = (head, source, target)
         path = self._leg_paths.get(key)
         if path is None:
             head_row = self.index_of[head]
-            indptr, indices, members = self._sub(head)
-            dense = self._cluster_distances(head)
-            local_src = int(self._local_rows[self.index_of[source]])
-            local_tgt = int(self._local_rows[self.index_of[target]])
+            indptr, indices, members, ptr, ind = self._sub(head_row)
+            dense = self._cluster_distances(head_row)
+            local_src = self._local[self.index_of[source]]
+            local_tgt = self._local[self.index_of[target]]
             if dense is None:
                 parents = self._sparse_parents(head_row, indptr, indices,
                                                local_src)
                 rows = kernels.unwind_path(parents, local_src,
                                            local_tgt).tolist()
             else:
-                rows = self._dense_rows(head_row, dense[local_src],
-                                        local_tgt)
+                rows = _dense_rows(ptr, ind, dense[local_src], local_tgt)
             if not rows:
                 raise TopologyError(
                     f"cluster of {head!r} is internally disconnected")
-            ids = self.ids
-            path = tuple(ids[members[row]] for row in rows)
+            path = tuple(map(members.__getitem__, rows))
             self._leg_paths[key] = path
         return path
 
-    def _dense_rows(self, head_row, from_src, target):
-        """Local rows source .. ``target`` unwound against the source's
-        dense distance row ``from_src``; ``[]`` when unreachable."""
-        hops = int(from_src[target])
-        if hops < 0:
-            return []
-        ptr, ind = self._sub_lists[head_row]
-        from_src = from_src.tolist()
-        rows = [target]
-        node = target
-        for level in range(hops - 1, -1, -1):
-            for p in range(ptr[node], ptr[node + 1]):
-                neighbor = ind[p]
-                if from_src[neighbor] == level:
-                    node = neighbor
-                    break
-            rows.append(node)
-        rows.reverse()
-        return rows
-
     def _sparse_parents(self, head_row, indptr, indices, local_src):
-        """Kernel BFS parents over an over-cap cluster's sub-CSR (LRU)."""
+        """Kernel BFS parents over an over-cap cluster's sub-CSR (LRU of
+        at most :data:`SPARSE_BYTES`)."""
         key = (head_row, local_src)
-        parents = self._sparse.get(key)
+        parents = self._sparse.pop(key, None)
         if parents is None:
             parents, _dist = kernels.bfs_parents(indptr, indices, local_src)
-            self._sparse[key] = parents
-            if len(self._sparse) > SPARSE_TREES:
-                self._sparse.popitem(last=False)
-        else:
-            self._sparse.move_to_end(key)
+            parents = parents.astype(np.int32)
+            self._sparse_bytes += parents.nbytes
+        self._sparse[key] = parents
+        while self._sparse_bytes > SPARSE_BYTES:
+            _key, evicted = self._sparse.popitem(last=False)
+            self._sparse_bytes -= evicted.nbytes
         return parents
 
     def _gateway(self, here, there):
@@ -349,34 +329,38 @@ class CachedRouter:
     def _plan(self, head_src, head_dst):
         """``(head_path, exit_node, transit, entry_last)``, or ``None``.
 
-        The per-hop walk of ``hierarchical_route`` minus its two
-        endpoint legs, run once per (source head, destination head):
-        ``exit_node`` is the source cluster's gateway toward the next
-        head, ``transit`` the legs through every transit cluster (each
-        from its entry gateway to its exit gateway, the very tuples
-        cached for :meth:`_leg`, so a plan holds one reference per
-        transit cluster rather than a copy of the node run), and
-        ``entry_last`` the destination cluster's entry gateway.
-        ``None`` when the overlay offers the pair no route.
+        The per-hop walk of ``hierarchical_route`` minus its endpoint
+        legs, once per head pair: the source cluster's exit gateway, the
+        transit legs read per overlay hop from :meth:`_transit_leg`'s
+        cache (references, not copies) and the destination cluster's
+        entry gateway; ``None`` when the overlay offers no route.
         """
         key = (head_src, head_dst)
         plan = self._plans.get(key, key)
         if plan is not key:
             return plan
+        plan = None
         head_path = self.overlay_path(head_src, head_dst)
         if head_path is not None:
-            exit_node, current = self._gateway(head_path[0], head_path[1])
-            transit = []
-            for hop in range(1, len(head_path) - 1):
-                here, there = head_path[hop], head_path[hop + 1]
-                exit_mid, entry_mid = self._gateway(here, there)
-                transit.append(self._leg(here, current, exit_mid))
-                current = entry_mid
-            plan = (head_path, exit_node, tuple(transit), current)
-        else:
-            plan = None
+            hops = tuple(zip(head_path, head_path[1:-1], head_path[2:]))
+            transit = tuple(map(self._transit.get, hops))
+            if None in transit:
+                transit = tuple(map(self._transit_leg, hops))
+            plan = (head_path, self._gateway(*head_path[:2])[0], transit,
+                    self._gateway(*head_path[-2:])[1])
         self._plans[key] = plan
         return plan
+
+    def _transit_leg(self, hop):
+        """The leg across ``here`` on the overlay hop ``(previous, here,
+        next)``, from the gateway entered to the one left, cached."""
+        leg = self._transit.get(hop)
+        if leg is None:
+            previous, here, following = hop
+            leg = self._leg(here, self._gateway(previous, here)[1],
+                            self._gateway(here, following)[0])
+            self._transit[hop] = leg
+        return leg
 
     def _row(self, node):
         """``node``'s CSR row; :class:`TopologyError` when absent."""
@@ -391,10 +375,9 @@ class CachedRouter:
         ``route`` equals ``hierarchical_route(hierarchy, source,
         destination)``; ``head_path`` is the overlay head sequence the
         route crossed (``(head,)`` for intra-cluster pairs).  Each leg
-        starts at the gateway the previous one crossed to, so an
-        inter-cluster route is the concatenation of the source's leg
-        to its plan's exit gateway, the plan's transit legs, and the
-        leg from the plan's last entry gateway to the destination.
+        starts at the gateway the previous one crossed to, so a route
+        concatenates the source's leg to the plan's exit gateway, the
+        transit legs, and the leg from the last entry gateway on.
         """
         try:
             head_src = self.head_of[source]
@@ -417,15 +400,12 @@ class CachedRouter:
     def route_batch(self, requests, flat_every=0, first_index=0):
         """Serve a request chunk; a list of :class:`ServedRequest`.
 
-        A plain loop over the per-request path of :meth:`serve` and
-        :meth:`route`: requests are not grouped by head pair, because
-        each warm request is already one cached plan read plus its two
-        cached endpoint legs.  Flat sampling runs inline in input
-        order, so the LRU of lazy flat sweeps sees the exact
-        per-request access sequence.  The returned stream is
-        byte-identical to calling :meth:`serve` per request with
-        ``with_flat = flat_every and (first_index + i) % flat_every ==
-        0``; a negative ``flat_every`` raises
+        A plain loop over :meth:`serve` (a warm request is already one
+        plan read and two endpoint legs, so requests are not grouped),
+        with flat sampling inline in input order: the stream equals
+        :meth:`serve` per request with ``with_flat = flat_every and
+        (first_index + i) % flat_every == 0``, and the flat LRU sees the
+        same access sequence.  A negative ``flat_every`` raises
         :class:`ConfigurationError`.
         """
         _check_flat_every(flat_every)
@@ -438,13 +418,12 @@ class CachedRouter:
     def flat_hops(self, source, destination):
         """Flat shortest-path hops, or ``None`` when disconnected.
 
-        Sweeps are keyed by *destination* (hop distances are
-        symmetric), which is exactly the axis skewed workloads
-        concentrate on; the cache is LRU so a skewed hot set stays
-        resident.  A source the sweep already reached is one read; any
+        Sweeps are keyed by *destination* (hop distances are symmetric,
+        and skewed workloads concentrate there) in an LRU, so a hot set
+        stays resident.  A source the sweep reached is one read; any
         other lookup meets in the middle (see
         :class:`~repro.graph.traversal.DistanceSweep`), and the sweep
-        keeps the levels it grew for later hits.
+        keeps the levels it grew.
         """
         row = self._row(source)
         sweep = self._flat.get(destination)
@@ -540,6 +519,27 @@ class RouterStatsCollector(DataCollector):
             "flat_hit_ratio": self.flat_hits / lookups if lookups
             else math.nan,
         }
+
+
+def _dense_rows(ptr, ind, from_src, target):
+    """Local rows source .. ``target`` of a sub-CSR (lists ``ptr`` /
+    ``ind``) unwound against the source's dense distance row
+    ``from_src``; ``[]`` when unreachable."""
+    hops = int(from_src[target])
+    if hops < 0:
+        return []
+    from_src = from_src.tolist()
+    rows = [target]
+    node = target
+    for level in range(hops - 1, -1, -1):
+        for p in range(ptr[node], ptr[node + 1]):
+            neighbor = ind[p]
+            if from_src[neighbor] == level:
+                node = neighbor
+                break
+        rows.append(node)
+    rows.reverse()
+    return rows
 
 
 def _router_stats_sink(collector):

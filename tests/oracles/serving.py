@@ -1,10 +1,11 @@
 """Serving oracle: the per-request loop with per-hop walks and full sweeps.
 
 :meth:`repro.workload.serve.CachedRouter.route_batch` serves each
-request from a cached (source head, destination head) plan, takes legs
-from per-cluster sub-CSRs and dense distance matrices, and answers flat
-lookups from lazy BFS sweeps that meet a throwaway sweep from the source
-in the middle.
+request from a cached (source head, destination head) plan whose
+transit legs are cached per overlay hop (previous, here, next head),
+takes legs from per-cluster slices of one cluster table (sub-CSRs) and
+dense distance matrices, and answers flat lookups from lazy BFS sweeps
+that meet a throwaway sweep from the source in the middle.
 This is the loop it must equal, event for event and cache counter for
 cache counter: every request routed on its own by walking its head
 path hop by hop, every intra-cluster leg unwound from one

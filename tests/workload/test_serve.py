@@ -2,7 +2,9 @@
 uncached routines and to the serving oracle, flat-hop accounting, the
 sampling contract, and errors for unknown nodes."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -354,6 +356,55 @@ class TestDenseCap:
         """A dense matrix stores hop counts as int16; a cluster of
         ``DENSE_MAX_MEMBERS`` members spans at most one hop fewer."""
         assert serve.DENSE_MAX_MEMBERS - 1 <= np.iinfo(np.int16).max
+
+
+class TestSparseBudget:
+    """Over-cap clusters keep their per-source parent trees within
+    ``SPARSE_BYTES``, evicting least recently used trees first."""
+
+    @pytest.mark.parametrize("trees", [3, 0.5])
+    def test_star_trees_stay_within_budget(self, monkeypatch, trees):
+        topo = star_topology(40)
+        hierarchy = build_hierarchy(topo, rng=1)
+        clustering = hierarchy.physical.clustering
+        hub = clustering.head(0)
+        size = len(clustering.members(hub))
+        assert size == 20
+        monkeypatch.setattr(serve, "DENSE_MAX_MEMBERS", 8)
+        monkeypatch.setattr(serve, "SPARSE_BYTES", int(trees * size * 4))
+        router = CachedRouter(hierarchy)
+        nodes = sorted(topo.graph.nodes)
+        for source in nodes:
+            for destination in reversed(nodes):
+                assert router.route(source, destination)[0] == \
+                    hierarchical_route(hierarchy, source, destination)
+                kept = list(router._sparse.values())
+                assert all(tree.dtype == np.int32 for tree in kept)
+                assert sum(tree.nbytes for tree in kept) == \
+                    router._sparse_bytes <= serve.SPARSE_BYTES
+        assert router.index_of[hub] not in router._dense
+        assert len(router._sparse) == int(trees)
+
+
+class TestRouterLifetime:
+    def test_router_dies_with_its_last_reference(self, deployment):
+        """No router cache refers back to the router, so a router that
+        served inter-cluster requests is freed by reference counting
+        alone, without waiting for the cyclic collector."""
+        topo, hierarchy = deployment
+        nodes = sorted(topo.graph.nodes)
+        requests = list(poisson_requests(nodes, 200, rng=5))
+        gc.disable()
+        try:
+            router = CachedRouter(hierarchy)
+            served = router.route_batch(requests, flat_every=3)
+            assert router._transit and router._plans and router._flat
+            alive = weakref.ref(router)
+            del router
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert any(len(event.head_path) > 2 for event in served)
 
 
 @st.composite
